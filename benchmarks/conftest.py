@@ -140,10 +140,11 @@ def _merge_records(existing, fresh):
 def pytest_sessionfinish(session, exitstatus):
     """Write the cross-session suite summary (``BENCH_suite.json``).
 
-    Cache counters come from the in-driver deltas recorded by
-    :func:`bench_experiment`; with worker processes the drivers merge
-    each worker's counters back, so the numbers are exact in both serial
-    and parallel runs.  Records merge into any existing suite file by
+    Counters are the :mod:`repro.obs` snapshot deltas recorded by
+    :func:`bench_experiment` (counters are monotone, so a delta is never
+    negative); with worker processes ``run_units`` absorbs each worker's
+    counters back, so the numbers are exact in both serial and parallel
+    runs.  Records merge into any existing suite file by
     ``exp_id`` (latest run wins), so partial benchmark runs refresh only
     the experiments they measured.
     """

@@ -32,6 +32,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro import obs
 from repro.core.framework import RtMdm
 from repro.dnn.quantization import INT8
 from repro.dnn.zoo import build_model, list_models
@@ -712,7 +713,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.plan_store:
         planstore.configure(args.plan_store)
-        planstore.reset_counters()
+    before = obs.snapshot()
     trace = fleet_trace(
         args.devices,
         args.duration,
@@ -752,12 +753,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             serial.decisions
         )
     ok = identity_ok is not False
+    counts = dict(zip(obs.TABLE["planstore"], obs.delta_since(before)["planstore"]))
+    counts["enabled"] = int(planstore.active() is not None)
     if args.json:
         payload = report.to_dict()
         if identity_ok is not None:
             payload["identity_vs_serial"] = identity_ok
         if args.plan_store:
-            payload["planstore"] = planstore.counters_dict()
+            payload["planstore"] = counts
         print(json.dumps(payload, indent=2))
         return 0 if ok else 1
     print(
@@ -805,7 +808,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"in {report.wall_s:.2f}s wall"
     )
     if args.plan_store:
-        counts = planstore.counters_dict()
         print(
             f"plan store: {args.plan_store} "
             f"({counts['hits']} hits, {counts['misses']} misses, "
@@ -834,55 +836,14 @@ def _run_exp_ids(args: argparse.Namespace, ids: List[str]) -> None:
 
 
 def _print_runtime_counters() -> None:
-    """Steady-state folding and RTA warm-start totals for ``--profile``."""
-    from repro.core import segcache
-
-    stats = segcache.stats()
-    fold = stats.get("sim.fold", {})
-    print(
-        "--- steady-state folding ---\n"
-        f"  runs={fold.get('runs', 0)} folded={fold.get('folds', 0)} "
-        f"cycles_skipped={fold.get('cycles_skipped', 0)} "
-        f"jobs_skipped={fold.get('jobs_skipped', 0)}"
-    )
-    fp = stats.get("rta.fixpoint", {})
-    lookups = fp.get("exact_hits", 0) + fp.get("misses", 0)
-    hit_rate = fp.get("exact_hits", 0) / lookups if lookups else 0.0
-    print(
-        "--- rta fixpoint cache ---\n"
-        f"  exact_hits={fp.get('exact_hits', 0)} misses={fp.get('misses', 0)} "
-        f"warm_starts={fp.get('warm_hits', 0)} hit_rate={hit_rate:.1%}"
-    )
-    from repro.sched import vecrta
-
-    prof = vecrta.profile()
-    print(
-        "--- vectorized rta engine ---\n"
-        f"  batches={fp.get('vec_batches', 0)} rows={fp.get('vec_rows', 0)} "
-        f"stand_downs={fp.get('vec_stand_downs', 0)}\n"
-        f"  pack={prof['pack_s']:.3f}s array-iterate={prof['solve_s']:.3f}s "
-        f"unpack={prof['unpack_s']:.3f}s"
-    )
-    from repro.sched import simcore
-
-    soa = stats.get("sim.soa", {})
-    sprof = simcore.profile()
-    print(
-        "--- soa simulator engine ---\n"
-        f"  runs={soa.get('sim_soa_runs', 0)} "
-        f"events={soa.get('sim_soa_events', 0)} "
-        f"stand_downs={soa.get('sim_stand_downs', 0)}\n"
-        f"  pack={sprof['pack_s']:.3f}s advance={sprof['advance_s']:.3f}s "
-        f"unpack={sprof['unpack_s']:.3f}s"
-    )
-    res = stats.get("fleet.resilience", {})
-    print(
-        "--- fleet resilience ---\n"
-        f"  degraded_admits={res.get('degraded_admits', 0)} "
-        f"timeout_retries={res.get('timeout_retries', 0)} "
-        f"recovered={res.get('recovered', 0)} "
-        f"crashes={res.get('crashes', 0)}"
-    )
+    """Every :mod:`repro.obs` counter and timer group, for ``--profile``."""
+    print("--- runtime counters (timers in seconds) ---")
+    for name, values in obs.stats().items():
+        fields = " ".join(
+            f"{field}={value:.3f}" if name in obs.TIMERS else f"{field}={value}"
+            for field, value in values.items()
+        )
+        print(f"  {name}: {fields}")
 
 
 def _cmd_exp(args: argparse.Namespace) -> int:

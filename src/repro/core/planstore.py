@@ -24,9 +24,9 @@ Durability model:
   writers are last-wins safe and readers never observe a torn record.
 
 The store holds **search-stage** values only (the expensive stage); the
-cheap zoo/refine memos stay in-memory.  Counters ride the segcache
-snapshot/absorb protocol as the ``"planstore"`` pseudo-entry, so
-parallel workers' store traffic merges into exact totals.
+cheap zoo/refine memos stay in-memory.  Store traffic counts into the
+monotone ``planstore`` group of :mod:`repro.obs`, so parallel workers'
+traffic merges into exact parent-side deltas.
 
 Enable with :func:`configure` or the ``REPRO_PLAN_STORE=<dir>``
 environment variable (workers spawned by the parallel runner inherit
@@ -40,8 +40,9 @@ import json
 import os
 import threading
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro import obs
 from repro.sched.task import Segment
 
 __all__ = [
@@ -50,19 +51,13 @@ __all__ = [
     "active",
     "canonical_key",
     "configure",
-    "counters_dict",
-    "counters_snapshot",
-    "counters_absorb",
-    "reset_counters",
 ]
 
 #: On-disk record schema tag; bump on any incompatible layout change.
 STORE_SCHEMA = "rtmdm-planstore/1"
 
-_COUNTER_NAMES = ("hits", "misses", "corrupt", "stale", "writes")
-
 _lock = threading.Lock()
-_counters: Dict[str, int] = {name: 0 for name in _COUNTER_NAMES}
+_counters = obs.live("planstore")
 
 
 def canonical_key(key: Any) -> str:
@@ -234,30 +229,3 @@ def configure(path: Optional[str]) -> Optional[PlanStore]:
 def active() -> Optional[PlanStore]:
     """The process-wide store consulted by the planning pipeline."""
     return _active
-
-
-def reset_counters() -> None:
-    with _lock:
-        for name in _COUNTER_NAMES:
-            _counters[name] = 0
-
-
-def counters_snapshot() -> Tuple[int, ...]:
-    """``(hits, misses, corrupt, stale, writes)`` for the segcache protocol."""
-    with _lock:
-        return tuple(_counters[name] for name in _COUNTER_NAMES)
-
-
-def counters_absorb(values: Tuple[int, ...]) -> None:
-    """Fold a worker's counter delta into this process's totals."""
-    names: List[str] = list(_COUNTER_NAMES[: len(values)])
-    with _lock:
-        for name, value in zip(names, values):
-            _counters[name] += value
-
-
-def counters_dict() -> Dict[str, int]:
-    with _lock:
-        out = dict(_counters)
-    out["enabled"] = int(_active is not None)
-    return out

@@ -22,9 +22,9 @@ therefore does two things:
 
 2. **Bounded LRU caches with hit/miss counters** — one per planning stage
    (zoo model build, granularity refinement, segmentation search,
-   schedulability analysis).  Counters are cheap to snapshot/diff so
-   parallel workers can report per-unit deltas that merge into exact
-   totals.
+   schedulability analysis).  The counters live in :mod:`repro.obs` and
+   are monotone: :func:`clear_all` drops entries, never counts, so a
+   reader diffs a :func:`snapshot` with :func:`delta_since`.
 
 Key soundness notes:
 
@@ -59,8 +59,9 @@ import enum
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro import obs
 from repro.core import pipeline as _pipeline
 from repro.core import planstore
 from repro.core.analysis import AnalysisResult, analyze
@@ -70,10 +71,12 @@ from repro.dnn.models import Model, refine_model
 from repro.dnn.quantization import Quantization
 from repro.dnn.zoo import build_model
 from repro.hw.platform import Platform
+from repro.obs import absorb, delta_since, snapshot
 from repro.sched.task import TaskSet
 
 __all__ = [
     "PlanCache",
+    "absorb",
     "cached_analyze",
     "cached_build_model",
     "cached_refine_model",
@@ -83,16 +86,14 @@ __all__ = [
     "cache_note",
     "clear_all",
     "configure",
-    "counters",
     "delta_since",
     "freeze",
-    "merge_deltas",
     "planner_platform_fingerprint",
     "pow2_floor",
     "quarter_pow2_floor",
     "set_enabled",
     "snapshot",
-    "stats",
+    "xip_columns",
 ]
 
 _DEFAULT_MAXSIZE = 4096
@@ -169,19 +170,32 @@ def quarter_pow2_floor(value: int) -> int:
 # Bounded LRU cache with counters
 # ----------------------------------------------------------------------
 class PlanCache:
-    """A bounded LRU map with hit/miss counters (thread-safe)."""
+    """A bounded LRU map with hit/miss counters (thread-safe).
+
+    A cache named after a :data:`repro.obs.TABLE` group counts into the
+    registry; any other (the private memos) keeps its own tally.
+    """
 
     def __init__(self, name: str, maxsize: Optional[int] = None) -> None:
         self.name = name
         self._maxsize = maxsize if maxsize is not None else _env_maxsize()
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self._counts = (
+            obs.live(name) if name in obs.TABLE else {"hits": 0, "misses": 0}
+        )
 
     @property
     def maxsize(self) -> int:
         return self._maxsize
+
+    @property
+    def hits(self) -> int:
+        return self._counts["hits"]
+
+    @property
+    def misses(self) -> int:
+        return self._counts["misses"]
 
     def __len__(self) -> int:
         return len(self._data)
@@ -192,10 +206,10 @@ class PlanCache:
             try:
                 value = self._data[key]
             except KeyError:
-                self.misses += 1
+                self._counts["misses"] += 1
                 return False, None
             self._data.move_to_end(key)
-            self.hits += 1
+            self._counts["hits"] += 1
             return True, value
 
     def put(self, key: Any, value: Any) -> None:
@@ -205,18 +219,10 @@ class PlanCache:
             while len(self._data) > self._maxsize:
                 self._data.popitem(last=False)
 
-    def add_counts(self, hits: int, misses: int) -> None:
-        """Fold externally-observed traffic (a worker's delta) into the
-        counters without touching the stored entries."""
-        with self._lock:
-            self.hits += hits
-            self.misses += misses
-
     def clear(self) -> None:
+        """Drop every entry; the counters keep counting."""
         with self._lock:
             self._data.clear()
-            self.hits = 0
-            self.misses = 0
 
     def resize(self, maxsize: int) -> None:
         with self._lock:
@@ -249,6 +255,12 @@ _xip_memo = PlanCache("_xip")
 #: times).  Entries hold a strong reference to the source tuple.
 _transform_memo = PlanCache("_transform")
 
+#: ``(id(model), id(platform), id(quant)) -> (model, platform, quant,
+#: columns)``: the batched admission packer's (:mod:`repro.eval.systems`)
+#: identity memo in front of :func:`cached_xip_segments`.  Values pin
+#: their key objects so the ids stay valid until :func:`clear_all`.
+xip_columns: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
+
 _enabled = _env_enabled()
 
 
@@ -280,127 +292,13 @@ def configure(enabled: Optional[bool] = None, maxsize: Optional[int] = None) -> 
 
 
 def clear_all() -> None:
-    """Drop every cached entry and reset all counters."""
-    for cache in CACHES.values():
+    """Drop every cached entry and memo; counters are monotone and stay."""
+    for cache in (*CACHES.values(), _costs_memo, _xip_memo, _transform_memo):
         cache.clear()
-    _costs_memo.clear()
-    _xip_memo.clear()
-    _transform_memo.clear()
+    for memo in (_model_fingerprint, _quant_fingerprint, _platform_fingerprint):
+        memo.clear()
+    xip_columns.clear()
     _pipeline._latency_memo.clear()
-
-
-def snapshot() -> Dict[str, Tuple[int, ...]]:
-    """Current counter values: ``(hits, misses)`` per plan cache, plus
-    the ``"sim.fold"`` (runs, folds, cycles_skipped, jobs_skipped),
-    ``"sim.soa"`` (runs, events, stand_downs), ``"rta.fixpoint"``
-    (exact_hits, misses, warm_hits) and ``"fleet.resilience"``
-    (degraded_admits, timeout_retries, recovered, crashes)
-    pseudo-entries — one protocol carries every
-    performance counter through the parallel runner's worker deltas.
-    """
-    from repro.robust import recovery
-    from repro.sched import rta, simcore, simulator
-
-    snap: Dict[str, Tuple[int, ...]] = {
-        name: (cache.hits, cache.misses) for name, cache in CACHES.items()
-    }
-    snap["sim.fold"] = simulator.fold_snapshot()
-    snap["sim.soa"] = simcore.soa_snapshot()
-    snap["rta.fixpoint"] = rta.fixpoint_snapshot()
-    snap["planstore"] = planstore.counters_snapshot()
-    snap["fleet.resilience"] = recovery.resilience_snapshot()
-    return snap
-
-
-def delta_since(before: Mapping[str, Tuple[int, ...]]) -> Dict[str, Tuple[int, ...]]:
-    """Counter increments since a :func:`snapshot`."""
-    now = snapshot()
-    out: Dict[str, Tuple[int, ...]] = {}
-    for name, vals in now.items():
-        prev = before.get(name, ())
-        out[name] = tuple(
-            v - (prev[i] if i < len(prev) else 0) for i, v in enumerate(vals)
-        )
-    return out
-
-
-def absorb(delta: Mapping[str, Tuple[int, ...]]) -> None:
-    """Fold a worker process's counter delta into this process's totals.
-
-    Serial runs never call this — inline units already bumped the global
-    counters.  :func:`repro.eval.parallel.run_units` applies it to
-    results coming back from a process pool, so :func:`snapshot` /
-    :func:`delta_since` in the parent stay exact at any worker count.
-    """
-    for name, vals in delta.items():
-        if name == "sim.fold":
-            from repro.sched import simulator
-
-            simulator.fold_absorb(vals)
-        elif name == "sim.soa":
-            from repro.sched import simcore
-
-            simcore.soa_absorb(vals)
-        elif name == "rta.fixpoint":
-            from repro.sched import rta
-
-            rta.fixpoint_absorb(vals)
-        elif name == "planstore":
-            planstore.counters_absorb(vals)
-        elif name == "fleet.resilience":
-            from repro.robust import recovery
-
-            recovery.resilience_absorb(vals)
-        else:
-            cache = CACHES.get(name)
-            if cache is not None:
-                cache.add_counts(vals[0], vals[1])
-
-
-def merge_deltas(
-    deltas: Iterable[Mapping[str, Tuple[int, ...]]]
-) -> Dict[str, Tuple[int, ...]]:
-    """Sum per-unit counter deltas (order-independent)."""
-    total: Dict[str, Tuple[int, ...]] = {}
-    for delta in deltas:
-        for name, vals in delta.items():
-            prev = total.get(name, ())
-            width = max(len(prev), len(vals))
-            total[name] = tuple(
-                (prev[i] if i < len(prev) else 0)
-                + (vals[i] if i < len(vals) else 0)
-                for i in range(width)
-            )
-    return total
-
-
-def counters(names: Tuple[str, ...] = ("refine", "search")) -> Tuple[int, int]:
-    """Combined ``(hits, misses)`` over the named caches."""
-    hits = sum(CACHES[n].hits for n in names)
-    misses = sum(CACHES[n].misses for n in names)
-    return hits, misses
-
-
-def stats() -> Dict[str, Dict[str, int]]:
-    """Full per-cache statistics (for BENCH_suite.json and --profile)."""
-    from repro.robust import recovery
-    from repro.sched import rta, simcore, simulator
-
-    out = {
-        name: {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "entries": len(cache),
-            "maxsize": cache.maxsize,
-        }
-        for name, cache in CACHES.items()
-    }
-    out["sim.fold"] = simulator.fold_counters()
-    out["sim.soa"] = simcore.soa_counters()
-    out["rta.fixpoint"] = rta.fixpoint_counters()
-    out["planstore"] = planstore.counters_dict()
-    out["fleet.resilience"] = recovery.resilience_counters()
-    return out
 
 
 def cache_note(totals: Mapping[str, Tuple[int, int]]) -> str:
@@ -492,6 +390,10 @@ class _IdentityMemo:
             while len(self._data) > _FP_MEMO_MAX:
                 self._data.popitem(last=False)
         return fp
+
+    def clear(self) -> None:
+        with _fp_lock:
+            self._data.clear()
 
 
 _model_fingerprint: "Callable[[Model], Any]" = _IdentityMemo(freeze)

@@ -15,6 +15,7 @@ import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core import segcache
 from repro.core.analysis import METHODS, analyze
 from repro.core.framework import RtMdm
@@ -41,12 +42,7 @@ from repro.eval.systems import SYSTEMS, admit, admit_batch, derive_taskset
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import PLATFORMS, get_platform
 from repro.sched.policies import CpuPolicy
-from repro.sched.simulator import (
-    SimConfig,
-    fold_delta_since,
-    fold_snapshot,
-    simulate,
-)
+from repro.sched.simulator import SimConfig, simulate
 from repro.sched.task import TaskSet
 from repro.workload.scenarios import get_scenario
 from repro.workload.taskset import generate_case
@@ -58,9 +54,9 @@ KIB = 1024
 _stable_seed = stable_seed
 
 
-def _with_cache_note(notes: str, deltas: Sequence[Dict[str, Tuple[int, int]]]) -> str:
-    """Append the merged plan-cache hit/miss summary to a notes string."""
-    return f"{notes}; {segcache.cache_note(segcache.merge_deltas(deltas))}"
+def _with_cache_note(notes: str, delta: obs.Snapshot) -> str:
+    """Append the plan-cache hit/miss summary of ``delta`` to a notes string."""
+    return f"{notes}; {segcache.cache_note(delta)}"
 
 # ----------------------------------------------------------------------
 # EXP-T1 / EXP-T2: workload and platform characterization tables
@@ -205,7 +201,7 @@ def exp_f3_single_dnn_latency(
 # ----------------------------------------------------------------------
 
 
-def _sweep_admission_unit(unit: Tuple) -> Tuple[Tuple, Dict]:
+def _sweep_admission_unit(unit: Tuple) -> Tuple[Tuple, float, float]:
     """One ``(set index, all sweep points)`` admission work row.
 
     Module-level and fed only picklable inputs so it can run in a pool
@@ -216,12 +212,9 @@ def _sweep_admission_unit(unit: Tuple) -> Tuple[Tuple, Dict]:
     fresh ``Random`` with the same per-index seed — the paired-draw
     contract — exactly as the historic one-point-per-unit worker did.
 
-    Returns ``((verdict rows, generation seconds, analysis seconds),
-    cache delta)``; the delta travels back with the payload because
-    worker caches are per-process, so merged totals stay exact.
+    Returns ``(verdict rows, generation seconds, analysis seconds)``.
     """
     seed, x_label, index, points, systems = unit
-    before = segcache.snapshot()
     start = time.perf_counter()
     cases = []
     for _, platform, util in points:
@@ -231,7 +224,7 @@ def _sweep_admission_unit(unit: Tuple) -> Tuple[Tuple, Dict]:
     start = time.perf_counter()
     row = admit_batch(cases, systems)
     analysis_s = time.perf_counter() - start
-    return (tuple(row), gen_s, analysis_s), segcache.delta_since(before)
+    return tuple(row), gen_s, analysis_s
 
 
 def _sched_sweep(
@@ -243,7 +236,7 @@ def _sched_sweep(
     seed: int,
     systems: Sequence[str] = SYSTEMS,
     jobs: Optional[int] = None,
-) -> Tuple[List[Tuple], List[Dict], Dict[str, float]]:
+) -> Tuple[List[Tuple], obs.Snapshot, Dict[str, float]]:
     """Shared machinery: schedulability ratio of each system per x value.
 
     Draws are **paired across x values**: set index ``i`` uses the same
@@ -259,7 +252,7 @@ def _sched_sweep(
     Merging walks units in the serial order, so verdict lists (and
     hence every ratio) are bit-identical to the serial path.
 
-    Returns the result rows, the per-unit cache-counter deltas, and a
+    Returns the result rows, the sweep's counter delta, and a
     wall-clock split ``{"generate_s", "analysis_s"}`` summed over units
     (timing only — never folded into result rows).
     """
@@ -268,9 +261,9 @@ def _sched_sweep(
     units = [
         (seed, x_label, index, points, systems) for index in range(n_sets)
     ]
+    before = obs.snapshot()
     results = run_units(
         _sweep_admission_unit, units, jobs=jobs, chunksize=1,
-        absorb_deltas=True,
         # Leading rows run in-process so forked workers inherit a warm
         # plan cache instead of cold ones.  Misses are spread across the
         # whole sweep (each set draws fresh model/budget combos), so
@@ -278,13 +271,12 @@ def _sched_sweep(
         # worker avoided; 16 rows balances that against serial fraction.
         warm_prefix=16,
     )
+    delta = obs.delta_since(before)
     verdicts: Dict[object, Dict[str, List[bool]]] = {
         x: {s: [] for s in systems} for x in x_values
     }
-    deltas: List[Dict] = []
     timing = {"generate_s": 0.0, "analysis_s": 0.0}
-    for (row, gen_s, analysis_s), delta in results:
-        deltas.append(delta)
+    for row, gen_s, analysis_s in results:
         timing["generate_s"] += gen_s
         timing["analysis_s"] += analysis_s
         for (x, _, _), unit_verdicts in zip(points, row):
@@ -295,17 +287,13 @@ def _sched_sweep(
         rows.append(
             (x, *(round(schedulability_ratio(verdicts[x][s]), 3) for s in systems))
         )
-    return rows, deltas, timing
+    return rows, delta, timing
 
 
-def _sweep_meta(
-    timing: Dict[str, float], deltas: Sequence[Dict[str, Tuple[int, ...]]]
-) -> Dict:
+def _sweep_meta(timing: Dict[str, float], delta: obs.Snapshot) -> Dict:
     """Machine-readable sweep extras: wall-clock split + vec counters."""
-    fixpoint = segcache.merge_deltas(deltas).get("rta.fixpoint", ())
     meta: Dict = {key: round(value, 6) for key, value in timing.items()}
-    for offset, name in ((3, "vec_batches"), (4, "vec_rows"), (5, "vec_stand_downs")):
-        meta[name] = fixpoint[offset] if len(fixpoint) > offset else 0
+    meta.update(zip(obs.TABLE["rta.fixpoint"][3:], delta["rta.fixpoint"][3:]))
     return meta
 
 
@@ -321,7 +309,7 @@ def exp_f4_sched_vs_util(
     """Schedulability ratio vs total CPU utilization."""
     platform = get_platform(platform_key)
     n = max(4, int(n_sets * scale))
-    rows, deltas, timing = _sched_sweep(
+    rows, delta, timing = _sched_sweep(
         platforms=[platform] * len(utils),
         x_values=list(utils),
         x_label="util",
@@ -337,9 +325,9 @@ def exp_f4_sched_vs_util(
         rows=tuple(rows),
         notes=_with_cache_note(
             "admission by each system's offline analysis; DM priorities throughout",
-            deltas,
+            delta,
         ),
-        meta=_sweep_meta(timing, deltas),
+        meta=_sweep_meta(timing, delta),
     )
 
 
@@ -357,7 +345,7 @@ def exp_f5_sched_vs_sram(
     base = get_platform(platform_key)
     platforms = [base.with_sram_bytes(k * KIB) for k in sram_kib]
     n = max(4, int(n_sets * scale))
-    rows, deltas, timing = _sched_sweep(
+    rows, delta, timing = _sched_sweep(
         platforms=platforms,
         x_values=list(sram_kib),
         x_label="sram",
@@ -373,9 +361,9 @@ def exp_f5_sched_vs_sram(
         rows=tuple(rows),
         notes=_with_cache_note(
             "XIP needs no staging buffers, so it flattens at low SRAM where staging systems die",
-            deltas,
+            delta,
         ),
-        meta=_sweep_meta(timing, deltas),
+        meta=_sweep_meta(timing, delta),
     )
 
 
@@ -393,7 +381,7 @@ def exp_f6_sched_vs_bandwidth(
     base = get_platform(platform_key)
     platforms = [base.with_bandwidth_factor(f) for f in factors]
     n = max(4, int(n_sets * scale))
-    rows, deltas, timing = _sched_sweep(
+    rows, delta, timing = _sched_sweep(
         platforms=platforms,
         x_values=list(factors),
         x_label="bw",
@@ -409,9 +397,9 @@ def exp_f6_sched_vs_bandwidth(
         rows=tuple(rows),
         notes=_with_cache_note(
             "factor 1.0 = 48 MB/s QSPI; at high bandwidth overlap matters less",
-            deltas,
+            delta,
         ),
-        meta=_sweep_meta(timing, deltas),
+        meta=_sweep_meta(timing, delta),
     )
 
 
@@ -469,7 +457,7 @@ def _simulate_case_batch(taskset, horizon_jobs: int,
     return simulate_batch(cases)
 
 
-def _f7_unit(unit: Tuple) -> Tuple[Optional[Tuple[Dict, int]], Dict]:
+def _f7_unit(unit: Tuple) -> Optional[Tuple[Dict, int]]:
     """One ``(utilization, set index)`` miss-ratio work unit for EXP-F7.
 
     Draws its own case from a per-(util, index) stable seed, simulates
@@ -478,11 +466,10 @@ def _f7_unit(unit: Tuple) -> Tuple[Optional[Tuple[Dict, int]], Dict]:
     infeasible draw).
     """
     seed, platform, util, index, systems, n_phasings = unit
-    before = segcache.snapshot()
     rng = random.Random(_stable_seed(seed, "f7", util, index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
-        return None, segcache.delta_since(before)
+        return None
     totals: Dict[str, List[float]] = {}
     admitted_missed = 0
     for system in systems:
@@ -499,7 +486,7 @@ def _f7_unit(unit: Tuple) -> Tuple[Optional[Tuple[Dict, int]], Dict]:
             if system == "rtmdm" and admitted and result.total_misses:
                 admitted_missed += 1
         totals[system] = values
-    return (totals, admitted_missed), segcache.delta_since(before)
+    return totals, admitted_missed
 
 
 def exp_f7_miss_ratio(
@@ -526,18 +513,16 @@ def exp_f7_miss_ratio(
         for util in utils
         for index in range(n)
     ]
-    results = run_units(
-        _f7_unit, units, jobs=jobs, chunksize=max(1, n // 2), absorb_deltas=True
-    )
+    before = obs.snapshot()
+    results = run_units(_f7_unit, units, jobs=jobs, chunksize=max(1, n // 2))
+    delta = obs.delta_since(before)
     rows = []
-    deltas: List[Dict] = []
     it = iter(results)
     for util in utils:
         totals: Dict[str, List[float]] = {s: [] for s in systems}
         admitted_missed = 0
         for _ in range(n):
-            payload, delta = next(it)
-            deltas.append(delta)
+            payload = next(it)
             if payload is None:
                 continue
             unit_totals, unit_admitted_missed = payload
@@ -557,19 +542,18 @@ def exp_f7_miss_ratio(
         rows=tuple(rows),
         notes=_with_cache_note(
             "last column must be 0: sets admitted by RT-MDM's analysis never miss in simulation",
-            deltas,
+            delta,
         ),
     )
 
 
-def _f8_unit(unit: Tuple) -> Tuple[Optional[Dict[str, List[float]]], Dict]:
+def _f8_unit(unit: Tuple) -> Optional[Dict[str, List[float]]]:
     """One ``(utilization, set index)`` tightness work unit for EXP-F8."""
     seed, platform, util, index = unit
-    before = segcache.snapshot()
     rng = random.Random(_stable_seed(seed, "f8", util, index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
-        return None, segcache.delta_since(before)
+        return None
     admitted = [
         (method, segcache.cached_analyze(case.taskset, method))
         for method in METHODS
@@ -585,7 +569,7 @@ def _f8_unit(unit: Tuple) -> Tuple[Optional[Dict[str, List[float]]], Dict]:
     ratios: Dict[str, List[float]] = {}
     for (method, result), sim in zip(admitted, sims):
         ratios[method] = list(tightness_ratios(sim, result.wcrt))
-    return ratios, segcache.delta_since(before)
+    return ratios
 
 
 def exp_f8_tightness(
@@ -607,13 +591,11 @@ def exp_f8_tightness(
     units = [
         (seed, platform, util, index) for util in utils for index in range(n)
     ]
-    results = run_units(
-        _f8_unit, units, jobs=jobs, chunksize=max(1, n // 2), absorb_deltas=True
-    )
+    before = obs.snapshot()
+    results = run_units(_f8_unit, units, jobs=jobs, chunksize=max(1, n // 2))
+    delta = obs.delta_since(before)
     ratios_by_method: Dict[str, List[float]] = {m: [] for m in METHODS}
-    deltas: List[Dict] = []
-    for payload, delta in results:
-        deltas.append(delta)
+    for payload in results:
         if payload is None:
             continue
         for method in METHODS:
@@ -638,7 +620,7 @@ def exp_f8_tightness(
         rows=tuple(rows),
         notes=_with_cache_note(
             "max must stay <= 1.0 (safety); higher p50 = tighter analysis",
-            deltas,
+            delta,
         ),
     )
 
@@ -887,6 +869,7 @@ def run_experiment(exp_id: str, **kwargs) -> ExperimentResult:
     an experiment reports is then a deterministic function of the
     experiment and its arguments, not of whatever ran earlier in the
     process (results are warmth-independent by construction either way).
+    Clearing drops entries, not counts: drivers report counter deltas.
     """
     try:
         driver = EXPERIMENTS[exp_id]
@@ -1180,21 +1163,20 @@ EXPERIMENTS["EXP-F15"] = exp_f15_dma_channels
 # ----------------------------------------------------------------------
 
 
-def _r1_margin_unit(unit: Tuple) -> Tuple[Optional[Tuple[bool, Optional[float]]], Dict]:
+def _r1_margin_unit(unit: Tuple) -> Optional[Tuple[bool, Optional[float]]]:
     """One per-set feasibility + sensitivity-margin work unit for EXP-R1."""
     from repro.core.analysis import sensitivity_margin
 
     seed, platform, util, index = unit
-    before = segcache.snapshot()
     rng = random.Random(_stable_seed(seed, "r1", index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
-        return None, segcache.delta_since(before)
+        return None
     margin = sensitivity_margin(case.taskset, "rtmdm")
-    return (True, margin), segcache.delta_since(before)
+    return True, margin
 
 
-def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[Tuple[float, ...], Optional[float]], Dict]:
+def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[float, ...], Optional[float]]:
     """One ``(inflation, case)`` overload-policy work unit for EXP-R1.
 
     Regenerates its case from the draw index (cheap under a warm plan
@@ -1208,7 +1190,6 @@ def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[Tuple[float, ...], Optional[float]]
     from repro.robust.overload import DegradeConfig, OverrunPolicy, degraded_variant
 
     seed, platform, util, draw_index, case_index, inflation, crc = unit
-    before = segcache.snapshot()
     rng = random.Random(_stable_seed(seed, "r1", draw_index))
     case = generate_case(platform, util, rng)
     taskset = case.taskset
@@ -1254,7 +1235,7 @@ def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[Tuple[float, ...], Optional[float]]
         misses.append(robust_miss_ratio(result))
         if policy is OverrunPolicy.DEGRADE:
             residency = degraded_residency(result)
-    return (tuple(misses), residency), segcache.delta_since(before)
+    return tuple(misses), residency
 
 
 def exp_r1_overload_policies(
@@ -1285,14 +1266,11 @@ def exp_r1_overload_policies(
     crc = platform.dma.crc_cycles(platform.mcu)
     n = max(2, int(n_sets * scale))
     margin_units = [(seed, platform, util, index) for index in range(n)]
-    margin_results = run_units(
-        _r1_margin_unit, margin_units, jobs=jobs, chunksize=1, absorb_deltas=True
-    )
-    deltas: List[Dict] = []
+    before = obs.snapshot()
+    margin_results = run_units(_r1_margin_unit, margin_units, jobs=jobs, chunksize=1)
     feasible_draws: List[int] = []
     margins: List[float] = []
-    for index, (payload, delta) in enumerate(margin_results):
-        deltas.append(delta)
+    for index, payload in enumerate(margin_results):
         if payload is None:
             continue
         feasible_draws.append(index)
@@ -1305,16 +1283,16 @@ def exp_r1_overload_policies(
     ]
     sim_results = run_units(
         _r1_sim_unit, sim_units, jobs=jobs,
-        chunksize=max(1, len(feasible_draws) // 2), absorb_deltas=True,
+        chunksize=max(1, len(feasible_draws) // 2),
     )
+    delta = obs.delta_since(before)
     rows = []
     it = iter(sim_results)
     for inflation in inflations:
         miss_lists: List[List[float]] = [[], [], [], []]
         residency: List[float] = []
         for _ in feasible_draws:
-            (misses, res), delta = next(it)
-            deltas.append(delta)
+            misses, res = next(it)
             for policy_index, value in enumerate(misses):
                 miss_lists[policy_index].append(value)
             if res is not None:
@@ -1353,7 +1331,7 @@ def exp_r1_overload_policies(
         rows=tuple(rows),
         notes=_with_cache_note(
             f"2% DMA fault prob + bus jitter at every point; {margin_note}",
-            deltas,
+            delta,
         ),
     )
 
@@ -1366,7 +1344,7 @@ EXPERIMENTS["EXP-R1"] = exp_r1_overload_policies
 # ----------------------------------------------------------------------
 
 
-def _d1_unit(unit: Tuple) -> Tuple[Dict, Dict]:
+def _d1_unit(unit: Tuple) -> Dict:
     """One ``(rate, SRAM budget, trace index)`` serve unit for EXP-D1.
 
     Generates its trace from a stable per-unit seed, replays it through
@@ -1379,7 +1357,6 @@ def _d1_unit(unit: Tuple) -> Tuple[Dict, Dict]:
     from repro.workload.arrivals import poisson_trace
 
     seed, platform_key, sram_kib, rate_hz, index, duration_s = unit
-    before = segcache.snapshot()
     platform = get_platform(platform_key).with_sram_bytes(sram_kib * KIB)
     trace = poisson_trace(
         duration_s, rate_hz, seed=_stable_seed(seed, "d1", rate_hz, index)
@@ -1395,7 +1372,7 @@ def _d1_unit(unit: Tuple) -> Tuple[Dict, Dict]:
         "misses": report.sim.total_misses if report.sim is not None else 0,
         "latencies_us": report.decision_latencies_us,
     }
-    return payload, segcache.delta_since(before)
+    return payload
 
 
 def exp_d1_admission(
@@ -1425,11 +1402,10 @@ def exp_d1_admission(
         for kib in sram_kib
         for index in range(n)
     ]
-    results = run_units(
-        _d1_unit, units, jobs=jobs, chunksize=max(1, n // 2), absorb_deltas=True
-    )
+    before = obs.snapshot()
+    results = run_units(_d1_unit, units, jobs=jobs, chunksize=max(1, n // 2))
+    delta = obs.delta_since(before)
     rows = []
-    deltas: List[Dict] = []
     latencies: List[float] = []
     misses_total = 0
     it = iter(results)
@@ -1443,8 +1419,7 @@ def exp_d1_admission(
                 )
             }
             for _ in range(n):
-                payload, delta = next(it)
-                deltas.append(delta)
+                payload = next(it)
                 latencies.extend(payload.pop("latencies_us"))
                 for key, value in payload.items():
                     totals[key] += value
@@ -1485,7 +1460,7 @@ def exp_d1_admission(
         notes=_with_cache_note(
             "misses column must be 0: admitted instances never miss in "
             "fault-free execution; decision latency stats in suite meta",
-            deltas,
+            delta,
         ),
         meta=meta,
     )
@@ -1499,7 +1474,7 @@ EXPERIMENTS["EXP-D1"] = exp_d1_admission
 # ----------------------------------------------------------------------
 
 
-def _r2_unit(unit: Tuple) -> Tuple[Optional[Dict], Dict]:
+def _r2_unit(unit: Tuple) -> Optional[Dict]:
     """One ``(bad fraction, retry budget, draw)`` recovery unit for EXP-R2.
 
     Regenerates its workload from the draw's stable seed, marks a
@@ -1520,12 +1495,11 @@ def _r2_unit(unit: Tuple) -> Tuple[Optional[Dict], Dict]:
     from repro.robust.recovery import RecoveryConfig, RecoveryProtocol
 
     seed, platform_key, util, index, bad_frac, retries = unit
-    before = segcache.snapshot()
     platform = get_platform(platform_key)
     rng = random.Random(_stable_seed(seed, "r2", index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
-        return None, segcache.delta_since(before)
+        return None
     taskset = case.taskset
     max_period = max(t.period for t in taskset)
     density = sum(4 * t.num_segments / t.period for t in taskset)
@@ -1583,7 +1557,7 @@ def _r2_unit(unit: Tuple) -> Tuple[Optional[Dict], Dict]:
         "rec_latency": summaries[-1]["mean_recovery_latency"],
         "recovered": summaries[-1]["remaps"] + summaries[-1]["xip_fallbacks"],
     }
-    return payload, segcache.delta_since(before)
+    return payload
 
 
 def exp_r2_recovery(
@@ -1622,19 +1596,17 @@ def exp_r2_recovery(
         for retries in retry_budgets
         for index in range(n)
     ]
-    results = run_units(
-        _r2_unit, units, jobs=jobs, chunksize=max(1, n // 2), absorb_deltas=True
-    )
+    before = obs.snapshot()
+    results = run_units(_r2_unit, units, jobs=jobs, chunksize=max(1, n // 2))
+    delta = obs.delta_since(before)
     rows = []
-    deltas: List[Dict] = []
     it = iter(results)
     feasible_total = 0
     for bad_frac in bad_fracs:
         for retries in retry_budgets:
             payloads = []
             for _ in range(n):
-                payload, delta = next(it)
-                deltas.append(delta)
+                payload = next(it)
                 if payload is not None:
                     payloads.append(payload)
             if not payloads:
@@ -1693,7 +1665,7 @@ def exp_r2_recovery(
             "miss columns are survival miss ratios (quarantined releases "
             f"count as failures); {feasible_total} feasible set-points; "
             "rec_lat_ms averages full-ladder runs that recovered a job",
-            deltas,
+            delta,
         ),
     )
 
@@ -1706,7 +1678,7 @@ EXPERIMENTS["EXP-R2"] = exp_r2_recovery
 # ----------------------------------------------------------------------
 
 
-def _r3_unit(unit: Tuple) -> Tuple[Dict, Dict]:
+def _r3_unit(unit: Tuple) -> Dict:
     """One ``(checkpoint interval, crash fraction)`` cell for EXP-R3.
 
     Serves a durable (journaled) run that crashes at the given fraction
@@ -1723,7 +1695,6 @@ def _r3_unit(unit: Tuple) -> Tuple[Dict, Dict]:
     from repro.workload.arrivals import poisson_trace
 
     seed, platform_key, interval, crash_frac, duration_s, rate_hz = unit
-    before = segcache.snapshot()
     runtime = OnlineRuntime(get_platform(platform_key))
     trace = poisson_trace(duration_s, rate_hz, seed=_stable_seed(seed, "r3"))
     baseline = runtime.serve(trace, simulate=False)
@@ -1767,7 +1738,7 @@ def _r3_unit(unit: Tuple) -> Tuple[Dict, Dict]:
         "identical": int(identical),
         "recovery_us": recovery.recovery_us,
     }
-    return payload, segcache.delta_since(before)
+    return payload
 
 
 def exp_r3_crash_recovery(
@@ -1799,11 +1770,10 @@ def exp_r3_crash_recovery(
         for interval in checkpoint_intervals
         for frac in fracs
     ]
-    results = run_units(
-        _r3_unit, units, jobs=jobs, chunksize=1, absorb_deltas=True
-    )
+    before = obs.snapshot()
+    results = run_units(_r3_unit, units, jobs=jobs, chunksize=1)
+    delta = obs.delta_since(before)
     rows = []
-    deltas: List[Dict] = []
     recovery_us: List[float] = []
     identical_total = 0
     it = iter(results)
@@ -1814,8 +1784,7 @@ def exp_r3_crash_recovery(
         identical = 0
         decisions = 0
         for _ in fracs:
-            payload, delta = next(it)
-            deltas.append(delta)
+            payload = next(it)
             recovery_us.append(payload["recovery_us"])
             decisions = payload["decisions"]
             replayed_total += payload["replayed"]
@@ -1864,7 +1833,7 @@ def exp_r3_crash_recovery(
             "identical must equal crashes in every row (recovered decision "
             "logs bit-identical to the uninterrupted run); replayed_max is "
             "bounded by ckpt_interval; recovery latency stats in suite meta",
-            deltas,
+            delta,
         ),
         meta=meta,
     )
@@ -1898,24 +1867,21 @@ def _harmonize(taskset):
     return TaskSet.of(tasks)
 
 
-def _f16_unit(unit: Tuple) -> Tuple[Optional[Dict], Dict]:
+def _f16_unit(unit: Tuple) -> Optional[Dict[str, float]]:
     """One ``(utilization, set index)`` steady-state unit for EXP-F16.
 
     Like :func:`_f7_unit` but on the harmonized task set over a horizon
     of many hyperperiods: the deterministic configs fold their tail
-    cycles arithmetically, and the per-unit fold counters ride back for
-    the experiment's meta block.
+    cycles arithmetically (counted in the ``sim.fold`` counters).
     """
     from repro.robust.overload import OverrunPolicy
 
     seed, platform, util, index, systems, hyperperiods = unit
-    before = segcache.snapshot()
     rng = random.Random(_stable_seed(seed, "f16", util, index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
-        return None, segcache.delta_since(before)
+        return None
     totals: Dict[str, float] = {}
-    fold_before = fold_snapshot()
     cases = []
     for system in systems:
         taskset, _method = derive_taskset(system, case)
@@ -1933,8 +1899,7 @@ def _f16_unit(unit: Tuple) -> Tuple[Optional[Dict], Dict]:
         )))
     for system, result in zip(systems, simulate_batch(cases)):
         totals[system] = miss_ratio(result)
-    payload = {"totals": totals, "fold": fold_delta_since(fold_before)}
-    return payload, segcache.delta_since(before)
+    return totals
 
 
 def exp_f16_steady_state(
@@ -1966,26 +1931,19 @@ def exp_f16_steady_state(
         for util in utils
         for index in range(n)
     ]
-    results = run_units(
-        _f16_unit, units, jobs=jobs, chunksize=max(1, n // 2), absorb_deltas=True
-    )
+    before = obs.snapshot()
+    results = run_units(_f16_unit, units, jobs=jobs, chunksize=max(1, n // 2))
+    delta = obs.delta_since(before)
     rows = []
-    deltas: List[Dict] = []
-    folds = cycles_skipped = jobs_skipped = 0
     it = iter(results)
     for util in utils:
         totals: Dict[str, List[float]] = {s: [] for s in systems}
         for _ in range(n):
-            payload, delta = next(it)
-            deltas.append(delta)
+            payload = next(it)
             if payload is None:
                 continue
             for system in systems:
-                totals[system].append(payload["totals"][system])
-            _runs, f, c, j = payload["fold"]
-            folds += f
-            cycles_skipped += c
-            jobs_skipped += j
+                totals[system].append(payload[system])
         row = [util]
         for system in systems:
             values = totals[system]
@@ -2002,15 +1960,9 @@ def exp_f16_steady_state(
         notes=_with_cache_note(
             "harmonized periods; deterministic runs fold repeated "
             "hyperperiod cycles (REPRO_SIM_FOLD=0 disables; rows identical)",
-            deltas,
+            delta,
         ),
-        meta={
-            "fold": {
-                "folds": folds,
-                "cycles_skipped": cycles_skipped,
-                "jobs_skipped": jobs_skipped,
-            }
-        },
+        meta={"fold": dict(zip(obs.TABLE["sim.fold"][1:], delta["sim.fold"][1:]))},
     )
 
 
@@ -2092,7 +2044,7 @@ def exp_f17_rta_throughput(
     wall-clock throughputs live in ``meta`` only, like every timing
     measurement in the suite.
     """
-    from repro.sched import rta, vecrta
+    from repro.sched import vecrta
     from repro.sched.rta import FixpointCache
 
     n = max(8, int(n_sets * scale))
@@ -2109,12 +2061,11 @@ def exp_f17_rta_throughput(
 
     modes = []  # (label, results, elapsed, engaged)
     for label, cache in (("vectorized", None), ("vectorized+cache", FixpointCache())):
-        before = rta.fixpoint_snapshot()
+        before = obs.snapshot()
         start = time.perf_counter()
         results = vecrta.analyze_taskset_batch(cases, cache=cache)
         elapsed = time.perf_counter() - start
-        delta = rta.fixpoint_delta_since(before)
-        engaged = int(delta[3] > 0 if len(delta) > 3 else 0)
+        engaged = int(obs.delta_since(before)["rta.fixpoint"][3] > 0)
         modes.append((label, results, elapsed, engaged))
 
     def wcrt_maps(results):
@@ -2241,7 +2192,6 @@ def exp_f18_sim_throughput(
     from dataclasses import asdict
 
     from repro.robust.overload import OverrunPolicy
-    from repro.sched import simcore
 
     n = max(4, int(n_sets * scale))
     sets = _f18_tasksets(n, tasks_per_set, seed)
@@ -2264,16 +2214,12 @@ def exp_f18_sim_throughput(
         for label, vec, fold in modes:
             os.environ["REPRO_VEC_SIM"] = vec
             os.environ["REPRO_SIM_FOLD"] = fold
-            soa_before = simcore.soa_snapshot()
-            fold_before = fold_snapshot()
+            before = obs.snapshot()
             start = time.perf_counter()
             results = simulate_batch(cases)
             elapsed = time.perf_counter() - start
-            runs[label] = (
-                results, elapsed,
-                simcore.soa_delta_since(soa_before),
-                fold_delta_since(fold_before),
-            )
+            delta = obs.delta_since(before)
+            runs[label] = (results, elapsed, delta["sim.soa"], delta["sim.fold"])
     finally:
         for key, value in saved.items():
             if value is None:
@@ -2374,7 +2320,7 @@ def exp_s1_fleet(
     def n_dev(base: int) -> int:
         return max(200, int(base * scale))
 
-    cache_before = segcache.snapshot()
+    cache_before = obs.snapshot()
     rows: List[Tuple] = []
     wall_latencies: List[float] = []
     decided_total = 0
@@ -2454,7 +2400,7 @@ def exp_s1_fleet(
             "virtual-time shards; identical=1 means the sharded decision "
             "stream is bit-identical to the serial oracle; engine "
             "throughput/latency in meta",
-            [segcache.delta_since(cache_before)],
+            obs.delta_since(cache_before),
         ),
         meta=meta,
     )
@@ -2527,22 +2473,20 @@ def exp_s2_planstore(
         return outcomes, time.perf_counter() - start
 
     def counters_since(before):
-        names = ("hits", "misses", "corrupt", "stale", "writes")
-        now = planstore.counters_snapshot()
-        return dict(zip(names, (n - b for n, b in zip(now, before))))
+        return dict(zip(obs.TABLE["planstore"], obs.delta_since(before)["planstore"]))
 
     previous = planstore.active()
     root = tempfile.mkdtemp(prefix="rtmdm-planstore-")
     try:
         planstore.configure(root)
         segcache.clear_all()
-        mark = planstore.counters_snapshot()
+        mark = obs.snapshot()
         cold, cold_s = run_pass()
         cold_counts = counters_since(mark)
         # A warm run is a fresh process: in-RAM caches are gone, the
         # on-disk store is not.
         segcache.clear_all()
-        mark = planstore.counters_snapshot()
+        mark = obs.snapshot()
         warm, warm_s = run_pass()
         warm_counts = counters_since(mark)
         store_entries = len(planstore.active())
@@ -2639,7 +2583,7 @@ def exp_s3_resilience(
     from repro.robust.chaos import fleet_invariants
 
     n = max(24, int(devices * scale))
-    cache_before = segcache.snapshot()
+    cache_before = obs.snapshot()
     rows: List[Tuple] = []
     wall_latencies: List[float] = []
     recovery_us: List[float] = []
@@ -2736,7 +2680,7 @@ def exp_s3_resilience(
             "dropped anything; identical=1 means the crashed+recovered "
             "stream matches the uninterrupted ladder run bit-for-bit; "
             "recovery/engine latency in meta",
-            [segcache.delta_since(cache_before)],
+            obs.delta_since(cache_before),
         ),
         meta=meta,
     )

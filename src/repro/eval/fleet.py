@@ -86,6 +86,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core import segcache
 from repro.core.segmentation import SegmentationError
 from repro.dnn.quantization import INT8, Quantization
@@ -121,6 +122,9 @@ FLEET_SCHEMA = "rtmdm-fleet/1"
 
 #: Schema tag of per-shard checkpoint records inside shard journals.
 FLEET_CHECKPOINT_SCHEMA = "rtmdm-fleet-checkpoint/1"
+
+#: Process-wide resilience counters (repro.obs group "fleet.resilience").
+_RESILIENCE = obs.live("fleet.resilience")
 
 
 # ----------------------------------------------------------------------
@@ -747,7 +751,7 @@ class FleetService:
                     shard.start_timeouts = shard.cum_timeouts
                     shard.start_degraded = shard.cum_degraded
                     shard.recovered += 1
-                    resilience.resilience_bump("recovered")
+                    _RESILIENCE["recovered"] += 1
                     shard.recoveries.append({**info, "startup": True})
                 else:
                     shard.journal = DecisionJournal.create(
@@ -955,7 +959,7 @@ class FleetService:
         ingress upstream of the shard).  Returns the repaired torn-batch
         decisions for the caller to publish.
         """
-        resilience.resilience_bump("crashes")
+        _RESILIENCE["crashes"] += 1
         expect_decided = shard.decided
         assert shard.journal is not None
         shard.journal.close()
@@ -975,7 +979,7 @@ class FleetService:
                 f"{shard.decided} decisions, expected {expect_decided}"
             )
         shard.recovered += 1
-        resilience.resilience_bump("recovered")
+        _RESILIENCE["recovered"] += 1
         shard.recoveries.append({**info, "startup": False})
         return missing
 
@@ -1251,7 +1255,7 @@ class FleetService:
         queueing_ms: List[float] = []
         wall_us: List[float] = []
         engine_ns = 0
-        cache_before = segcache.snapshot()
+        cache_before = obs.snapshot()
         shards = self._open_shards(memos)
 
         def publish(
@@ -1263,7 +1267,7 @@ class FleetService:
             wall_us.append(per_us)
             if decision.outcome == "admitted" and decision.mode != "full":
                 shard.cum_degraded += 1
-                resilience.resilience_bump("degraded_admits")
+                _RESILIENCE["degraded_admits"] += 1
             if not entry.inline:
                 n = shard.inflight.get(entry.req.device, 0) - 1
                 if n > 0:
@@ -1345,7 +1349,7 @@ class FleetService:
                 batch, timed_out = self._take_batch(shard, start_s)
                 for entry, waited_ms, delay_ms in timed_out:
                     shard.cum_timeouts += 1
-                    resilience.resilience_bump("timeout_retries")
+                    _RESILIENCE["timeout_retries"] += 1
                     record = FleetDecision(
                         seq=entry.req.seq, device=entry.req.device,
                         task=entry.req.task, kind=entry.req.kind.value,
@@ -1477,7 +1481,7 @@ class FleetService:
             decision_latency_us=latency_stats(wall_us),
             wall_s=wall_s,
             engine_s=engine_ns / 1e9,
-            cache=segcache.delta_since(cache_before),
+            cache=obs.delta_since(cache_before),
             wall_latencies_us=wall_us,
             degraded_admits=degraded_admits,
             timeout_retries=len(timeout_records),

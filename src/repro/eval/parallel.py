@@ -20,9 +20,12 @@ the serial path:
 inline, preserving the original serial code path.  The default worker
 count comes from the ``REPRO_JOBS`` environment variable.
 
-Workers are plain module-level functions taking one picklable unit tuple;
-cache-counter deltas travel back with each unit's payload so hit/miss
-totals are exact in both modes (worker processes have their own caches).
+Workers are plain module-level functions taking one picklable unit tuple
+and returning a plain payload.  A pooled unit's :mod:`repro.obs` counter
+delta travels home beside its payload and is absorbed into the parent's
+counters, so a driver's one snapshot around :func:`run_units` reads
+exact totals in both modes (worker processes count into their own
+copies of the counters).
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from __future__ import annotations
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
+from repro import obs
 from repro.core.analysis import AnalysisResult, analyze
 from repro.sched.rta import FixpointCache
 from repro.sched.simulator import SharedSetup, SimConfig, SimResult, simulate
@@ -139,12 +144,17 @@ def analyze_batch(
     return [analyze(taskset, method, cache=cache) for taskset, method in cases]
 
 
+def _counted(worker: Callable[[Any], Any], unit: Any) -> Tuple[Any, obs.Snapshot]:
+    """``worker(unit)`` plus the counter delta it caused (pool side)."""
+    before = obs.snapshot()
+    return worker(unit), obs.delta_since(before)
+
+
 def run_units(
     worker: Callable[[Any], Any],
     units: Iterable[Any],
     jobs: Optional[int] = None,
     chunksize: Optional[int] = None,
-    absorb_deltas: bool = False,
     warm_prefix: int = 0,
 ) -> List[Any]:
     """Run ``worker`` over ``units``, preserving unit order in the result.
@@ -160,11 +170,6 @@ def run_units(
         units: Work units in the serial iteration order.
         jobs: Worker processes; ``None``/``0`` = ``REPRO_JOBS`` env, else 1.
         chunksize: Units per pool dispatch (default: ~4 chunks per worker).
-        absorb_deltas: The experiment-worker protocol returns
-            ``(payload, cache_delta)`` per unit; when set, deltas coming
-            back from a *pool* are folded into this process's plan-cache
-            counters (inline units already counted themselves), so
-            global hit/miss totals are exact at any worker count.
         warm_prefix: Run this many leading units inline *before* forking
             the pool.  Plan-cache misses are front-loaded (the first few
             sweep rows create most entries), and on fork-based platforms
@@ -174,6 +179,9 @@ def run_units(
 
     Returns:
         ``[worker(u) for u in units]`` — identical contents either way.
+        Pooled units' counter deltas are absorbed into this process
+        (inline units count themselves), so a parent-side
+        :mod:`repro.obs` delta counts every unit wherever it ran.
     """
     units = list(units)
     jobs = resolve_jobs(jobs)
@@ -185,10 +193,6 @@ def run_units(
     if chunksize is None:
         chunksize = max(1, -(-len(rest) // (jobs * 4)))
     with ProcessPoolExecutor(max_workers=min(jobs, len(rest))) as pool:
-        tail = list(pool.map(worker, rest, chunksize=chunksize))
-    if absorb_deltas:
-        from repro.core import segcache
-
-        for result in tail:
-            segcache.absorb(result[1])
-    return head + tail
+        tail = list(pool.map(partial(_counted, worker), rest, chunksize=chunksize))
+    obs.absorb(obs.merge(delta for _, delta in tail))
+    return head + [payload for payload, _ in tail]

@@ -11,10 +11,11 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro import obs
 from repro.baselines import sequentialize, single_buffered, whole_job, xip_task
 from repro.baselines.xip import xip_segments
 from repro.core.pipeline import isolated_latency
-from repro.core.segcache import cached_analyze
+from repro.core.segcache import cached_analyze, xip_columns
 from repro.sched import vecrta
 from repro.sched.task import TaskSet
 from repro.workload.taskset import GeneratedCase
@@ -114,15 +115,12 @@ def admit(system: str, case: GeneratedCase) -> bool:
 # that key costs more than everything else in the packer combined.  The
 # refined model objects themselves are shared across a sweep's cases
 # (the refine cache returns the same instance), so a thin identity memo
-# in front pays the fingerprint lookup once per distinct model object.
-# Values pin their key objects so the ids stay valid.
-_XIP_COLS: Dict[Tuple[int, int, int], Tuple[object, ...]] = {}
-
-
+# in front (segcache.xip_columns, dropped by segcache.clear_all) pays
+# the fingerprint lookup once per distinct model object.
 def _xip_cols(name, model, platform, quant) -> Tuple[int, int, int]:
     """(total, max, count) of per-layer XIP compute cycles for a model."""
     key = (id(model), id(platform), id(quant))
-    hit = _XIP_COLS.get(key)
+    hit = xip_columns.get(key)
     if hit is not None:
         return hit[3]
     segs = xip_segments(name, model, platform, quant)
@@ -132,10 +130,10 @@ def _xip_cols(name, model, platform, quant) -> Tuple[int, int, int]:
         total += cc
         if cc > mx:
             mx = cc
-    if len(_XIP_COLS) >= 4096:
-        _XIP_COLS.clear()
+    if len(xip_columns) >= 4096:
+        xip_columns.clear()
     cols = (total, mx, len(segs))
-    _XIP_COLS[key] = (model, platform, quant, cols)
+    xip_columns[key] = (model, platform, quant, cols)
     return cols
 
 
@@ -295,6 +293,9 @@ def _pack_case(
 
 _FALLBACK = object()
 
+#: The packer's time counts as the vector engine's pack/unpack phases.
+_TIMES = obs.live("vecrta")
+
 
 def admit_batch(
     cases: Iterable[GeneratedCase],
@@ -325,7 +326,7 @@ def admit_batch(
             vecrta._count_stand_down()
             plans[idx] = _FALLBACK
             fallback.append(idx)
-    vecrta._PROFILE["pack_s"] += time.perf_counter() - start
+    _TIMES["pack_s"] += time.perf_counter() - start
     try:
         batch.solve()
     except vecrta.StandDown:  # pragma: no cover - needs ~1e6 fixpoint steps
@@ -341,7 +342,7 @@ def admit_batch(
             vecrta.chains_schedulable(batch, handles, method)
             for method, handles in plan
         )
-    vecrta._PROFILE["unpack_s"] += time.perf_counter() - start
+    _TIMES["unpack_s"] += time.perf_counter() - start
     for idx in fallback:
         out[idx] = tuple(admit(s, cases[idx]) for s in systems)
     return out

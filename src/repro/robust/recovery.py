@@ -273,42 +273,3 @@ class ExponentialBackoff:
 
     def delay_s(self, attempt: int) -> float:
         return self.delay_ms(attempt) * 1e-3
-
-
-# Fleet resilience counters, riding the same snapshot/delta/absorb
-# protocol as the plan caches (see repro.core.segcache): the fleet
-# service bumps them inline, parallel workers ship them home as deltas,
-# and experiment notes / --profile / BENCH_suite.json read them out.
-# They live here (not in eval.fleet) so segcache's lazy import stays
-# cheap and cycle-free.
-_RESILIENCE_FIELDS = (
-    "degraded_admits", "timeout_retries", "recovered", "crashes"
-)
-_resilience = {name: 0 for name in _RESILIENCE_FIELDS}
-
-
-def resilience_bump(name: str, n: int = 1) -> None:
-    """Increment one fleet resilience counter."""
-    _resilience[name] += n
-
-
-def resilience_snapshot() -> Tuple[int, ...]:
-    """Counters as a tuple, in ``_RESILIENCE_FIELDS`` order."""
-    return tuple(_resilience[name] for name in _RESILIENCE_FIELDS)
-
-
-def resilience_absorb(vals: Tuple[int, ...]) -> None:
-    """Fold a worker's counter delta into this process's totals."""
-    for name, v in zip(_RESILIENCE_FIELDS, vals):
-        _resilience[name] += v
-
-
-def resilience_counters() -> Dict[str, int]:
-    """Counters as a dict (for --profile and BENCH_suite.json)."""
-    return dict(_resilience)
-
-
-def resilience_reset() -> None:
-    """Zero the counters (test isolation)."""
-    for name in _RESILIENCE_FIELDS:
-        _resilience[name] = 0

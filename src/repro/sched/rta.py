@@ -22,6 +22,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
+
 
 @dataclass(frozen=True)
 class RtaTask:
@@ -145,45 +147,10 @@ def try_hyperperiod(
 #: (an unschedulable verdict is a result worth remembering too).
 CACHE_MISS = object()
 
-# Process-wide fixpoint counters (the per-instance counters roll up here
-# so sweeps can report an aggregate warm-start hit rate; parallel runs
-# ship worker deltas back through the plan-cache counter protocol).  The
-# ``vec_*`` entries come from :mod:`repro.sched.vecrta`: batched array
-# solves (``vec_batches``), fixpoint rows solved inside them
-# (``vec_rows``), and cases where the vector engine handed a problem
-# back to the scalar oracle (``vec_stand_downs``).
-_FIXPOINT_KEYS = (
-    "exact_hits", "misses", "warm_hits",
-    "vec_batches", "vec_rows", "vec_stand_downs",
-)
-_fixpoint_counters = {key: 0 for key in _FIXPOINT_KEYS}
-
-
-def fixpoint_counters() -> Dict[str, int]:
-    """Process-wide incremental-RTA counters."""
-    return dict(_fixpoint_counters)
-
-
-def fixpoint_snapshot() -> Tuple[int, ...]:
-    """Counter values for later :func:`fixpoint_delta_since`."""
-    c = _fixpoint_counters
-    return tuple(c[key] for key in _FIXPOINT_KEYS)
-
-
-def fixpoint_delta_since(before: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Counter increments since a :func:`fixpoint_snapshot`."""
-    now = fixpoint_snapshot()
-    return tuple(n - b for n, b in zip(now, before))
-
-
-def fixpoint_absorb(delta: Tuple[int, ...]) -> None:
-    """Fold a worker process's counter delta into this process's totals.
-
-    Width-tolerant: deltas recorded before the vectorized engine existed
-    are three wide and absorb into the first three keys.
-    """
-    for key, inc in zip(_FIXPOINT_KEYS, delta):
-        _fixpoint_counters[key] += inc
+# Process-wide fixpoint counters (repro.obs group "rta.fixpoint"): the
+# per-instance counters roll up here so sweeps can report an aggregate
+# warm-start hit rate.  Its ``vec_*`` fields belong to repro.sched.vecrta.
+_COUNTS = obs.live("rta.fixpoint")
 
 
 class FixpointCache:
@@ -230,11 +197,11 @@ class FixpointCache:
         value = self._exact.get(key, CACHE_MISS)
         if value is CACHE_MISS:
             self.misses += 1
-            _fixpoint_counters["misses"] += 1
+            _COUNTS["misses"] += 1
         else:
             self._exact.move_to_end(key)
             self.exact_hits += 1
-            _fixpoint_counters["exact_hits"] += 1
+            _COUNTS["exact_hits"] += 1
         return value
 
     def put_exact(self, key: Any, value: Optional[int]) -> None:
@@ -249,7 +216,7 @@ class FixpointCache:
         value = self._warm.get(key)
         if value is not None:
             self.warm_hits += 1
-            _fixpoint_counters["warm_hits"] += 1
+            _COUNTS["warm_hits"] += 1
         return value
 
     def stage(self, key: Any, value: int) -> None:

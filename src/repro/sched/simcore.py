@@ -63,12 +63,11 @@ Stand-down
     SoA engine replicates the scalar boundary fingerprint canonically,
     so fold decisions — and the fold telemetry — are bit-identical.
 
-Telemetry rides the plan-cache counter protocol as the ``"sim.soa"``
-pseudo-entry (:func:`repro.core.segcache.snapshot`): ``sim_soa_runs``
-accepted runs, ``sim_soa_events`` scalar-equivalent events retired
-(popped plus fused), ``sim_stand_downs`` scalar fallbacks.  Wall-clock
-split between packing, event advance, and unpacking accumulates in
-:func:`profile` for ``rtmdm simulate --profile``.
+Telemetry lives in :mod:`repro.obs`: the ``sim.soa`` counter group holds
+``sim_soa_runs`` accepted runs, ``sim_soa_events`` scalar-equivalent
+events retired (popped plus fused) and ``sim_stand_downs`` scalar
+fallbacks; the ``simcore`` timer group splits wall-clock between
+packing, event advance and unpacking (:func:`profile`).
 """
 
 from __future__ import annotations
@@ -84,9 +83,9 @@ try:  # pragma: no cover - exercised only on minimal installs
 except ImportError:  # pragma: no cover
     _np = None
 
+from repro import obs
 from repro.hw.dma import DmaArbitration
 from repro.robust.overload import OverrunPolicy
-from repro.sched import simulator as _sim
 from repro.sched.simulator import (
     _FOLD_OFF,
     _FOLD_PROBE_LIMIT,
@@ -130,51 +129,19 @@ def enabled() -> bool:
     return _np is not None and os.environ.get(ENV_VAR, "1").strip() != "0"
 
 
-# ----------------------------------------------------------------------
-# Telemetry: counters ride the segcache snapshot/delta/absorb protocol
-# (pseudo-entry "sim.soa"); times accumulate for the CLI profile.
-# ----------------------------------------------------------------------
-
-_counters = {"sim_soa_runs": 0, "sim_soa_events": 0, "sim_stand_downs": 0}
-
-_PROFILE = {"pack_s": 0.0, "advance_s": 0.0, "unpack_s": 0.0}
-
-
-
-def soa_counters() -> Dict[str, int]:
-    """Process-wide SoA engine counters."""
-    return dict(_counters)
-
-
-def soa_snapshot() -> Tuple[int, int, int]:
-    """Counter values for later :func:`soa_delta_since`."""
-    c = _counters
-    return (c["sim_soa_runs"], c["sim_soa_events"], c["sim_stand_downs"])
-
-
-def soa_delta_since(before: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """Counter increments since a :func:`soa_snapshot`."""
-    now = soa_snapshot()
-    return tuple(n - b for n, b in zip(now, before))  # type: ignore[return-value]
-
-
-def soa_absorb(delta: Tuple[int, ...]) -> None:
-    """Fold a worker process's counter delta into this process's totals."""
-    for key, inc in zip(
-        ("sim_soa_runs", "sim_soa_events", "sim_stand_downs"), delta
-    ):
-        _counters[key] += inc
+_counters = obs.live("sim.soa")
+_fold_counters = obs.live("sim.fold")
+_TIMES = obs.live("simcore")
 
 
 def profile() -> Dict[str, float]:
     """Accumulated pack/advance/unpack wall-clock split (seconds)."""
-    return dict(_PROFILE)
+    return dict(_TIMES)
 
 
 def reset_profile() -> None:
     """Zero the pack/advance/unpack accumulators."""
-    for key in _PROFILE:
-        _PROFILE[key] = 0.0
+    obs.reset_timers("simcore")
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +547,7 @@ def _run(
         return _fold(prev, boundary)
 
     # ----- main loop ---------------------------------------------------
-    _PROFILE["pack_s"] += _walltime.perf_counter() - t_pack
+    _TIMES["pack_s"] += _walltime.perf_counter() - t_pack
     t_adv = _walltime.perf_counter()
 
     while heap:
@@ -1222,7 +1189,7 @@ def _run(
             ff_until[p] = upto  # the prefix is harvested up to here
             break
 
-    _PROFILE["advance_s"] += _walltime.perf_counter() - t_adv
+    _TIMES["advance_s"] += _walltime.perf_counter() - t_adv
     t_unpack = _walltime.perf_counter()
 
     # ----- unpack ------------------------------------------------------
@@ -1236,7 +1203,7 @@ def _run(
         st.skips = skips[p]
         stats[t.name] = st
 
-    counters = _sim._fold_counters
+    counters = _fold_counters
     counters["runs"] += 1
     if folds:
         counters["folds"] += folds
@@ -1257,5 +1224,5 @@ def _run(
         fold_cycles=fold_cycles,
         fold_jobs_skipped=fold_jobs_skipped,
     )
-    _PROFILE["unpack_s"] += _walltime.perf_counter() - t_unpack
+    _TIMES["unpack_s"] += _walltime.perf_counter() - t_unpack
     return result

@@ -44,6 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.hw.dma import DmaArbitration
 from repro.robust.escalation import (
     EscalationConfig,
@@ -78,32 +79,9 @@ _FOLD_OFF = 1 << 63
 #: costs a full state walk.
 _FOLD_PROBE_LIMIT = 64
 
-# Process-wide fold counters (mirrors the plan-cache counter protocol:
-# snapshot/delta/absorb keep parallel sweeps exact at any worker count).
-_fold_counters = {"runs": 0, "folds": 0, "cycles_skipped": 0, "jobs_skipped": 0}
-
-
-def fold_counters() -> Dict[str, int]:
-    """Process-wide steady-state folding counters."""
-    return dict(_fold_counters)
-
-
-def fold_snapshot() -> Tuple[int, int, int, int]:
-    """Counter values for later :func:`fold_delta_since`."""
-    c = _fold_counters
-    return (c["runs"], c["folds"], c["cycles_skipped"], c["jobs_skipped"])
-
-
-def fold_delta_since(before: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
-    """Counter increments since a :func:`fold_snapshot`."""
-    now = fold_snapshot()
-    return tuple(n - b for n, b in zip(now, before))  # type: ignore[return-value]
-
-
-def fold_absorb(delta: Tuple[int, int, int, int]) -> None:
-    """Fold a worker process's counter delta into this process's totals."""
-    for key, inc in zip(("runs", "folds", "cycles_skipped", "jobs_skipped"), delta):
-        _fold_counters[key] += inc
+# Process-wide fold counters (repro.obs group "sim.fold"), bumped by
+# both simulator engines.
+_fold_counters = obs.live("sim.fold")
 
 
 def fold_enabled() -> bool:

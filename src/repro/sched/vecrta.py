@@ -39,12 +39,11 @@ Stand-down
     ``REPRO_VEC_RTA=0`` is the global kill switch: every entry point
     then delegates wholesale to the scalar path.
 
-Telemetry rides the existing fixpoint-counter protocol
-(:func:`repro.sched.rta.fixpoint_counters`): ``vec_batches`` array
-solves, ``vec_rows`` rows solved inside them, ``vec_stand_downs``
-scalar fallbacks.  Wall-clock split between packing, array iteration,
-and unpacking accumulates in :func:`profile` for ``rtmdm exp
---profile``.
+Telemetry lives in :mod:`repro.obs`: the ``rta.fixpoint`` counter group
+gains ``vec_batches`` array solves, ``vec_rows`` rows solved inside
+them and ``vec_stand_downs`` scalar fallbacks, and the ``vecrta`` timer
+group splits wall-clock between packing, array iteration and unpacking
+for ``rtmdm exp --profile``.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ try:  # pragma: no cover - exercised only on minimal installs
 except ImportError:  # pragma: no cover
     _np = None
 
+from repro import obs
 from repro.sched import rta
 
 #: Environment kill switch: set to ``0`` to force the scalar oracle.
@@ -90,32 +90,17 @@ def enabled() -> bool:
     return _np is not None and os.environ.get(ENV_VAR, "1").strip() != "0"
 
 
-# ----------------------------------------------------------------------
-# Telemetry: counters ride the rta fixpoint protocol; times accumulate
-# locally for the CLI profile report.
-# ----------------------------------------------------------------------
-
-_PROFILE = {"pack_s": 0.0, "solve_s": 0.0, "unpack_s": 0.0}
-
-
-def profile() -> Dict[str, float]:
-    """Accumulated pack/solve/unpack wall-clock split (seconds)."""
-    return dict(_PROFILE)
-
-
-def reset_profile() -> None:
-    """Zero the pack/solve/unpack accumulators."""
-    for key in _PROFILE:
-        _PROFILE[key] = 0.0
+_COUNTS = obs.live("rta.fixpoint")
+_TIMES = obs.live("vecrta")
 
 
 def _count_batch(n_rows: int) -> None:
-    rta._fixpoint_counters["vec_batches"] += 1
-    rta._fixpoint_counters["vec_rows"] += n_rows
+    _COUNTS["vec_batches"] += 1
+    _COUNTS["vec_rows"] += n_rows
 
 
 def _count_stand_down() -> None:
-    rta._fixpoint_counters["vec_stand_downs"] += 1
+    _COUNTS["vec_stand_downs"] += 1
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +276,7 @@ class ChainBatch:
                     rows.append((chain, "rc"))
             if rows:
                 self._solve_level(level, rows, cache)
-        _PROFILE["solve_s"] += time.perf_counter() - start
+        _TIMES["solve_s"] += time.perf_counter() - start
 
     def bounds(self, handle: int) -> List[Optional[int]]:
         """Per-level bounds of one chain, ``None``-padded after a kill."""
@@ -564,7 +549,7 @@ def analyze_taskset_batch(
             fallback.append(idx)
             continue
         plans.append((idx, taskset, method, names, handles))
-    _PROFILE["pack_s"] += time.perf_counter() - start
+    _TIMES["pack_s"] += time.perf_counter() - start
     try:
         batch.solve(cache=cache)
     except StandDown:  # pragma: no cover - needs ~1e6 fixpoint steps
@@ -575,7 +560,7 @@ def analyze_taskset_batch(
         wcrt = assemble_wcrt(batch, handles, method, names)
         deadlines = {t.name: t.deadline for t in taskset}
         results[idx] = _analysis.AnalysisResult(method, wcrt, deadlines)
-    _PROFILE["unpack_s"] += time.perf_counter() - start
+    _TIMES["unpack_s"] += time.perf_counter() - start
     for idx in fallback:
         taskset, method = cases[idx]
         results[idx] = _analysis.analyze(taskset, method, cache=cache)
@@ -637,7 +622,7 @@ def fp_wcrt_batch(
             _count_stand_down()
             fallback.extend(p[0] for p in packed)
     else:
-        _PROFILE["pack_s"] += time.perf_counter() - start
+        _TIMES["pack_s"] += time.perf_counter() - start
     for idx in fallback:
         tasks, task = problems[idx]
         results[idx] = scalar(tasks, task)
@@ -671,7 +656,7 @@ def _fp_solve_packed(packed, results, preemptive, start) -> None:
     all_c = _np.concatenate([own_c[:, None], hp_c], axis=1)
     all_t = _np.concatenate([own_t[:, None], hp_t], axis=1)
     all_j = _np.concatenate([own_j[:, None], hp_j], axis=1)
-    _PROFILE["pack_s"] += time.perf_counter() - start
+    _TIMES["pack_s"] += time.perf_counter() - start
 
     start = time.perf_counter()
     _count_batch(n)
@@ -730,9 +715,9 @@ def _fp_solve_packed(packed, results, preemptive, start) -> None:
         else:
             response = w + own_c - q * own_t
         worst = _np.where(converged, _np.maximum(worst, response), worst)
-    _PROFILE["solve_s"] += time.perf_counter() - start
+    _TIMES["solve_s"] += time.perf_counter() - start
 
     start = time.perf_counter()
     for i, (idx, *_rest) in enumerate(packed):
         results[idx] = int(worst[i]) if alive[i] else None
-    _PROFILE["unpack_s"] += time.perf_counter() - start
+    _TIMES["unpack_s"] += time.perf_counter() - start

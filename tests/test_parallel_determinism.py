@@ -82,18 +82,26 @@ def test_cache_note_lookup_totals_match_across_jobs():
     """The merged lookup totals in the notes are job-count invariant —
     the counter deltas ride back with each unit, so nothing is lost when
     the work runs in worker processes.  (Hit counts themselves may drop
-    under parallelism: each worker starts with a cold cache, so
-    cross-unit hits within one serial process become misses.)"""
+    under parallelism when a worker starts with a cold cache; this
+    sweep's warm prefix covers all but the last unit, so the forked
+    worker inherits exactly the serial run's cache and the parent-side
+    deltas match field for field.)"""
     import re
 
     def totals(notes):
         return re.findall(r"\d+/(\d+) hits", notes)
 
-    serial = run_experiment("EXP-F4", **TINY["EXP-F4"], jobs=1).notes
-    segcache.clear_all()
-    parallel = run_experiment("EXP-F4", **TINY["EXP-F4"], jobs=3).notes
+    def run(jobs):
+        before = segcache.snapshot()
+        notes = run_experiment("EXP-F4", **TINY["EXP-F4"], jobs=jobs).notes
+        return notes, segcache.delta_since(before)
+
+    serial, serial_delta = run(1)
+    parallel, parallel_delta = run(3)
     assert "plan cache: segmentation" in serial
     assert totals(parallel) == totals(serial) != []
+    assert parallel_delta == serial_delta
+    assert serial_delta["search"][1] > 0
 
 
 # ----------------------------------------------------------------------

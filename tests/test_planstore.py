@@ -8,6 +8,7 @@ import shutil
 
 import pytest
 
+from repro import obs
 from repro.core import planstore, segcache
 from repro.core.planstore import (
     STORE_SCHEMA,
@@ -35,14 +36,19 @@ KEY = ("search", ("fp", 1, 2), 65536, 4000, 2)
 
 @pytest.fixture(autouse=True)
 def isolated_store():
+    """No store, cold caches; yields a counter snapshot taken at the start
+    (counters are monotone, tests read their traffic as deltas)."""
     previous = planstore.active()
     planstore.configure(None)
-    planstore.reset_counters()
     segcache.clear_all()
-    yield
+    yield obs.snapshot()
     planstore.configure(previous.root if previous is not None else None)
-    planstore.reset_counters()
     segcache.clear_all()
+
+
+def store_counts(before):
+    """Plan-store counter increments since ``before``, by field name."""
+    return dict(zip(obs.TABLE["planstore"], obs.delta_since(before)["planstore"]))
 
 
 def only_record_path(store: PlanStore) -> str:
@@ -78,10 +84,10 @@ class TestStoreBasics:
 
     def test_missing_key_is_a_plain_miss(self, tmp_path):
         store = PlanStore(str(tmp_path))
-        planstore.reset_counters()
+        mark = obs.snapshot()
         found, _ = store.get(KEY)
         assert not found
-        counts = planstore.counters_dict()
+        counts = store_counts(mark)
         assert counts["misses"] == 1
         assert counts["corrupt"] == 0
 
@@ -110,10 +116,10 @@ class TestDurability:
         record["value"]["boundaries"][0][1] = 99  # flip a byte, stale CRC
         with open(path, "w") as handle:
             json.dump(record, handle)
-        planstore.reset_counters()
+        mark = obs.snapshot()
         found, _ = store.get(KEY)
         assert not found
-        counts = planstore.counters_dict()
+        counts = store_counts(mark)
         assert counts["corrupt"] == 1 and counts["misses"] == 1
 
     def test_truncated_record_is_skipped(self, tmp_path):
@@ -123,12 +129,12 @@ class TestDurability:
         raw = open(path, "rb").read()
         with open(path, "wb") as handle:
             handle.write(raw[: len(raw) // 2])
-        planstore.reset_counters()
+        mark = obs.snapshot()
         found, _ = store.get(KEY)
         assert not found
-        assert planstore.counters_dict()["corrupt"] == 1
+        assert store_counts(mark)["corrupt"] == 1
 
-    def test_schema_mismatch_is_corrupt(self, tmp_path):
+    def test_schema_mismatch_is_corrupt(self, tmp_path, isolated_store):
         store = PlanStore(str(tmp_path))
         store.put(KEY, OK_VALUE)
         path = only_record_path(store)
@@ -139,7 +145,7 @@ class TestDurability:
             json.dump(record, handle)
         found, _ = store.get(KEY)
         assert not found
-        assert planstore.counters_dict()["corrupt"] == 1
+        assert store_counts(isolated_store)["corrupt"] == 1
 
     def test_key_echo_mismatch_never_returns(self, tmp_path):
         # A record copied (or hash-colliding) onto another key's path has
@@ -148,10 +154,10 @@ class TestDurability:
         store.put(KEY, OK_VALUE)
         other = ("search", ("fp", 9, 9), 65536, 4000, 2)
         shutil.copyfile(store.path_for(KEY), store.path_for(other))
-        planstore.reset_counters()
+        mark = obs.snapshot()
         found, _ = store.get(other)
         assert not found
-        counts = planstore.counters_dict()
+        counts = store_counts(mark)
         assert counts["stale"] == 1 and counts["hits"] == 0
 
     def test_corruption_triggers_cold_rebuild_end_to_end(self, tmp_path):
@@ -167,17 +173,17 @@ class TestDurability:
             with open(os.path.join(store.root, name), "ab") as handle:
                 handle.write(b"garbage")
         segcache.clear_all()
-        planstore.reset_counters()
+        mark = obs.snapshot()
         rebuilt = plan_segments(platform, "lenet5", deadline, budget)
         assert rebuilt == cold
-        counts = planstore.counters_dict()
+        counts = store_counts(mark)
         assert counts["corrupt"] >= 1
         assert counts["writes"] >= 1
         # And the rewritten records now serve hits.
         segcache.clear_all()
-        planstore.reset_counters()
+        mark = obs.snapshot()
         assert plan_segments(platform, "lenet5", deadline, budget) == cold
-        assert planstore.counters_dict()["hits"] >= 1
+        assert store_counts(mark)["hits"] >= 1
 
 
 class TestWarmEqualsCold:
@@ -190,10 +196,10 @@ class TestWarmEqualsCold:
         planstore.configure(str(tmp_path))
         cold = plan_segments(platform, model, deadline, budget)
         segcache.clear_all()  # fresh process: only the store survives
-        planstore.reset_counters()
+        mark = obs.snapshot()
         warm = plan_segments(platform, model, deadline, budget)
         assert warm == cold
-        counts = planstore.counters_dict()
+        counts = store_counts(mark)
         assert counts["hits"] >= 1
         assert counts["corrupt"] == counts["stale"] == 0
 
@@ -205,7 +211,7 @@ class TestWarmEqualsCold:
         segcache.clear_all()
         again = plan_segments(platform, "lenet5", deadline, budget)
         assert again == baseline
-        assert planstore.counters_dict()["enabled"] == 0
+        assert int(planstore.active() is not None) == 0
 
 
 class TestCountersProtocol:
@@ -221,11 +227,11 @@ class TestCountersProtocol:
         hits, misses, corrupt, stale, writes = delta["planstore"]
         assert (hits, misses, corrupt, stale, writes) == (1, 1, 0, 0, 1)
         # absorb() folds a worker's delta into this process's totals.
-        planstore.reset_counters()
+        mark = obs.snapshot()
         segcache.absorb({"planstore": (2, 3, 1, 0, 4)})
-        counts = planstore.counters_dict()
+        counts = store_counts(mark)
         assert counts["hits"] == 2 and counts["writes"] == 4
-        assert segcache.stats()["planstore"]["corrupt"] == 1
+        assert counts["corrupt"] == 1
 
     def test_env_configuration(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_STORE", str(tmp_path))

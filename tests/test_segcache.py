@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core import segcache
 from repro.core.segcache import (
     PlanCache,
@@ -27,18 +28,27 @@ from repro.core.segmentation import SegmentationError, search_segmentation
 from repro.dnn.models import refine_model
 from repro.dnn.quantization import FLOAT32, INT8
 from repro.dnn.zoo import build_model
+from repro.eval.experiments import run_experiment
+from repro.eval.systems import admit_batch
 from repro.hw.presets import get_platform
+from repro.workload.taskset import generate_case
 
 from conftest import random_taskset
+import gc
 import random
+import weakref
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts cold and enabled, and leaves no state behind."""
+    """Each test starts cold and enabled, and leaves no state behind.
+
+    Yields a counter snapshot taken at the start: counters are monotone,
+    so a test reads its own traffic as a delta from it.
+    """
     segcache.set_enabled(True)
     segcache.clear_all()
-    yield
+    yield segcache.snapshot()
     segcache.set_enabled(True)
     segcache.clear_all()
 
@@ -123,8 +133,25 @@ def test_plancache_counters_accurate():
     assert (cache.hits, cache.misses) == (hits, misses) == (8, 4)
 
 
+#: The snapshot layout: benchmark harnesses and CI read these tuples by
+#: position, so keys, their order and each tuple's width are a contract.
+SNAPSHOT_WIDTHS = {
+    "zoo": 2,
+    "refine": 2,
+    "search": 2,
+    "analysis": 2,
+    "sim.fold": 4,
+    "sim.soa": 3,
+    "rta.fixpoint": 6,
+    "planstore": 5,
+    "fleet.resilience": 4,
+}
+
+
 def test_delta_and_absorb_roundtrip(model, platform):
     before = segcache.snapshot()
+    assert list(before) == list(SNAPSHOT_WIDTHS)
+    assert {name: len(values) for name, values in before.items()} == SNAPSHOT_WIDTHS
     cached_search_segmentation(model, platform, platform.usable_sram_bytes, INT8)
     delta = segcache.delta_since(before)
     assert delta["search"] == (0, 1)
@@ -132,8 +159,44 @@ def test_delta_and_absorb_roundtrip(model, platform):
     segcache.absorb(delta)
     after = segcache.delta_since(before)
     assert after["search"] == (0, 2)
-    merged = segcache.merge_deltas([delta, delta])
+    merged = obs.merge([delta, delta])
     assert merged["search"] == (0, 2)
+    for snap in (delta, after, merged):
+        assert {name: len(values) for name, values in snap.items()} == SNAPSHOT_WIDTHS
+
+
+def _bench_delta(exp_id, **kwargs):
+    """An experiment's counter delta, snapshotted around it the way the
+    benchmark harness records ``plan_cache``."""
+    before = segcache.snapshot()
+    run_experiment(exp_id, jobs=1, **kwargs)
+    return segcache.delta_since(before)
+
+
+def test_back_to_back_experiment_deltas_are_exact():
+    """Clearing the caches between experiments must not rewind counters:
+    the second experiment's delta is non-negative and equals its delta
+    when it runs alone."""
+    f5 = dict(n_sets=2, sram_kib=(96, 256))
+    run_experiment("EXP-F4", jobs=1, n_sets=2, utils=(0.4, 0.8))
+    second = _bench_delta("EXP-F5", **f5)
+    assert all(v >= 0 for values in second.values() for v in values), second
+    assert second["search"][1] > 0
+    segcache.clear_all()
+    assert _bench_delta("EXP-F5", **f5) == second
+
+
+def test_clear_all_releases_refined_models(platform):
+    """No memo (fingerprints, XIP columns) pins a refined model past
+    :func:`segcache.clear_all`."""
+    case = generate_case(platform, 0.5, random.Random(3))
+    assert case.feasible
+    admit_batch([case])
+    ref = weakref.ref(next(iter(case.refined.values())))
+    del case
+    segcache.clear_all()
+    gc.collect()
+    assert ref() is None
 
 
 def test_cache_note_formats_rates():
@@ -149,77 +212,76 @@ def test_cache_note_formats_rates():
 # ----------------------------------------------------------------------
 
 
-def _search_counts():
-    c = segcache.CACHES["search"]
-    return c.hits, c.misses
+def _search_counts(before):
+    return segcache.delta_since(before)["search"]
 
 
-def test_search_repeat_is_hit(model, platform):
+def test_search_repeat_is_hit(model, platform, fresh_caches):
     budget = platform.usable_sram_bytes
     first = cached_search_segmentation(model, platform, budget, INT8)
     second = cached_search_segmentation(model, platform, budget, INT8)
-    assert _search_counts() == (1, 1)
+    assert _search_counts(fresh_caches) == (1, 1)
     assert first.boundaries == second.boundaries
 
 
-def test_search_key_includes_sram_budget(model, platform):
+def test_search_key_includes_sram_budget(model, platform, fresh_caches):
     budget = platform.usable_sram_bytes
     cached_search_segmentation(model, platform, budget, INT8)
     # 3/4 the budget lands on a different slot-quantum: a distinct plan.
     cached_search_segmentation(model, platform, budget * 3 // 4, INT8)
-    assert _search_counts() == (0, 2)
+    assert _search_counts(fresh_caches) == (0, 2)
 
 
-def test_search_key_includes_quant(model, platform):
+def test_search_key_includes_quant(model, platform, fresh_caches):
     budget = platform.usable_sram_bytes
     cached_search_segmentation(model, platform, budget, INT8)
     with pytest.raises(SegmentationError):
         # float32 weights do not fit — and must not reuse the int8 entry
         cached_search_segmentation(model, platform, budget, FLOAT32)
-    hits, misses = _search_counts()
+    hits, misses = _search_counts(fresh_caches)
     assert hits == 0 and misses == 2
 
 
-def test_search_key_includes_platform_timing(model):
+def test_search_key_includes_platform_timing(model, fresh_caches):
     p1 = get_platform("f746-qspi")
     p2 = get_platform("h743-octal")
     budget = min(p1.usable_sram_bytes, p2.usable_sram_bytes)
     cached_search_segmentation(model, p1, budget, INT8)
     cached_search_segmentation(model, p2, budget, INT8)
-    assert _search_counts() == (0, 2)
+    assert _search_counts(fresh_caches) == (0, 2)
 
 
-def test_search_key_includes_buffers(model, platform):
+def test_search_key_includes_buffers(model, platform, fresh_caches):
     budget = platform.usable_sram_bytes
     cached_search_segmentation(model, platform, budget, INT8, buffers=2)
     cached_search_segmentation(model, platform, budget, INT8, buffers=3)
-    assert _search_counts() == (0, 2)
+    assert _search_counts(fresh_caches) == (0, 2)
 
 
-def test_sram_only_platform_change_is_a_hit(model, platform):
+def test_sram_only_platform_change_is_a_hit(model, platform, fresh_caches):
     """The planner never reads ``platform.sram``: SRAM sweeps share entries."""
     other = platform.with_sram_bytes(platform.mcu.sram_bytes * 2)
     assert planner_platform_fingerprint(platform) == planner_platform_fingerprint(other)
     budget = platform.usable_sram_bytes
     first = cached_search_segmentation(model, platform, budget, INT8)
     second = cached_search_segmentation(model, other, budget, INT8)
-    assert _search_counts() == (1, 1)
+    assert _search_counts(fresh_caches) == (1, 1)
     assert second.boundaries == first.boundaries
     # The re-materialized plan carries the *caller's* platform object.
     assert second.platform is other
 
 
-def test_negative_result_is_cached(model, platform):
+def test_negative_result_is_cached(model, platform, fresh_caches):
     tiny = 4096  # far below the largest single layer
     with pytest.raises(SegmentationError):
         cached_search_segmentation(model, platform, tiny, INT8)
     with pytest.raises(SegmentationError) as excinfo:
         cached_search_segmentation(model, platform, tiny, INT8)
-    assert _search_counts() == (1, 1)
+    assert _search_counts(fresh_caches) == (1, 1)
     assert "cannot fit" in str(excinfo.value)
 
 
-def test_saturated_budgets_share_one_entry(model, platform):
+def test_saturated_budgets_share_one_entry(model, platform, fresh_caches):
     """Any budget >= total weights admits every partition: one entry."""
     total_w = sum(layer.param_bytes(INT8) for layer in model.layers)
     act = model.peak_activation_bytes(INT8)
@@ -227,7 +289,7 @@ def test_saturated_budgets_share_one_entry(model, platform):
     bigger = total_w * 16 + act
     a = cached_search_segmentation(model, platform, big, INT8)
     b = cached_search_segmentation(model, platform, bigger, INT8)
-    assert _search_counts() == (1, 1)
+    assert _search_counts(fresh_caches) == (1, 1)
     assert a.boundaries == b.boundaries
 
 
@@ -243,14 +305,14 @@ def test_search_matches_uncached_at_quantized_budget(model, platform):
     assert via_cache.boundaries == raw.boundaries
 
 
-def test_disabled_cache_same_results(model, platform):
+def test_disabled_cache_same_results(model, platform, fresh_caches):
     budget = platform.usable_sram_bytes
     enabled = cached_search_segmentation(model, platform, budget, INT8)
     segcache.set_enabled(False)
     disabled = cached_search_segmentation(model, platform, budget, INT8)
     assert enabled.boundaries == disabled.boundaries
     # Counters untouched while disabled.
-    assert _search_counts() == (0, 1)
+    assert _search_counts(fresh_caches) == (0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -268,33 +330,35 @@ def test_refine_matches_uncached_at_quantized_knobs(model):
     ]
 
 
-def test_refine_equivalent_knobs_share_entry(model):
+def test_refine_equivalent_knobs_share_entry(model, fresh_caches):
     """Chunk sizes inducing the same per-layer split counts share a key."""
     a = cached_refine_model(model, INT8, 1 << 15)
     b = cached_refine_model(model, INT8, 1 << 15)
     assert a is b  # identical object straight from the cache
-    assert segcache.CACHES["refine"].hits == 1
+    assert segcache.delta_since(fresh_caches)["refine"][0] == 1
 
 
-def test_zoo_cache_returns_same_object():
+def test_zoo_cache_returns_same_object(fresh_caches):
     a = cached_build_model("resnet8")
     b = cached_build_model("resnet8")
     assert a is b
-    assert segcache.CACHES["zoo"].hits == 1
+    assert segcache.delta_since(fresh_caches)["zoo"][0] == 1
 
 
-def test_analysis_cache_keys_on_taskset_and_method():
+def test_analysis_cache_keys_on_taskset_and_method(fresh_caches):
+    def counts():
+        return segcache.delta_since(fresh_caches)["analysis"]
+
     ts = random_taskset(random.Random(7), n_tasks=3)
     r1 = cached_analyze(ts, "rtmdm")
     r2 = cached_analyze(ts, "rtmdm")
     assert r2 is r1
-    c = segcache.CACHES["analysis"]
-    assert (c.hits, c.misses) == (1, 1)
+    assert counts() == (1, 1)
     cached_analyze(ts, "oblivious")
-    assert (c.hits, c.misses) == (1, 2)
+    assert counts() == (1, 2)
     # A structurally different set misses.
     cached_analyze(random_taskset(random.Random(8), n_tasks=3), "rtmdm")
-    assert (c.hits, c.misses) == (1, 3)
+    assert counts() == (1, 3)
 
 
 def test_configure_resizes_and_disables(model, platform):

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_taskset
+from repro import obs
 from repro.core.framework import RtMdm
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import get_platform
@@ -126,9 +127,9 @@ def test_soa_engine_engages(monkeypatch):
     core and that it processed real events."""
     monkeypatch.setenv("REPRO_VEC_SIM", "1")
     taskset = _random_set(11)
-    before = simcore.soa_snapshot()
+    before = obs.snapshot()
     simulate(taskset, _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY))
-    runs, events, stand_downs = simcore.soa_delta_since(before)
+    runs, events, stand_downs = obs.delta_since(before)["sim.soa"]
     assert runs == 1
     assert events > 0
     assert stand_downs == 0
@@ -140,9 +141,9 @@ def test_kill_switch_bypasses_engine(monkeypatch):
     a fallback)."""
     monkeypatch.setenv("REPRO_VEC_SIM", "0")
     taskset = _random_set(12)
-    before = simcore.soa_snapshot()
+    before = obs.snapshot()
     simulate(taskset, _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY))
-    assert simcore.soa_delta_since(before) == (0, 0, 0)
+    assert obs.delta_since(before)["sim.soa"] == (0, 0, 0)
 
 
 #: One strategy per unsupported feature: a SimConfig kwarg override that
@@ -174,8 +175,8 @@ def test_unsupported_configs_stand_down(overrides, seed, policy):
     config = SimConfig(
         policy=policy, horizon=4 * max(t.period for t in taskset), **kwargs
     )
-    before = simcore.soa_snapshot()
+    before = obs.snapshot()
     assert simcore.try_simulate(taskset, config) is None
-    runs, events, stand_downs = simcore.soa_delta_since(before)
+    runs, events, stand_downs = obs.delta_since(before)["sim.soa"]
     assert (runs, events) == (0, 0)
     assert stand_downs == 1

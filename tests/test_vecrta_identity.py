@@ -10,11 +10,12 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core import segcache
 from repro.eval.experiments import run_experiment
 from repro.eval.systems import SYSTEMS, admit, admit_batch
 from repro.hw.presets import get_platform
-from repro.sched import rta, vecrta
+from repro.sched import vecrta
 from repro.workload.taskset import generate_case
 
 
@@ -40,9 +41,9 @@ def test_f4_rows_identical_under_kill_switch(monkeypatch):
 def test_vector_engine_engages_and_never_stands_down(monkeypatch):
     monkeypatch.setenv(vecrta.ENV_VAR, "1")
     _clear_analysis_memo()
-    before = rta.fixpoint_snapshot()
+    before = obs.snapshot()
     run_experiment("EXP-F4", n_sets=4, utils=(0.5,), jobs=1)
-    delta = dict(zip(rta._FIXPOINT_KEYS, rta.fixpoint_delta_since(before)))
+    delta = dict(zip(obs.TABLE["rta.fixpoint"], obs.delta_since(before)["rta.fixpoint"]))
     assert delta["vec_batches"] > 0
     assert delta["vec_rows"] > 0
     assert delta["vec_stand_downs"] == 0
@@ -52,9 +53,9 @@ def test_kill_switch_leaves_vector_telemetry_untouched(monkeypatch):
     monkeypatch.setenv(vecrta.ENV_VAR, "0")
     assert not vecrta.enabled()
     _clear_analysis_memo()
-    before = rta.fixpoint_snapshot()
+    before = obs.snapshot()
     run_experiment("EXP-F4", n_sets=2, utils=(0.5,), jobs=1)
-    delta = dict(zip(rta._FIXPOINT_KEYS, rta.fixpoint_delta_since(before)))
+    delta = dict(zip(obs.TABLE["rta.fixpoint"], obs.delta_since(before)["rta.fixpoint"]))
     assert delta["vec_batches"] == 0
     assert delta["vec_rows"] == 0
     assert delta["vec_stand_downs"] == 0
