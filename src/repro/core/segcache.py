@@ -609,7 +609,10 @@ def cached_search_segmentation(
 
     Raises:
         SegmentationError: when no segmentation fits (cached too).
+        ValueError: if ``buffers < 1``.
     """
+    if buffers < 1:
+        raise ValueError(f"buffers must be >= 1, got {buffers}")
     max_w, total_w, act, max_c, total_c = _model_costs(model, platform, quant)
     slot_cap = (sram_budget - act) // buffers
     if slot_cap < max_w:

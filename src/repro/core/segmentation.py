@@ -22,18 +22,36 @@ Algorithms:
 
 * :func:`min_max_weight_partition` — contiguous partition into exactly
   ``k`` parts minimizing the maximum part cost (binary search + greedy;
-  optimal for this objective).  The search feeds it *unit costs*: the max
-  of normalized staging bytes and normalized compute, so one partition
-  respects both caps.
+  optimal for this objective).  The search brackets the bottleneck
+  between ``max(largest, average)`` and ``average + largest`` and each
+  greedy count stops as soon as it exceeds ``k``.  If the greedy run
+  under the optimal bottleneck uses fewer than ``k`` parts, a heap keyed
+  on ``(-length, start)`` pads it by halving the longest part (smallest
+  start on ties), O(k log k).  The search feeds it *unit costs*: the
+  max of normalized staging bytes and normalized compute, so one
+  partition respects both caps.
 * :func:`coarsest_feasible_segments` — fewest segments that fit.
 * :func:`search_segmentation` — sweep segment counts from coarsest
   feasible to layer granularity, refine each candidate with boundary
   hill-climbing on exact latency (evaluated via prefix sums; no model
   rematerialization), return the best.
+* Dominance-pruned hill climbing — a ±1 shift of the cut between
+  segments ``i`` and ``i+1`` resumes the latency recurrence from the
+  incumbent's stored ``(f_load, f_comp)`` at ``i``.  From ``i+1`` on the
+  segments are the incumbent's, and the state carried from one segment
+  to the next is ``f_load[j]`` plus the last ``buffers`` values of
+  ``f_comp``.  The recurrence is built from ``max`` and ``+`` over
+  non-negative cycle counts, so it is monotone in that state: once the
+  candidate's state is componentwise ``>=`` the incumbent's at some
+  ``j >= i+1``, its latency cannot come out strictly lower, and the
+  candidate is rejected there — the same decision a full evaluation
+  reaches.  Most shifts are rejected a few segments past the cut
+  instead of at the end of the chain.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import SegmentedModel
@@ -43,6 +61,14 @@ from repro.hw.platform import Platform
 
 #: Normalization scale for unit costs (per-part budget maps to _SCALE).
 _SCALE = 1_000_000
+
+#: Most segment counts the search sweeps (geometrically spaced).
+_MAX_CANDIDATES = 10
+#: Latencies within this fraction of the best are near-ties, resolved
+#: toward the smaller maximum compute section.
+_LATENCY_TOLERANCE = 0.02
+#: Most hill-climbing passes over the boundaries of one candidate.
+_MAX_PASSES = 4
 
 Boundaries = List[Tuple[int, int]]
 
@@ -76,16 +102,33 @@ def min_max_weight_partition(weights: Sequence[int], k: int) -> Boundaries:
     n = len(weights)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    lo, hi = max(weights), sum(weights)
+    # The optimum is at least the largest weight and the average part
+    # sum.  A greedy run under average + largest closes every part above
+    # the average, so it needs at most k parts: that bounds the search.
+    total = sum(weights)
+    largest = max(weights)
+    average = -(-total // k)
+    lo = max(largest, average)
+    hi = min(total, average + largest)
     while lo < hi:
         mid = (lo + hi) // 2
-        needed = _greedy_parts_needed(weights, mid)
-        if needed is not None and needed <= k:
+        # Greedy count under cap `mid` (no weight exceeds it, as mid >=
+        # largest); stop as soon as it exceeds k.
+        parts = 1
+        current = 0
+        for weight in weights:
+            current += weight
+            if current > mid:
+                parts += 1
+                if parts > k:
+                    break
+                current = weight
+        if parts <= k:
             hi = mid
         else:
             lo = mid + 1
     # Build exactly k parts under cap `lo`, splitting greedily and then
-    # padding with single-element parts if the greedy run used fewer.
+    # padding if the greedy run used fewer.
     boundaries: Boundaries = []
     start = 0
     current = 0
@@ -96,16 +139,19 @@ def min_max_weight_partition(weights: Sequence[int], k: int) -> Boundaries:
         else:
             current += weight
     boundaries.append((start, n))
-    while len(boundaries) < k:
-        # Split the part with the most elements (any split keeps max <= lo
-        # because part sums only shrink).
-        idx = max(range(len(boundaries)), key=lambda i: boundaries[i][1] - boundaries[i][0])
-        s, e = boundaries[idx]
-        if e - s == 1:
-            raise AssertionError("cannot split further; k <= n guarantees this never happens")
-        mid = (s + e) // 2
-        boundaries[idx: idx + 1] = [(s, mid), (mid, e)]
-        boundaries.sort()
+    if len(boundaries) < k:
+        # Halve the part with the most elements, smallest start on ties
+        # (any split keeps max <= lo because part sums only shrink).
+        heap = [(s - e, s, e) for s, e in boundaries]
+        heapq.heapify(heap)
+        for _ in range(k - len(boundaries)):
+            neg_len, s, e = heapq.heappop(heap)
+            if neg_len == -1:
+                raise AssertionError("cannot split further; k <= n guarantees this never happens")
+            mid = (s + e) // 2
+            heapq.heappush(heap, (s - mid, s, mid))
+            heapq.heappush(heap, (mid - e, mid, e))
+        boundaries = sorted((s, e) for _, s, e in heap)
     return boundaries
 
 
@@ -113,8 +159,8 @@ class _Planner:
     """Shared state for one segmentation problem.
 
     Pre-computes per-layer weight bytes and compute cycles so candidate
-    segmentations are evaluated with prefix sums (O(k) per candidate)
-    instead of rematerializing :class:`SegmentedModel` objects.
+    segmentations are evaluated with prefix sums instead of
+    rematerializing :class:`SegmentedModel` objects.
     """
 
     def __init__(
@@ -126,6 +172,8 @@ class _Planner:
         buffers: int,
         max_segment_compute: Optional[int],
     ) -> None:
+        if buffers < 1:
+            raise ValueError(f"buffers must be >= 1, got {buffers}")
         self.model = model
         self.platform = platform
         self.sram_budget = sram_budget
@@ -182,41 +230,8 @@ class _Planner:
         return True
 
     def latency(self, boundaries: Boundaries) -> int:
-        """Isolated pipelined latency of a candidate (exact recurrence).
-
-        Single fused pass over the recurrence: the hill climber calls
-        this for every candidate shift, so no intermediate lists, no
-        ``max`` builtins, no per-segment method calls — same integers.
-        """
-        load_cache = self._load_cache
-        load_cycles = self.platform.load_cycles
-        prefix_w = self.prefix_w
-        prefix_c = self.prefix_c
-        b = self.buffers
-        f_comp: List[int] = []
-        append = f_comp.append
-        prev_load = 0
-        prev_comp = 0
-        j = 0
-        for s, e in boundaries:
-            w = prefix_w[e] - prefix_w[s]
-            cycles = load_cache.get(w)
-            if cycles is None:
-                cycles = load_cycles(w)
-                load_cache[w] = cycles
-            freed = f_comp[j - b] if j >= b else 0
-            if freed > prev_load:
-                prev_load = freed + cycles
-            else:
-                prev_load += cycles
-            comp = prefix_c[e] - prefix_c[s]
-            if prev_load > prev_comp:
-                prev_comp = prev_load + comp
-            else:
-                prev_comp += comp
-            append(prev_comp)
-            j += 1
-        return prev_comp
+        """Isolated pipelined latency of a candidate (exact recurrence)."""
+        return self._latency_state(boundaries)[1][-1]
 
     def max_compute_section(self, boundaries: Boundaries) -> int:
         return max(self.seg_compute(s, e) for s, e in boundaries)
@@ -243,42 +258,6 @@ class _Planner:
             boundaries=tuple(boundaries),
             buffers=self.buffers,
         )
-
-    def _latency_suffix(
-        self, boundaries: Boundaries, start: int, f_comp_prefix: List[int]
-    ) -> Tuple[int, List[int]]:
-        """Latency of ``boundaries`` whose segments before ``start`` match
-        the schedule that produced ``f_comp_prefix`` (same recurrence as
-        :meth:`latency`, resumed mid-stream).  Returns the latency and the
-        full ``f_comp`` array for reuse."""
-        load_cache = self._load_cache
-        load_cycles = self.platform.load_cycles
-        prefix_w = self.prefix_w
-        prefix_c = self.prefix_c
-        b = self.buffers
-        f_comp = f_comp_prefix[:start]
-        append = f_comp.append
-        prev_comp = f_comp[start - 1] if start else 0
-        prev_load = self._f_load_state[start - 1] if start else 0
-        for j in range(start, len(boundaries)):
-            s, e = boundaries[j]
-            w = prefix_w[e] - prefix_w[s]
-            cycles = load_cache.get(w)
-            if cycles is None:
-                cycles = load_cycles(w)
-                load_cache[w] = cycles
-            freed = f_comp[j - b] if j >= b else 0
-            if freed > prev_load:
-                prev_load = freed + cycles
-            else:
-                prev_load += cycles
-            comp = prefix_c[e] - prefix_c[s]
-            if prev_load > prev_comp:
-                prev_comp = prev_load + comp
-            else:
-                prev_comp += comp
-            append(prev_comp)
-        return prev_comp, f_comp
 
     def _latency_state(self, boundaries: Boundaries) -> Tuple[List[int], List[int]]:
         """``(f_load, f_comp)`` arrays of the recurrence over ``boundaries``."""
@@ -311,34 +290,100 @@ class _Planner:
             f_comp.append(prev_comp)
         return f_load, f_comp
 
-    def hill_climb(self, boundaries: Boundaries, max_passes: int = 4) -> Boundaries:
+    def _shifted_tail(
+        self,
+        best: Boundaries,
+        f_load: List[int],
+        f_comp: List[int],
+        i: int,
+        cut: int,
+    ) -> Optional[Tuple[List[int], List[int]]]:
+        """Recurrence tail of ``best`` with the cut after segment ``i``
+        moved to ``cut``, or None unless its latency is strictly lower.
+
+        Resumes from the incumbent's ``(f_load, f_comp)`` at ``i`` and
+        returns the candidate's ``f_load``/``f_comp`` from ``i`` to the
+        end.  Past segment ``i+1`` the chain is the incumbent's, so once
+        the carried state (``f_load[j]`` and the last ``buffers`` values
+        of ``f_comp``) is componentwise ``>=`` the incumbent's, the
+        monotone max-plus recurrence cannot finish lower: reject there.
+        """
+        load_cache = self._load_cache
+        load_cycles = self.platform.load_cycles
+        prefix_w = self.prefix_w
+        prefix_c = self.prefix_c
+        b = self.buffers
+        prev_load = f_load[i - 1] if i else 0
+        prev_comp = f_comp[i - 1] if i else 0
+        loads: List[int] = []
+        comps: List[int] = []
+        for j in range(i, len(best)):
+            if j == i:
+                s, e = best[i][0], cut
+            elif j == i + 1:
+                s, e = cut, best[j][1]
+            else:
+                s, e = best[j]
+            w = prefix_w[e] - prefix_w[s]
+            cycles = load_cache.get(w)
+            if cycles is None:
+                cycles = load_cycles(w)
+                load_cache[w] = cycles
+            back = j - b
+            if back >= i:
+                freed = comps[back - i]
+            else:
+                freed = f_comp[back] if back >= 0 else 0
+            if freed > prev_load:
+                prev_load = freed + cycles
+            else:
+                prev_load += cycles
+            comp = prefix_c[e] - prefix_c[s]
+            if prev_load > prev_comp:
+                prev_comp = prev_load + comp
+            else:
+                prev_comp += comp
+            loads.append(prev_load)
+            comps.append(prev_comp)
+            if j > i and prev_load >= f_load[j] and prev_comp >= f_comp[j]:
+                # Older f_comp entries still read by later segments; the
+                # ones before `i` are shared with the incumbent.
+                m = max(i, back + 1)
+                while m < j and comps[m - i] >= f_comp[m]:
+                    m += 1
+                if m == j:
+                    return None
+        if prev_comp < f_comp[-1]:
+            return loads, comps
+        return None
+
+    def hill_climb(self, boundaries: Boundaries) -> Boundaries:
         """Shift boundaries +-1 layer while it reduces exact latency.
 
-        Candidate evaluation is incremental: shifting the cut between
-        segments ``i`` and ``i+1`` leaves the recurrence prefix before
-        ``i`` untouched, so each candidate resumes from the incumbent's
-        stored pipeline state instead of re-running the full recurrence
-        — identical integers, roughly half the work on average.
+        First-improvement scan, at most ``_MAX_PASSES`` passes.  Each
+        candidate is evaluated by :meth:`_shifted_tail` from the
+        incumbent's stored recurrence state, without copying the
+        boundary list, and most are rejected by dominance a few segments
+        past the cut — the same accept/reject decisions as evaluating
+        every candidate's full latency.
         """
         best = list(boundaries)
-        self._f_load_state, f_comp_state = self._latency_state(best)
-        best_latency = f_comp_state[-1] if f_comp_state else 0
+        f_load, f_comp = self._latency_state(best)
         slot_cap = self.slot_cap
         cap = self.compute_cap
         prefix_w = self.prefix_w
         prefix_c = self.prefix_c
-        for _ in range(max_passes):
+        for _ in range(_MAX_PASSES):
             improved = False
             for i in range(len(best) - 1):
                 for delta in (-1, 1):
-                    cut = best[i][1] + delta
-                    if not best[i][0] < cut < best[i + 1][1]:
+                    s0, e0 = best[i]
+                    e1 = best[i + 1][1]
+                    cut = e0 + delta
+                    if not s0 < cut < e1:
                         continue
-                    s0, e1 = best[i][0], best[i + 1][1]
                     # Only the two touched segments can newly violate a
-                    # cap (`best` is feasible, the rest already fit); a
-                    # per-segment check replaces the full feasible() scan
-                    # with the same accept/reject decisions.
+                    # cap (`best` is feasible, the rest already fit).
                     if (
                         prefix_w[cut] - prefix_w[s0] > slot_cap
                         or prefix_w[e1] - prefix_w[cut] > slot_cap
@@ -349,15 +394,11 @@ class _Planner:
                         or prefix_c[e1] - prefix_c[cut] > cap
                     ):
                         continue
-                    candidate = list(best)
-                    candidate[i] = (s0, cut)
-                    candidate[i + 1] = (cut, e1)
-                    latency, f_comp = self._latency_suffix(
-                        candidate, i, f_comp_state
-                    )
-                    if latency < best_latency:
-                        best, best_latency = candidate, latency
-                        self._f_load_state, f_comp_state = self._latency_state(best)
+                    tail = self._shifted_tail(best, f_load, f_comp, i, cut)
+                    if tail is not None:
+                        best[i] = (s0, cut)
+                        best[i + 1] = (cut, e1)
+                        f_load[i:], f_comp[i:] = tail
                         improved = True
             if not improved:
                 break
@@ -416,6 +457,7 @@ def coarsest_feasible_segments(
         SegmentationError: if even one-layer-per-segment does not fit the
             SRAM budget (the compute cap alone never causes failure; see
             module docstring).
+        ValueError: if ``buffers < 1``.
     """
     planner = _Planner(model, platform, sram_budget, quant, buffers, max_segment_compute)
     return planner.materialize(_coarsest_boundaries(planner))
@@ -428,26 +470,25 @@ def search_segmentation(
     quant: Quantization = INT8,
     buffers: int = 2,
     max_segment_compute: Optional[int] = None,
-    max_candidates: int = 10,
-    latency_tolerance: float = 0.02,
 ) -> SegmentedModel:
     """Find a low-latency feasible segmentation (the RT-MDM planner).
 
     Sweeps segment counts from the coarsest feasible up to layer
-    granularity (at most ``max_candidates`` values, geometrically
+    granularity (at most ``_MAX_CANDIDATES`` values, geometrically
     spaced), builds the min-max unit-cost partition for each, hill-climbs
     boundaries on exact latency, and returns the candidate with the best
-    latency — near-ties within ``latency_tolerance`` resolved toward the
+    latency — near-ties within ``_LATENCY_TOLERANCE`` resolved toward the
     smallest maximum compute section (shorter non-preemptive blocking).
 
     Raises:
         SegmentationError: if no segmentation fits ``sram_budget``.
+        ValueError: if ``buffers < 1``.
     """
     planner = _Planner(model, platform, sram_budget, quant, buffers, max_segment_compute)
     coarsest = _coarsest_boundaries(planner)
     n = model.num_layers
     k_min = len(coarsest)
-    counts = sorted({k_min, n} | set(_geometric_counts(k_min, n, max_candidates)))
+    counts = sorted({k_min, n} | set(_geometric_counts(k_min, n)))
     costs = planner.unit_costs()
     candidates: List[Tuple[int, int, Boundaries]] = []
     for k in counts:
@@ -467,20 +508,20 @@ def search_segmentation(
         # defensive error for future cap combinations.
         raise SegmentationError(f"no feasible segmentation for {model.name!r}")
     best_latency = min(latency for latency, _, _ in candidates)
-    threshold = best_latency * (1.0 + latency_tolerance)
+    threshold = best_latency * (1.0 + _LATENCY_TOLERANCE)
     eligible = [c for c in candidates if c[0] <= threshold]
     eligible.sort(key=lambda c: (c[1], c[0]))
     return planner.materialize(eligible[0][2])
 
 
-def _geometric_counts(k_min: int, k_max: int, max_candidates: int) -> List[int]:
+def _geometric_counts(k_min: int, k_max: int) -> List[int]:
     """Roughly geometrically spaced segment counts in ``[k_min, k_max]``."""
     if k_min >= k_max:
         return [k_min]
     counts = []
     value = float(k_min)
-    ratio = (k_max / k_min) ** (1.0 / max(1, max_candidates - 1))
-    for _ in range(max_candidates):
+    ratio = (k_max / k_min) ** (1.0 / (_MAX_CANDIDATES - 1))
+    for _ in range(_MAX_CANDIDATES):
         counts.append(int(round(value)))
         value *= ratio
     counts.append(k_max)
