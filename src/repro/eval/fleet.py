@@ -48,10 +48,12 @@ write-ahead journal (:class:`repro.online.durable.DecisionJournal`):
 intents before the batch decides, commits after, with the fleet request
 encoded as a device-qualified :class:`repro.online.events.Request`.
 Journals are opened *open-or-create*: an existing journal with a
-matching configuration is recovered (checkpoint restore + intent-suffix
-replay, commits verified not trusted) and appended to, so a restarted
-service carries its resident state forward instead of clobbering its
-own history.  Three fault-tolerance mechanisms ride on top:
+matching configuration is recovered through the single-device
+controller's replay, :func:`repro.online.durable.replay_journal`
+(checkpoint restore + intent-suffix replay, commits verified not
+trusted, torn tail cut, lost commits repaired), and appended to, so a
+restarted service carries its resident state forward instead of
+clobbering its own history.  Three fault-tolerance mechanisms ride on top:
 
 * **Shard crash/restart** (``crash_at=((shard, index), ...)``): the
   shard "dies" after journaling a batch's intents but before their
@@ -69,8 +71,9 @@ own history.  Three fault-tolerance mechanisms ride on top:
   every request is decided exactly once and a retry can never
   double-admit (the resident set makes re-admission an ``ignored``).
 * **Degrade-before-shed ladder** (``degrade_watermark``): ADMITs that
-  arrive above the watermark are decided through the PR 3 degradation
-  ladder (full -> rate-stretch -> smaller variant, screen-only), and at
+  arrive above the watermark are decided through the controller's
+  degradation ladder, :func:`repro.online.admission.degrade_ladder`
+  (full -> rate-stretch -> smaller variant, screen-only here), and at
   a full queue the service first tries an inline degraded decision —
   sheds are the terminal rung only.  Degraded admits must pass the
   pessimistic RTA screen, so the ladder never admits unsoundly.
@@ -88,16 +91,16 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import segcache
+from repro.core.analysis import METHODS
 from repro.core.segmentation import SegmentationError
 from repro.dnn.quantization import INT8, Quantization
 from repro.eval.metrics import latency_stats
 from repro.hw.platform import Platform
 from repro.hw.presets import get_platform
-from repro.online.admission import mass_screen, plan_segments
-from repro.online.durable import DecisionJournal, JournalError, scan_journal
+from repro.online.admission import degrade_ladder, mass_screen, plan_segments
+from repro.online.durable import DecisionJournal, JournalError, replay_journal, scan_journal
 from repro.online.events import Request, RequestKind
 from repro.robust import recovery as resilience
-from repro.robust.overload import degraded_variant
 from repro.sched.task import PeriodicTask, Segment, TaskSet
 from repro.workload.arrivals import bursty_arrival_times, poisson_arrival_times
 from repro.workload.taskset import DEFAULT_MODEL_POOL
@@ -305,7 +308,7 @@ class FleetConfig:
     ``backoff_ms``/``backoff_cap_ms`` govern decision timeouts;
     ``degrade_watermark`` arms the degrade-before-shed ladder whose
     rungs come from ``stretch_factors`` and ``degrade_factor`` (the
-    PR 3 admission-controller ladder).
+    admission controller's :func:`~repro.online.admission.degrade_ladder`).
     """
 
     n_shards: int = 4
@@ -338,6 +341,13 @@ class FleetConfig:
             )
         if self.service_us <= 0:
             raise ValueError(f"service_us must be > 0, got {self.service_us}")
+        if self.buffers < 1:
+            raise ValueError(f"buffers must be >= 1, got {self.buffers}")
+        if self.method not in METHODS:
+            raise ValueError(
+                f"unknown analysis method {self.method!r} "
+                f"(known: {', '.join(METHODS)})"
+            )
         if self.checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, "
@@ -500,6 +510,18 @@ class _Queued:
         self.attempt = 0
         self.degraded = degraded
         self.inline = inline
+
+
+def _decided(
+    entry: _Queued, shard: int, outcome: Tuple[str, str, str]
+) -> FleetDecision:
+    """The final decision record for a decided queue entry."""
+    req = entry.req
+    return FleetDecision(
+        seq=req.seq, device=req.device, task=req.task, kind=req.kind.value,
+        outcome=outcome[0], reason=outcome[1], shard=shard, mode=outcome[2],
+        attempt=entry.attempt,
+    )
 
 
 class _Shard:
@@ -742,17 +764,11 @@ class FleetService:
                 )
                 shard.journal_path = path
                 if os.path.exists(path):
-                    _, info = self._restore_shard(
-                        shard, memos, count_missing=True
-                    )
+                    _, info = self._restore_shard(shard, memos, startup=True)
                     shard.seq_base = info["last_intent_seq"] + 1
-                    shard.decided = 0
                     shard.start_shed = shard.cum_shed
                     shard.start_timeouts = shard.cum_timeouts
                     shard.start_degraded = shard.cum_degraded
-                    shard.recovered += 1
-                    _RESILIENCE["recovered"] += 1
-                    shard.recoveries.append({**info, "startup": True})
                 else:
                     shard.journal = DecisionJournal.create(
                         path,
@@ -792,19 +808,22 @@ class FleetService:
             )
             shard.ckpt_seq = next_seq
 
-    def _entry_from_intent(self, rec: Dict) -> _Queued:
-        """Rebuild a queued entry from a journal intent record."""
-        req_d = rec["request"]
-        extra = rec.get("extra", {})
-        device, task = req_d["task"].split("/", 1)
+    def _entry_from_intent(self, request: Request, extra: Dict) -> _Queued:
+        """Rebuild a queued entry from a replayed journal intent."""
+        device, sep, task = request.task.partition("/")
+        if not sep:
+            raise JournalError(
+                f"fleet intent task {request.task!r} is not device-qualified "
+                f"(expected 'device/task')"
+            )
         req = FleetRequest(
             seq=int(extra.get("seq", -1)),
-            time_s=req_d["time_s"],
+            time_s=request.time_s,
             device=device,
-            kind=RequestKind(req_d["kind"]),
+            kind=request.kind,
             task=task,
-            model=req_d.get("model", ""),
-            period_s=req_d.get("period_s", 0.0),
+            model=request.model,
+            period_s=request.period_s,
         )
         entry = _Queued(
             req,
@@ -814,142 +833,95 @@ class FleetService:
         entry.attempt = int(extra.get("attempt", 0))
         return entry
 
-    def _restore_shard(
-        self,
-        shard: _Shard,
-        memos: Tuple[Dict, Dict, Dict],
-        count_missing: bool,
-    ) -> Tuple[List[Tuple[int, FleetDecision]], Dict]:
-        """Rebuild a shard from its journal and reopen it for appending.
-
-        Restores the last checkpoint, replays the intent suffix through
-        the (pure) decision core, verifies replayed decisions against
-        surviving commits (divergence is a :class:`JournalError`, never
-        trusted silently), appends repaired commits for intents that
-        lost theirs, and reconciles the shed/timeout/degraded counters
-        from the checkpoint plus post-checkpoint event records.
-
-        Returns the repaired ``(journal_seq, decision)`` list (the torn
-        batch, for the in-run crash path to publish) and an info dict.
-        ``count_missing`` folds repaired degraded admits into the
-        cumulative counter immediately (startup path — nobody will
-        publish them); the in-run path leaves that to ``publish``.
-        """
-        cfg = self.config
-        t0 = time.perf_counter_ns()
-        assert shard.journal_path is not None
-        scan = scan_journal(shard.journal_path)
-        expected = self._journal_config(shard.index)
-        if scan.header.get("config") != expected:
-            raise JournalError(
-                f"{shard.journal_path}: journal was written under a "
-                f"different fleet configuration "
-                f"(recorded {scan.header.get('config')!r})"
-            )
-        records = scan.records
-        ckpt: Optional[Dict] = None
-        ckpt_pos = -1
-        last_intent = -1
-        for pos, rec in enumerate(records):
-            if rec["type"] == "checkpoint":
-                ckpt, ckpt_pos = rec, pos
-            elif rec["type"] == "intent":
-                last_intent = rec["seq"]
+    def _restore_state(self, shard: _Shard, state: Optional[Dict]) -> None:
+        """Load a checkpoint payload into ``shard`` (``None``: empty shard)."""
         shard.devices = {}
-        ckpt_seq = 0
-        cum = {"shed": 0, "timeouts": 0, "degraded": 0}
-        if ckpt is not None:
-            state = ckpt["state"]
-            if state.get("schema") != FLEET_CHECKPOINT_SCHEMA:
-                raise JournalError(
-                    f"{shard.journal_path}: unknown checkpoint schema "
-                    f"{state.get('schema')!r}"
-                )
-            ckpt_seq = ckpt["seq"]
-            cum = {
-                "shed": state["shed"],
-                "timeouts": state["timeouts"],
-                "degraded": state["degraded"],
-            }
+        shard.cum_shed = shard.cum_timeouts = shard.cum_degraded = 0
+        if state is None:
+            return
+        if state.get("schema") != FLEET_CHECKPOINT_SCHEMA:
+            raise JournalError(
+                f"{shard.journal_path}: unknown checkpoint schema "
+                f"{state.get('schema')!r}"
+            )
+        try:
+            shard.cum_shed = state["shed"]
+            shard.cum_timeouts = state["timeouts"]
+            shard.cum_degraded = state["degraded"]
             shard.devices = {
                 device: {
                     r["task"]: _resident_from_state(r) for r in residents
                 }
                 for device, residents in state["devices"].items()
             }
-        suffix = records[ckpt_pos + 1:]
-        commits = {
-            rec["seq"]: rec["decision"]
-            for rec in suffix if rec["type"] == "commit"
-        }
-        for rec in suffix:
-            if rec["type"] == "event":
-                if rec["kind"] == "shed":
-                    cum["shed"] += 1
-                elif rec["kind"] == "timeout":
-                    cum["timeouts"] += 1
-        replayed = 0
-        missing: List[Tuple[int, FleetDecision]] = []
-        for rec in suffix:
-            if rec["type"] != "intent":
-                continue
-            entry = self._entry_from_intent(rec)
-            outcome, reason, mode = self._decide_batch(
-                [entry], shard.devices, memos
-            )[0]
-            replayed += 1
-            decision = FleetDecision(
-                seq=entry.req.seq, device=entry.req.device,
-                task=entry.req.task, kind=entry.req.kind.value,
-                outcome=outcome, reason=reason, shard=shard.index,
-                mode=mode, attempt=entry.attempt,
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise JournalError(
+                f"{shard.journal_path}: malformed fleet checkpoint: {exc!r}"
+            ) from exc
+
+    def _restore_shard(
+        self,
+        shard: _Shard,
+        memos: Tuple[Dict, Dict, Dict],
+        startup: bool,
+    ) -> Tuple[List[FleetDecision], Dict]:
+        """Rebuild a shard from its journal and reopen it for appending.
+
+        Checks the journal header, runs the shared
+        :func:`repro.online.durable.replay_journal` with the shard's
+        checkpoint decoder and decision core, reconciles the cumulative
+        counters and records the recovery.  Returns the repaired
+        decisions (the torn batch the in-run crash path publishes) and
+        the recovery record.  At ``startup`` repaired degraded admits
+        count at once (nobody will publish them).
+        """
+        t0 = time.perf_counter_ns()
+        path = shard.journal_path
+        assert path is not None
+        # Called through this module's name so span tracing can wrap it.
+        scan = scan_journal(path)
+        if scan.header.get("config") != self._journal_config(shard.index):
+            raise JournalError(
+                f"{path}: journal was written under a different fleet "
+                f"configuration (recorded {scan.header.get('config')!r})"
             )
-            want = commits.get(rec["seq"])
-            if want is not None:
-                if decision.to_dict() != want:
-                    raise JournalError(
-                        f"{shard.journal_path}: replay divergence at "
-                        f"journal seq {rec['seq']}: replay decided "
-                        f"{decision.to_dict()!r}, journal committed "
-                        f"{want!r}"
-                    )
-                if outcome == "admitted" and mode != "full":
-                    cum["degraded"] += 1
-            else:
-                missing.append((rec["seq"], decision))
-                if count_missing and outcome == "admitted" and mode != "full":
-                    cum["degraded"] += 1
-        if scan.truncated_lines:
-            os.truncate(shard.journal_path, scan.valid_bytes)
-        journal = DecisionJournal.resume(
-            shard.journal_path, cfg.fsync_interval
+
+        def decide(request: Request, extra: Dict) -> FleetDecision:
+            entry = self._entry_from_intent(request, extra)
+            outcome = self._decide_batch([entry], shard.devices, memos)[0]
+            return _decided(entry, shard.index, outcome)
+
+        replay = replay_journal(
+            path, scan, lambda state: self._restore_state(shard, state),
+            decide, self.config.fsync_interval, started_ns=t0,
         )
-        journal._last_seq = last_intent
-        for seq, decision in missing:
-            journal.append_commit(seq, decision.to_dict())
-        shard.journal = journal
-        shard.ckpt_seq = ckpt_seq
-        shard.cum_shed = cum["shed"]
-        shard.cum_timeouts = cum["timeouts"]
-        shard.cum_degraded = cum["degraded"]
+        shard.journal = replay.journal
+        shard.cum_shed += replay.events.get("shed", 0)
+        shard.cum_timeouts += replay.events.get("timeout", 0)
+        shard.cum_degraded += sum(
+            1 for r in replay.decisions
+            if (r.verified or startup)
+            and r.decision.outcome == "admitted" and r.decision.mode != "full"
+        )
+        report = replay.report
+        shard.ckpt_seq = report.checkpoint_seq
         info = {
-            "checkpoint_seq": ckpt_seq,
-            "last_intent_seq": last_intent,
-            "decisions_replayed": replayed,
-            "commits_repaired": len(missing),
-            "records_scanned": len(records) + 1,
-            "truncated_lines": scan.truncated_lines,
-            "recovery_us": round(
-                (time.perf_counter_ns() - t0) / 1000.0, 1
+            **report.to_dict(),
+            "last_intent_seq": (
+                report.checkpoint_seq + report.decisions_replayed - 1
             ),
+            "startup": startup,
         }
-        return missing, info
+        shard.recovered += 1
+        _RESILIENCE["recovered"] += 1
+        shard.recoveries.append(info)
+        return [r.decision for r in replay.decisions if not r.verified], info
 
     def _crash_and_recover(
         self,
         shard: _Shard,
         memos: Tuple[Dict, Dict, Dict],
-    ) -> List[Tuple[int, FleetDecision]]:
+    ) -> List[FleetDecision]:
         """Kill and restart a shard at the worst point (intents durable,
         commits not), then recover it from its own journal.
 
@@ -963,24 +935,17 @@ class FleetService:
         expect_decided = shard.decided
         assert shard.journal is not None
         shard.journal.close()
-        shard.devices = {}
-        shard.cum_shed = shard.cum_timeouts = shard.cum_degraded = 0
-        shard.decided = 0
-        missing, info = self._restore_shard(shard, memos, count_missing=False)
+        missing, info = self._restore_shard(shard, memos, startup=False)
         # Reconstruct this run's decided count from committed intents:
         # everything below the checkpoint plus committed suffix intents.
-        committed_total = info["checkpoint_seq"] + (
-            info["decisions_replayed"] - info["commits_repaired"]
+        shard.decided = (
+            info["checkpoint_seq"] + info["commits_verified"] - shard.seq_base
         )
-        shard.decided = committed_total - shard.seq_base
         if shard.decided != expect_decided:
             raise JournalError(
                 f"{shard.journal_path}: recovery reconstructed "
                 f"{shard.decided} decisions, expected {expect_decided}"
             )
-        shard.recovered += 1
-        _RESILIENCE["recovered"] += 1
-        shard.recoveries.append({**info, "startup": False})
         return missing
 
     # -- decision core -------------------------------------------------
@@ -1002,39 +967,6 @@ class FleetService:
             for rank, r in enumerate(ordered)
         ]
 
-    def _ladder(self, base: _Resident):
-        """The degrade-before-shed rungs for one admit candidate.
-
-        Mirrors the PR 3 admission-controller ladder: full service
-        first, then rate-stretched releases, then the smaller variant
-        (:func:`repro.robust.overload.degraded_variant`, buffers and
-        SRAM reservation unchanged), then variant+stretch.
-        """
-        cfg = self.config
-        yield "full", base
-        for f in cfg.stretch_factors:
-            p = max(1, int(round(base.period * f)))
-            yield f"rate/{f:g}", base._replace(
-                period=p, deadline=p, mode=f"rate/{f:g}"
-            )
-        if cfg.degrade_factor < 1.0:
-            variant = degraded_variant(
-                PeriodicTask(
-                    name=base.task, segments=base.segments,
-                    period=base.period, deadline=base.deadline,
-                    priority=0, buffers=cfg.buffers,
-                ),
-                cfg.degrade_factor,
-            )
-            yield "variant", base._replace(segments=variant, mode="variant")
-            if cfg.stretch_factors:
-                f = cfg.stretch_factors[-1]
-                p = max(1, int(round(base.period * f)))
-                yield f"variant+rate/{f:g}", base._replace(
-                    segments=variant, period=p, deadline=p,
-                    mode=f"variant+rate/{f:g}",
-                )
-
     def _decide_degraded(
         self,
         resident: Dict[str, _Resident],
@@ -1051,7 +983,14 @@ class FleetService:
         screen-or-analysis verdict (reusing the latter could admit a
         candidate whose screen failed).
         """
-        for mode, cand in self._ladder(candidate):
+        cfg = self.config
+        for mode, period, deadline, segments in degrade_ladder(
+            candidate.period, candidate.deadline, candidate.segments,
+            cfg.stretch_factors, cfg.degrade_factor,
+        ):
+            cand = candidate._replace(
+                segments=segments, period=period, deadline=deadline, mode=mode
+            )
             ranked = sorted(
                 [*resident.values(), cand],
                 key=lambda r: (r.deadline, r.task),
@@ -1308,31 +1247,19 @@ class FleetService:
             t0 = time.perf_counter_ns()
             if crash:
                 shard.crash_schedule.pop(0)
-                repaired = self._crash_and_recover(shard, memos)
-                if len(repaired) != len(entries):
+                batch_decisions = self._crash_and_recover(shard, memos)
+                repaired = [d.seq for d in batch_decisions]
+                if repaired != [e.req.seq for e in entries]:
                     raise JournalError(
-                        f"{shard.journal_path}: recovery repaired "
-                        f"{len(repaired)} commits, torn batch has "
-                        f"{len(entries)}"
+                        f"{shard.journal_path}: recovery repaired seqs "
+                        f"{repaired}, torn batch has "
+                        f"{[e.req.seq for e in entries]}"
                     )
-                batch_decisions = []
-                for entry, (_, decision) in zip(entries, repaired):
-                    if decision.seq != entry.req.seq:
-                        raise JournalError(
-                            f"{shard.journal_path}: repaired decision for "
-                            f"seq {decision.seq}, expected {entry.req.seq}"
-                        )
-                    batch_decisions.append(decision)
                 commit = False  # recovery already re-committed them
             else:
                 outcomes = self._decide_batch(entries, shard.devices, memos)
                 batch_decisions = [
-                    FleetDecision(
-                        seq=e.req.seq, device=e.req.device, task=e.req.task,
-                        kind=e.req.kind.value, outcome=o, reason=r,
-                        shard=shard.index, mode=m, attempt=e.attempt,
-                    )
-                    for e, (o, r, m) in zip(entries, outcomes)
+                    _decided(e, shard.index, o) for e, o in zip(entries, outcomes)
                 ]
                 commit = True
             elapsed_ns = time.perf_counter_ns() - t0

@@ -18,8 +18,8 @@ existing offline machinery so decisions stay fast:
    :func:`repro.core.segcache.cached_analyze`.
 4. **Degradation ladder** — on analysis failure the request is retried
    at stretched periods and/or as a reduced fallback variant
-   (:func:`repro.robust.overload.degraded_variant`) before any hard
-   rejection.
+   (:func:`degrade_ladder`, shared with the fleet service) before any
+   hard rejection.
 
 ``REMOVE`` always succeeds (dropping releases only removes
 interference); ``RESCALE`` goes through the mode-change protocols in
@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import segcache
+from repro.core.analysis import METHODS
 from repro.core.buffers import BUFFER_ALIGN
 from repro.core.framework import NP_CAP_DIVISOR
 from repro.core.segmentation import SegmentationError
@@ -212,6 +213,12 @@ class AdmissionController:
         retry_budget: int = 0,
         fault_overhead_cycles: int = 0,
     ) -> None:
+        if buffers < 1:
+            raise ValueError(f"buffers must be >= 1, got {buffers}")
+        if method not in METHODS:
+            raise ValueError(
+                f"unknown analysis method {method!r} (known: {', '.join(METHODS)})"
+            )
         if not all(f > 1.0 for f in stretch_factors):
             raise ValueError(f"stretch factors must be > 1, got {stretch_factors}")
         if not 0.0 < degrade_factor <= 1.0:
@@ -497,7 +504,9 @@ class AdmissionController:
         except SegmentationError as exc:
             return self._decision(request, outcome="rejected", reason=f"sram: {exc}")
         name = self._instance_name(request.task)
-        for mode, p, d, segs in self._attempts(name, period, deadline, segments):
+        for mode, p, d, segs in degrade_ladder(
+            period, deadline, segments, self._stretch, self._degrade_factor
+        ):
             candidate = Instance(
                 instance=name,
                 task=request.task,
@@ -535,46 +544,6 @@ class AdmissionController:
                 f"{self._stretch}, variant x{self._degrade_factor})"
             ),
         )
-
-    def _attempts(
-        self,
-        name: str,
-        period: int,
-        deadline: int,
-        segments: Tuple[Segment, ...],
-    ) -> List[Tuple[str, int, int, Tuple[Segment, ...]]]:
-        """The degradation ladder: full service first, then fallbacks.
-
-        Rate stretches reuse the original segmentation (the granularity
-        cap came from the tighter original deadline, so it stays valid);
-        the variant attempts shrink every segment like
-        :func:`repro.robust.overload.degraded_variant` does, standing in
-        for a smaller model variant at unchanged buffer reservations
-        (recovery to full service needs no re-planning).
-        """
-        attempts = [("full", period, deadline, segments)]
-        stretched = []
-        for factor in self._stretch:
-            p = int(round(period * factor))
-            d = min(p, int(round(deadline * factor)))
-            stretched.append((p, d))
-            attempts.append((f"rate/{factor:g}", p, d, segments))
-        if self._degrade_factor < 1.0:
-            base = PeriodicTask(
-                name=name,
-                segments=segments,
-                period=period,
-                deadline=deadline,
-                buffers=self._buffers,
-            )
-            variant = degraded_variant(base, self._degrade_factor)
-            attempts.append(("variant", period, deadline, variant))
-            if stretched:
-                p, d = stretched[-1]
-                attempts.append(
-                    (f"variant+rate/{self._stretch[-1]:g}", p, d, variant)
-                )
-        return attempts
 
     def _admit_switch(self, t: int) -> Tuple[int, str]:
         """Switch cycle for an admit (see :mod:`repro.online.modechange`).
@@ -755,6 +724,45 @@ def plan_segments(
     return seg.segments(), cost
 
 
+def degrade_ladder(
+    period: int,
+    deadline: int,
+    segments: Tuple[Segment, ...],
+    stretch_factors: Sequence[float],
+    degrade_factor: float,
+) -> Iterator[Tuple[str, int, int, Tuple[Segment, ...]]]:
+    """The degradation ladder: full service first, then fallbacks.
+
+    Yields ``(mode, period, deadline, segments)`` rungs: ``full``, one
+    ``rate/<f>`` per stretch factor, then (when ``degrade_factor < 1``)
+    ``variant`` and ``variant+rate/<last f>``.  Rate stretches reuse the
+    original segmentation (the granularity cap came from the tighter
+    original deadline, so it stays valid); the variant rungs shrink
+    every segment with :func:`repro.robust.overload.degraded_variant`,
+    standing in for a smaller model variant at unchanged buffer
+    reservations (recovery to full service needs no re-planning).  The
+    variant is computed lazily, once the earlier rungs are consumed.
+
+    Callers own the policy over the rungs: the controller screens and
+    then analyzes each, the fleet service screens only.
+    """
+    yield "full", period, deadline, segments
+
+    def stretch(factor: float) -> Tuple[int, int]:
+        p = int(round(period * factor))
+        return p, min(p, int(round(deadline * factor)))
+
+    for factor in stretch_factors:
+        yield (f"rate/{factor:g}", *stretch(factor), segments)
+    if degrade_factor < 1.0:
+        task = PeriodicTask("variant", segments, period, deadline)
+        variant = degraded_variant(task, degrade_factor)
+        yield "variant", period, deadline, variant
+        if stretch_factors:
+            factor = stretch_factors[-1]
+            yield (f"variant+rate/{factor:g}", *stretch(factor), variant)
+
+
 # ----------------------------------------------------------------------
 # Class-level RTA screen primitives (shared by the per-request screen and
 # the vectorized mass screen)
@@ -816,8 +824,8 @@ def mass_screen(
     """Vectorized class-level RTA screen over many candidate rankings.
 
     The fleet-scale entry point: each candidate list runs the same
-    suspension-oblivious cascade as ``Controller._screen``, but all
-    lists advance level-by-level in lock-step with every live list's
+    suspension-oblivious cascade as ``AdmissionController._screen``, but
+    all lists advance level-by-level in lock-step with every live list's
     fixpoint at the current level solved in one
     :func:`repro.sched.vecrta.fp_wcrt_batch` array pass (scalar fallback
     when the engine is off).  The chained jitter of each list feeds its

@@ -35,8 +35,11 @@ in order.  This module drops both assumptions while keeping decisions
 :func:`serve_durable` wires the pieces into the serve loop and
 :func:`recover` rebuilds a controller from a (possibly torn or
 corrupted) journal, truncating the invalid tail and repairing missing
-commit records.  :mod:`repro.robust.chaos` drives both under injected
-crashes, journal damage, and adversarial delivery patterns.
+commit records through :func:`replay_journal` — the one reader of the
+journal record layout, which every fleet shard's recovery
+(:class:`repro.eval.fleet.FleetService`) runs too.
+:mod:`repro.robust.chaos` drives both under injected crashes, journal
+damage, and adversarial delivery patterns.
 """
 
 from __future__ import annotations
@@ -49,19 +52,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Tuple,
 )
 
-from repro.online.admission import (
-    AdmissionController,
-    CheckpointError,
-    Decision,
-)
+from repro.online.admission import AdmissionController, CheckpointError
 from repro.online.events import Request
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -327,6 +328,109 @@ class RecoveryReport:
         }
 
 
+class ReplayedDecision(NamedTuple):
+    """One replayed intent's decision; ``verified`` is False when its
+    commit record was lost and has been repaired."""
+
+    seq: int
+    decision: Any
+    verified: bool
+
+
+class JournalReplay(NamedTuple):
+    """What :func:`replay_journal` rebuilt; ``events`` counts the event
+    records past the checkpoint by kind."""
+
+    journal: DecisionJournal
+    report: RecoveryReport
+    events: Dict[str, int]
+    decisions: List[ReplayedDecision]
+
+
+def replay_journal(
+    path: str,
+    scan: JournalScan,
+    restore: Callable[[Optional[Dict]], None],
+    decide: Callable[[Request, Dict], Any],
+    fsync_interval: int = 8,
+    started_ns: Optional[int] = None,
+) -> JournalReplay:
+    """The write-ahead-journal replay shared by every durable engine.
+
+    Hands the last checkpoint's state (``None`` without one) to
+    ``restore`` and replays each intent past it through
+    ``decide(request, extra)``; a replayed decision's ``to_dict()`` must
+    equal its surviving commit record.  Then truncates the torn/corrupt
+    tail off ``path``, reopens the journal for appending and appends a
+    commit for every replayed intent whose commit was lost.  Header and
+    checkpoint-schema checks stay with the caller; ``started_ns`` (a
+    ``perf_counter_ns`` reading) lets ``recovery_us`` include its scan.
+
+    Raises:
+        JournalError: intent sequence gap, or a replayed decision
+            diverging from its journaled commit.
+    """
+    start_ns = time.perf_counter_ns() if started_ns is None else started_ns
+    checkpoint_pos = -1
+    checkpoint: Optional[Dict] = None
+    for pos, record in enumerate(scan.records):
+        if record["type"] == "checkpoint":
+            checkpoint, checkpoint_pos = record, pos
+    restore(None if checkpoint is None else checkpoint["state"])
+    checkpoint_seq = 0 if checkpoint is None else checkpoint["seq"]
+    commits: Dict[int, Dict] = {}
+    intents: List[Dict] = []
+    events: Dict[str, int] = {}
+    for record in scan.records[checkpoint_pos + 1:]:
+        kind = record["type"]
+        if kind == "intent":
+            intents.append(record)
+        elif kind == "commit":
+            commits[record["seq"]] = record["decision"]
+        elif kind == "event":
+            events[record["kind"]] = events.get(record["kind"], 0) + 1
+    next_seq = checkpoint_seq
+    replayed: List[ReplayedDecision] = []
+    for record in intents:
+        seq = record["seq"]
+        if seq < next_seq:
+            continue  # covered by the checkpoint already
+        if seq != next_seq:
+            raise JournalError(
+                f"{path}: journal gap — intent seq {seq} but replay is "
+                f"at {next_seq}"
+            )
+        decision = decide(
+            Request.from_dict(record["request"]), record.get("extra", {})
+        )
+        next_seq += 1
+        want = commits.get(seq)
+        if want is not None and decision.to_dict() != want:
+            raise JournalError(
+                f"{path}: replay divergence at seq {seq}: replay "
+                f"decided {decision.to_dict()!r}, journal committed "
+                f"{want!r}"
+            )
+        replayed.append(ReplayedDecision(seq, decision, want is not None))
+    if scan.truncated_lines:
+        os.truncate(path, scan.valid_bytes)
+    journal = DecisionJournal.resume(path, fsync_interval)
+    journal._last_seq = next_seq - 1
+    repaired = [r for r in replayed if not r.verified]
+    for r in repaired:
+        journal.append_commit(r.seq, r.decision.to_dict())
+    report = RecoveryReport(
+        checkpoint_seq=checkpoint_seq,
+        decisions_replayed=len(replayed),
+        records_scanned=len(scan.records) + 1,
+        truncated_lines=scan.truncated_lines,
+        commits_verified=len(replayed) - len(repaired),
+        commits_repaired=len(repaired),
+        recovery_us=(time.perf_counter_ns() - start_ns) / 1000.0,
+    )
+    return JournalReplay(journal, report, events, replayed)
+
+
 def recover(
     path: str,
     factory: Callable[[], AdmissionController],
@@ -334,10 +438,10 @@ def recover(
 ) -> Tuple[AdmissionController, DecisionJournal, RecoveryReport]:
     """Rebuild a controller from a journal and reopen it for appending.
 
-    Restores the last valid checkpoint (if any), replays only the intent
-    records past it, verifies each replayed decision against its commit
-    record where one survived, appends repaired commits for intents that
-    lost theirs, and truncates any torn/corrupt tail off the file.
+    Checks the journal header against the controller's configuration,
+    then runs :func:`replay_journal` with the controller's
+    :meth:`~AdmissionController.restore` and
+    :meth:`~AdmissionController.handle`.
 
     Raises:
         JournalError: unreadable journal, intent sequence gap, or a
@@ -355,63 +459,16 @@ def recover(
             f"journal {path} was written under a different configuration "
             f"(recorded {recorded!r}, restoring {echo!r})"
         )
-    checkpoint_pos = -1
-    checkpoint: Optional[Dict] = None
-    for pos, record in enumerate(scan.records):
-        if record["type"] == "checkpoint":
-            checkpoint, checkpoint_pos = record, pos
-    if checkpoint is not None:
-        controller.restore(checkpoint["state"])
-    checkpoint_seq = len(controller.decisions)
-    commits: Dict[int, Dict] = {}
-    intents: List[Dict] = []
-    for record in scan.records[checkpoint_pos + 1:]:
-        if record["type"] == "intent":
-            intents.append(record)
-        elif record["type"] == "commit":
-            commits[record["seq"]] = record["decision"]
-    replayed = 0
-    verified = 0
-    repaired: List[Decision] = []
-    for record in intents:
-        seq = record["seq"]
-        if seq < len(controller.decisions):
-            continue  # covered by the checkpoint already
-        if seq != len(controller.decisions):
-            raise JournalError(
-                f"{path}: journal gap — intent seq {seq} but controller "
-                f"is at {len(controller.decisions)}"
-            )
-        request = Request.from_dict(record["request"])
-        decision = controller.handle(request)
-        replayed += 1
-        want = commits.get(seq)
-        if want is not None:
-            if decision.to_dict() != want:
-                raise JournalError(
-                    f"{path}: replay divergence at seq {seq}: replay "
-                    f"decided {decision.to_dict()!r}, journal committed "
-                    f"{want!r}"
-                )
-            verified += 1
-        else:
-            repaired.append(decision)
-    if scan.truncated_lines:
-        os.truncate(path, scan.valid_bytes)
-    journal = DecisionJournal.resume(path, fsync_interval)
-    journal._last_seq = len(controller.decisions) - 1
-    for decision in repaired:
-        journal.append_commit(decision.seq, decision.to_dict())
-    report = RecoveryReport(
-        checkpoint_seq=checkpoint_seq,
-        decisions_replayed=replayed,
-        records_scanned=len(scan.records) + 1,
-        truncated_lines=scan.truncated_lines,
-        commits_verified=verified,
-        commits_repaired=len(repaired),
-        recovery_us=(time.perf_counter_ns() - start_ns) / 1000.0,
+
+    def restore(state: Optional[Dict]) -> None:
+        if state is not None:
+            controller.restore(state)
+
+    replay = replay_journal(
+        path, scan, restore, lambda request, extra: controller.handle(request),
+        fsync_interval, started_ns=start_ns,
     )
-    return controller, journal, report
+    return controller, replay.journal, replay.report
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,16 @@ class TestSharding:
         with pytest.raises(ValueError, match="service_us"):
             FleetConfig(service_us=0.0)
 
+    @pytest.mark.parametrize("buffers", [0, -1])
+    def test_config_rejects_buffers_below_one(self, buffers):
+        with pytest.raises(ValueError, match="buffers"):
+            FleetConfig(buffers=buffers)
+
+    def test_config_rejects_unknown_method(self, tmp_path):
+        with pytest.raises(ValueError, match="bogus"):
+            FleetConfig(method="bogus", journal_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestIdentity:
     """Sharded decisions must be bit-identical to the serial run."""
@@ -361,6 +371,90 @@ class TestCrashRecovery:
             r for r in scan.records if r["type"] == "checkpoint"
         ]
         assert checkpoints[-1]["state"]["shed"] >= first.shed
+
+
+class TestJournalDamage:
+    """A restarted service recovers a damaged shard journal: the torn or
+    corrupt tail is cut off, lost commits are repaired, serving goes on."""
+
+    @pytest.mark.parametrize("mode", ["truncate-journal", "corrupt-journal"])
+    def test_restart_recovers_damaged_shard_journal(self, tmp_path, mode):
+        from repro.robust.chaos import damage_journal, fleet_invariants
+
+        trace = small_trace(n_devices=100)
+        config = FleetConfig(n_shards=2, journal_dir=str(tmp_path))
+        FleetService(config=config).run(trace)
+        path = str(tmp_path / "shard000.journal")
+        damage_journal(path, mode, seed=0)
+        damaged = scan_journal(path)
+        with open(path, "rb") as handle:
+            prefix = handle.read()[:damaged.valid_bytes]
+
+        report = FleetService(config=config).run(trace)
+        (recovery,) = report.shard_stats[0]["recoveries"]
+        assert recovery["startup"]
+        assert recovery["truncated_lines"] == damaged.truncated_lines > 0
+        with open(path, "rb") as handle:
+            assert handle.read().startswith(prefix)
+        healed = scan_journal(path)
+        assert healed.truncated_lines == 0
+        # The repaired commits come first after the valid prefix, one
+        # per surviving intent whose commit was lost.
+        intents = {r["seq"] for r in damaged.records if r["type"] == "intent"}
+        commits = {r["seq"] for r in damaged.records if r["type"] == "commit"}
+        lost = sorted(intents - commits)
+        assert lost and recovery["commits_repaired"] == len(lost)
+        appended = healed.records[len(damaged.records):]
+        assert [
+            (r["type"], r["seq"]) for r in appended[:len(lost)]
+        ] == [("commit", seq) for seq in lost]
+        fleet_invariants(report, max_retries=config.max_retries)
+
+
+class TestMalformedJournals:
+    """CRC-valid but malformed shard journals fail with JournalError."""
+
+    def _header_config(self, tmp_path, config):
+        FleetService(config=config).run(small_trace(n_devices=10))
+        return scan_journal(str(tmp_path / "shard000.journal")).header["config"]
+
+    def test_checkpoint_without_devices(self, tmp_path):
+        from repro.eval.fleet import FLEET_CHECKPOINT_SCHEMA
+        from repro.online.durable import DecisionJournal, JournalError
+
+        config = FleetConfig(n_shards=1, journal_dir=str(tmp_path))
+        header = self._header_config(tmp_path, config)
+        journal = DecisionJournal.create(
+            str(tmp_path / "shard000.journal"), header
+        )
+        journal.append_checkpoint(0, {
+            "schema": FLEET_CHECKPOINT_SCHEMA,
+            "shed": 0, "timeouts": 0, "degraded": 0,
+        })
+        journal.close()
+        with pytest.raises(JournalError, match="malformed fleet checkpoint"):
+            FleetService(config=config).run(small_trace(n_devices=10))
+
+    def test_intent_task_without_device(self, tmp_path):
+        from repro.online.durable import DecisionJournal, JournalError
+        from repro.online.events import Request
+
+        config = FleetConfig(n_shards=1, journal_dir=str(tmp_path))
+        header = self._header_config(tmp_path, config)
+        journal = DecisionJournal.create(
+            str(tmp_path / "shard000.journal"), header
+        )
+        journal.append_intent(
+            0,
+            Request(
+                time_s=0.0, kind=RequestKind.ADMIT, task="m0",
+                model="lenet5", period_s=0.2,
+            ),
+            extra={"seq": 0},
+        )
+        journal.close()
+        with pytest.raises(JournalError, match="device-qualified"):
+            FleetService(config=config).run(small_trace(n_devices=10))
 
 
 class TestTimeouts:

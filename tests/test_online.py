@@ -309,6 +309,15 @@ class TestAdmissionController:
         assert [d.seq for d in ctrl.decisions] == [0, 1]
         assert all(d.latency_us >= 0 for d in ctrl.decisions)
 
+    @pytest.mark.parametrize("buffers", [0, -1])
+    def test_rejects_buffers_below_one(self, buffers):
+        with pytest.raises(ValueError, match="buffers"):
+            AdmissionController(PLATFORM, buffers=buffers)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="bogus"):
+            AdmissionController(PLATFORM, method="bogus")
+
 
 class TestServeReport:
     def test_aggregates_and_dict(self):
