@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -282,6 +283,11 @@ def _cmd_robust(args: argparse.Namespace) -> int:
     from repro.sched.policies import CpuPolicy
     from repro.sched.simulator import SimConfig, simulate
 
+    if args.duration is not None and not (
+        math.isfinite(args.duration) and args.duration > 0
+    ):
+        print(f"error: --duration must be positive, got {args.duration}", file=sys.stderr)
+        return 2
     config = _build_config(args.scenario, args.platform, args.flash)
     if not config.feasible:
         print(f"INFEASIBLE: {config.infeasible_reason}")

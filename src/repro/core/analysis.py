@@ -42,10 +42,9 @@ admits a task set, no simulated phasing may miss a deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import isolated_latency
-from repro.sched.rta import CACHE_MISS, FixpointCache
 from repro.sched.task import PeriodicTask, TaskSet, inflate_compute, inflate_loads
 
 #: Analysis method names accepted by :func:`analyze`.
@@ -121,53 +120,23 @@ def _fixpoint(
     blocking: int,
     interferers: Sequence[Tuple[int, int, int]],
     cap: int,
-    cache: Optional[FixpointCache] = None,
-    warm_key: Any = None,
 ) -> Optional[int]:
     """Solve ``R = own + blocking + sum ceil((R + J)/T) * I``.
 
     ``interferers`` are ``(demand, period, jitter)`` triples.  Returns
     None when the value exceeds ``cap`` (callers pass the deadline: a
     bound beyond it is useless and busy-window assumptions lapse).
-
-    With a ``cache``, identical problems return the memoized solution
-    (always sound: the result is a pure function of the arguments).
-    With ``warm_key`` too, the iteration is seeded from the committed
-    value staged under the same key by a *dominated* problem (pointwise
-    no larger demand); monotone iteration from any value between the
-    classic start and the least fixpoint converges to the same least
-    fixpoint, so the result is bit-identical to a cold start.
     """
-    if cache is not None:
-        exact_key = (own, blocking, tuple(interferers), cap)
-        hit = cache.get_exact(exact_key)
-        if hit is not CACHE_MISS:
-            if warm_key is not None and hit is not None:
-                cache.stage(warm_key, hit)
-            return hit
-    start = own + blocking
-    response = start
-    if cache is not None and warm_key is not None:
-        seed = cache.warm_start(warm_key)
-        if seed is not None and seed > start:
-            response = seed
-    result: Optional[int]
+    response = own + blocking
     while True:
         demand = own + blocking
         for interference, period, jitter in interferers:
             demand += -((response + jitter) // -period) * interference  # ceil div
         if demand > cap:
-            result = None
-            break
+            return None
         if demand == response:
-            result = response
-            break
+            return response
         response = demand
-    if cache is not None:
-        cache.put_exact(exact_key, result)
-        if warm_key is not None and result is not None:
-            cache.stage(warm_key, result)
-    return result
 
 
 def _single_resource_analysis(
@@ -175,21 +144,8 @@ def _single_resource_analysis(
     demand_of: Callable[[_View], int],
     interference_of: Callable[[_View], int],
     blocking_of: Callable[[_View, List[_View]], int],
-    cache: Optional[FixpointCache] = None,
-    warm_tag: Optional[str] = None,
 ) -> Dict[str, Optional[int]]:
-    """Generic highest-priority-first fixpoint pass with jitter chaining.
-
-    Warm-start soundness of the ``(warm_tag, index)`` keying: for each
-    priority slot, ``own``, ``blocking``, and interference demands are
-    monotone in a uniform WCET inflation, and the chained jitter
-    ``bound - own`` is monotone too because the least fixpoint grows at
-    least as fast as ``own`` (for a fixpoint ``p`` of the inflated
-    recurrence, descending the old recurrence from ``p`` lands on a
-    fixpoint at most ``p - delta_own``, so ``lfp_new >= lfp_old +
-    delta_own``).  By induction in priority order every slot's problem
-    dominates its predecessor across admitted inflation factors.
-    """
+    """Generic highest-priority-first fixpoint pass with jitter chaining."""
     wcrt: Dict[str, Optional[int]] = {}
     jitters: List[int] = []
     for index, view in enumerate(views):
@@ -204,8 +160,6 @@ def _single_resource_analysis(
             blocking=blocking_of(view, lower),
             interferers=interferers,
             cap=view.task.deadline,
-            cache=cache,
-            warm_key=(warm_tag, index) if warm_tag is not None else None,
         )
         wcrt[view.task.name] = bound
         if bound is None:
@@ -225,41 +179,25 @@ def _cpu_dma_blocking(view: _View, lower: List[_View]) -> int:
     return view.n_seg * max_lp_c + view.n_load * max_lp_l
 
 
-def _analyze_oblivious(
-    views: List[_View],
-    cache: Optional[FixpointCache] = None,
-    warm: bool = False,
-) -> Dict[str, Optional[int]]:
+def _analyze_oblivious(views: List[_View]) -> Dict[str, Optional[int]]:
     return _single_resource_analysis(
         views,
         demand_of=lambda v: v.total_c + v.total_l,
         interference_of=lambda v: v.total_c + v.total_l,
         blocking_of=_cpu_dma_blocking,
-        cache=cache,
-        warm_tag="obl" if warm else None,
     )
 
 
-def _analyze_overlap(
-    views: List[_View],
-    cache: Optional[FixpointCache] = None,
-    warm: bool = False,
-) -> Dict[str, Optional[int]]:
+def _analyze_overlap(views: List[_View]) -> Dict[str, Optional[int]]:
     return _single_resource_analysis(
         views,
         demand_of=lambda v: v.latency,
         interference_of=lambda v: v.total_c + v.total_l,
         blocking_of=_cpu_dma_blocking,
-        cache=cache,
-        warm_tag="ovl" if warm else None,
     )
 
 
-def _analyze_holistic(
-    views: List[_View],
-    cache: Optional[FixpointCache] = None,
-    warm: bool = False,
-) -> Dict[str, Optional[int]]:
+def _analyze_holistic(views: List[_View]) -> Dict[str, Optional[int]]:
     """Two-stage decomposition: DMA stage then CPU stage.
 
     SOUNDNESS RESTRICTION: the stage-sum ``R <= RL + RC`` is valid only
@@ -283,18 +221,7 @@ def _analyze_holistic(
     Higher-priority demand bunching uses per-resource release jitter
     ``R_j - demand_j`` derived from the method's own final bounds, in
     priority order.
-
-    Warm starts are only used when **no task is gated**: a gated task's
-    bound grows with its pipeline latency, which under compute inflation
-    can grow slower than the ``total_c``/``total_c + total_l`` terms the
-    cpu/both jitter chains subtract — so those jitters are not provably
-    monotone across inflation factors and a committed seed could exceed
-    the new least fixpoint.  With every task buffered the stage bounds
-    satisfy ``rc_new >= rc_old + delta(total_c)`` and ``rl_new >=
-    rl_old``, making all three jitter chains monotone.
     """
-    if warm and any(v.task.buffers < v.n_seg for v in views):
-        warm = False
     wcrt: Dict[str, Optional[int]] = {}
     dma_jitters: List[int] = []
     cpu_jitters: List[int] = []
@@ -312,8 +239,6 @@ def _analyze_holistic(
                     for k, h in enumerate(higher)
                 ],
                 cap=view.task.deadline,
-                cache=cache,
-                warm_key=("hrl", index) if warm else None,
             )
             rc = None
             if rl is not None:
@@ -325,8 +250,6 @@ def _analyze_holistic(
                         for k, h in enumerate(higher)
                     ],
                     cap=view.task.deadline,
-                    cache=cache,
-                    warm_key=("hrc", index) if warm else None,
                 )
             bound = None if rl is None or rc is None else rl + rc
             if bound is not None and bound > view.task.deadline:
@@ -340,8 +263,6 @@ def _analyze_holistic(
                     for k, h in enumerate(higher)
                 ],
                 cap=view.task.deadline,
-                cache=cache,
-                warm_key=None,
             )
         wcrt[view.task.name] = bound
         if bound is None:
@@ -354,26 +275,13 @@ def _analyze_holistic(
     return wcrt
 
 
-def analyze(
-    taskset: TaskSet,
-    method: str = "rtmdm",
-    cache: Optional[FixpointCache] = None,
-    warm: bool = False,
-) -> AnalysisResult:
+def analyze(taskset: TaskSet, method: str = "rtmdm") -> AnalysisResult:
     """Run a schedulability analysis over ``taskset``.
 
     Args:
         taskset: Segmented tasks with unique priorities and constrained
             deadlines (cycles).
         method: One of :data:`METHODS`.
-        cache: Optional :class:`~repro.sched.rta.FixpointCache`; repeated
-            fixpoint problems (shared prefixes across Audsley trials,
-            re-screens, sweep neighbors) skip iteration entirely.  The
-            result is bit-identical with or without it.
-        warm: Additionally seed fixpoints from values the caller
-            committed at a dominated configuration (e.g. a lower WCET
-            inflation factor).  Only sound when the caller's sequence of
-            calls is monotone; see :func:`sensitivity_margin`.
 
     Returns:
         An :class:`AnalysisResult`; ``result.schedulable`` is the
@@ -384,19 +292,13 @@ def analyze(
     views = _views_by_priority(taskset)
     deadlines = {t.name: t.deadline for t in taskset}
     if method == "oblivious":
-        return AnalysisResult(
-            "oblivious", _analyze_oblivious(views, cache, warm), deadlines
-        )
+        return AnalysisResult("oblivious", _analyze_oblivious(views), deadlines)
     if method == "overlap":
-        return AnalysisResult(
-            "overlap", _analyze_overlap(views, cache, warm), deadlines
-        )
+        return AnalysisResult("overlap", _analyze_overlap(views), deadlines)
     if method == "holistic":
-        return AnalysisResult(
-            "holistic", _analyze_holistic(views, cache, warm), deadlines
-        )
-    overlap = _analyze_overlap(views, cache, warm)
-    holistic = _analyze_holistic(views, cache, warm)
+        return AnalysisResult("holistic", _analyze_holistic(views), deadlines)
+    overlap = _analyze_overlap(views)
+    holistic = _analyze_holistic(views)
     combined: Dict[str, Optional[int]] = {}
     for name in overlap:
         bounds = [b for b in (overlap[name], holistic[name]) if b is not None]
@@ -458,28 +360,17 @@ def sensitivity_margin(
         raise ValueError(f"upper must be >= 1, got {upper}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    # Incremental fixpoints across the binary search: converged response
-    # times are staged during each probe and committed only when the
-    # probe is admitted — every later probe inflates strictly more, so
-    # committed values are valid (dominated) warm seeds for it.  Probes
-    # on the rejected side discard their staged values: they come from a
-    # *larger* factor and would overshoot smaller probes' fixpoints.
-    cache = FixpointCache()
-    if not analyze(taskset, method, cache=cache, warm=True).schedulable:
+    if not analyze(taskset, method).schedulable:
         return None
-    cache.commit()
-    if analyze(inflate_compute(taskset, upper), method, cache=cache, warm=True).schedulable:
+    if analyze(inflate_compute(taskset, upper), method).schedulable:
         return upper
-    cache.discard()
     lo, hi = 1.0, upper
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
-        if analyze(inflate_compute(taskset, mid), method, cache=cache, warm=True).schedulable:
+        if analyze(inflate_compute(taskset, mid), method).schedulable:
             lo = mid
-            cache.commit()
         else:
             hi = mid
-            cache.discard()
     return lo
 
 
@@ -506,15 +397,13 @@ def sensitivity_margin_batch(
     from repro.sched import vecrta
 
     tasksets = list(tasksets)
-    cache = FixpointCache()
     margins: List[Optional[float]] = [None] * len(tasksets)
 
-    def probe(pairs):
-        return vecrta.analyze_taskset_batch(pairs, cache=cache)
-
-    base = probe([(ts, method) for ts in tasksets])
+    base = vecrta.analyze_taskset_batch([(ts, method) for ts in tasksets])
     admitted = [i for i, res in enumerate(base) if res.schedulable]
-    top = probe([(inflate_compute(tasksets[i], upper), method) for i in admitted])
+    top = vecrta.analyze_taskset_batch(
+        [(inflate_compute(tasksets[i], upper), method) for i in admitted]
+    )
     bounds: Dict[int, Tuple[float, float]] = {}
     for i, res in zip(admitted, top):
         if res.schedulable:
@@ -526,7 +415,7 @@ def sensitivity_margin_batch(
     active = sorted(bounds)
     while active:
         mids = {i: (bounds[i][0] + bounds[i][1]) / 2 for i in active}
-        step = probe(
+        step = vecrta.analyze_taskset_batch(
             [(inflate_compute(tasksets[i], mids[i]), method) for i in active]
         )
         remaining = []

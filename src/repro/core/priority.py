@@ -11,10 +11,9 @@ for holistic analyses (documented in DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.core.analysis import AnalysisResult, analyze
-from repro.sched.rta import FixpointCache
+from repro.core.analysis import analyze
 from repro.sched.task import TaskSet
 
 
@@ -32,11 +31,7 @@ def rate_monotonic(taskset: TaskSet) -> TaskSet:
     return TaskSet.of(t.with_priority(mapping[t.name]) for t in taskset)
 
 
-def audsley(
-    taskset: TaskSet,
-    method: str = "rtmdm",
-    analyze_fn: Callable[[TaskSet, str], AnalysisResult] = analyze,
-) -> Optional[TaskSet]:
+def audsley(taskset: TaskSet, method: str = "rtmdm") -> Optional[TaskSet]:
     """Audsley's priority assignment against a chosen analysis.
 
     Starting from the lowest priority level, find any task that is
@@ -44,12 +39,6 @@ def audsley(
     above it; repeat upward.  Returns the prioritized task set, or None
     when no assignment makes every task schedulable under ``method``.
     """
-    if analyze_fn is analyze:
-        # Successive trial sets share most of their fixpoint problems
-        # (only the candidate at `level` and the compacted prefix move);
-        # a per-search memo skips the repeated iterations outright.
-        cache = FixpointCache()
-        analyze_fn = lambda ts, m: analyze(ts, m, cache=cache)  # noqa: E731
     names = [t.name for t in taskset]
     unassigned = list(names)
     assigned: dict = {}
@@ -69,7 +58,7 @@ def audsley(
             trial_set = TaskSet.of(
                 t.with_priority(trial[t.name]) for t in taskset
             )
-            result = analyze_fn(trial_set, method)
+            result = analyze(trial_set, method)
             bound = result.wcrt[candidate]
             if bound is not None and bound <= trial_set.by_name(candidate).deadline:
                 placed = candidate
@@ -79,67 +68,9 @@ def audsley(
         assigned[placed] = level
         unassigned.remove(placed)
     final = TaskSet.of(t.with_priority(assigned[t.name]) for t in taskset)
-    if not analyze_fn(final, method).schedulable:
+    if not analyze(final, method).schedulable:
         # Jitter chaining can break OPA monotonicity in corner cases; the
         # final verdict is always re-checked on the complete assignment.
-        return None
-    return final
-
-
-def audsley_batch(
-    taskset: TaskSet, method: str = "rtmdm"
-) -> Optional[TaskSet]:
-    """:func:`audsley` with each level's candidates analyzed as one batch.
-
-    At every priority level all remaining candidates' trial sets go
-    through one vectorized batch analysis
-    (:func:`repro.sched.vecrta.analyze_taskset_batch`; scalar fallback
-    when the engine is off) instead of sequential scalar calls, and the
-    first candidate in sorted order that passes is placed — the same
-    task the scalar search commits to, so the returned assignment (or
-    None) is identical.  Trades some extra analyses (candidates past the
-    first hit) for one array solve per level.
-    """
-    from repro.sched import vecrta
-
-    cache = FixpointCache()
-    names = [t.name for t in taskset]
-    unassigned = list(names)
-    assigned: dict = {}
-    for level in range(len(names) - 1, -1, -1):
-        candidates = sorted(unassigned)
-        trials = []
-        for candidate in candidates:
-            trial = {}
-            next_high = 0
-            for name in names:
-                if name == candidate:
-                    trial[name] = level
-                elif name in assigned:
-                    trial[name] = assigned[name]
-                else:
-                    trial[name] = next_high
-                    next_high += 1
-            trials.append(
-                TaskSet.of(t.with_priority(trial[t.name]) for t in taskset)
-            )
-        results = vecrta.analyze_taskset_batch(
-            [(trial_set, method) for trial_set in trials], cache=cache
-        )
-        placed = None
-        for candidate, trial_set, result in zip(candidates, trials, results):
-            bound = result.wcrt[candidate]
-            if bound is not None and bound <= trial_set.by_name(candidate).deadline:
-                placed = candidate
-                break
-        if placed is None:
-            return None
-        assigned[placed] = level
-        unassigned.remove(placed)
-    final = TaskSet.of(t.with_priority(assigned[t.name]) for t in taskset)
-    final_result = vecrta.analyze_taskset_batch([(final, method)], cache=cache)[0]
-    if not final_result.schedulable:
-        # Same corner-case recheck as the scalar search.
         return None
     return final
 

@@ -2031,13 +2031,9 @@ def exp_f17_rta_throughput(
 
     Analyzes ``n_sets`` synthesized task sets under the full method
     family (``oblivious``/``overlap``/``holistic``/``rtmdm`` — the
-    EXP-F8-style tightness matrix) three ways: per-case scalar
-    ``analyze`` (the oracle), one struct-of-arrays vectorized batch,
-    and the vectorized batch sharing a
-    :class:`~repro.sched.rta.FixpointCache` (the ``rtmdm`` pass repeats
-    the ``overlap``/``holistic`` rows verbatim, so the cache mode shows
-    the memo's effect on a realistic repeat structure).  Reports task
-    sets analyzed per second for each mode.
+    EXP-F8-style tightness matrix) two ways: per-case scalar
+    ``analyze`` (the oracle) and one struct-of-arrays vectorized batch.
+    Reports task sets analyzed per second for each mode.
 
     Rows are deterministic (verdict counts, bit-identity against the
     scalar oracle, whether the vector engine actually engaged); the
@@ -2045,7 +2041,6 @@ def exp_f17_rta_throughput(
     measurement in the suite.
     """
     from repro.sched import vecrta
-    from repro.sched.rta import FixpointCache
 
     n = max(8, int(n_sets * scale))
     sets = _f17_tasksets(n, tasks_per_set, seed)
@@ -2059,36 +2054,28 @@ def exp_f17_rta_throughput(
     scalar = [analyze(taskset, method) for taskset, method in cases]
     scalar_s = time.perf_counter() - start
 
-    modes = []  # (label, results, elapsed, engaged)
-    for label, cache in (("vectorized", None), ("vectorized+cache", FixpointCache())):
-        before = obs.snapshot()
-        start = time.perf_counter()
-        results = vecrta.analyze_taskset_batch(cases, cache=cache)
-        elapsed = time.perf_counter() - start
-        engaged = int(obs.delta_since(before)["rta.fixpoint"][3] > 0)
-        modes.append((label, results, elapsed, engaged))
+    before = obs.snapshot()
+    start = time.perf_counter()
+    vector = vecrta.analyze_taskset_batch(cases)
+    vector_s = time.perf_counter() - start
+    engaged = int(obs.delta_since(before)["rta.fixpoint"][3] > 0)
 
-    def wcrt_maps(results):
-        return [res.wcrt for res in results]
+    def schedulable(results):
+        # One verdict per set: its rtmdm analysis (last of each family).
+        return sum(1 for res in results[3::4] if res.schedulable)
 
-    # One verdict per set: its rtmdm analysis (last of each family).
-    schedulable = sum(1 for res in scalar[3::4] if res.schedulable)
-    rows = [("scalar", n, schedulable, 1, 0)]
+    identical = int([res.wcrt for res in vector] == [res.wcrt for res in scalar])
+    rows = [
+        ("scalar", n, schedulable(scalar), 1, 0),
+        ("vectorized", n, schedulable(vector), identical, engaged),
+    ]
     meta: Dict = {
         "tasks_per_set": tasks_per_set,
         "scalar_s": round(scalar_s, 6),
         "scalar_sets_per_s": round(n / scalar_s, 1) if scalar_s else None,
+        "vectorized_s": round(vector_s, 6),
+        "vectorized_sets_per_s": round(n / vector_s, 1) if vector_s else None,
     }
-    oracle = wcrt_maps(scalar)
-    for label, results, elapsed, engaged in modes:
-        identical = int(wcrt_maps(results) == oracle)
-        rows.append((
-            label, n, sum(1 for res in results[3::4] if res.schedulable),
-            identical, engaged,
-        ))
-        key = label.replace("+", "_")
-        meta[f"{key}_s"] = round(elapsed, 6)
-        meta[f"{key}_sets_per_s"] = round(n / elapsed, 1) if elapsed else None
     return ExperimentResult(
         exp_id="EXP-F17",
         title=f"Mass-schedulability throughput ({n} sets x {tasks_per_set} tasks)",

@@ -37,13 +37,10 @@ from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro import obs
-from repro.core.analysis import AnalysisResult, analyze
-from repro.sched.rta import FixpointCache
 from repro.sched.simulator import SharedSetup, SimConfig, SimResult, simulate
 from repro.sched.task import TaskSet
 
 __all__ = [
-    "analyze_batch",
     "resolve_jobs",
     "run_units",
     "simulate_batch",
@@ -114,34 +111,6 @@ def simulate_batch(
             setup = setups[key] = SharedSetup(taskset)
         results.append(simulate(taskset, config, setup, arena))
     return results
-
-
-def analyze_batch(
-    cases: Iterable[Tuple[TaskSet, str]],
-    cache: Optional[FixpointCache] = None,
-) -> List[AnalysisResult]:
-    """Analyze ``cases`` in order through one shared fixpoint memo.
-
-    Sweep neighbors and method variants over the same set repeat most of
-    their response-time fixpoint problems verbatim; a batch-wide
-    :class:`~repro.sched.rta.FixpointCache` returns those bounds without
-    iterating.  Results are bit-identical to scalar ``analyze`` calls
-    (exact-key memoization only — no warm starts, which need a caller
-    guaranteeing monotone call order).
-
-    When the vectorized engine is available (numpy importable and
-    ``REPRO_VEC_RTA`` unset/1), the whole batch is packed into one
-    struct-of-arrays solve via :func:`repro.sched.vecrta.analyze_taskset_batch`
-    — same results, same cache protocol, one array iteration per
-    fixpoint step across all sets.
-    """
-    if cache is None:
-        cache = FixpointCache()
-    from repro.sched import vecrta
-
-    if vecrta.enabled():
-        return vecrta.analyze_taskset_batch(cases, cache=cache)
-    return [analyze(taskset, method, cache=cache) for taskset, method in cases]
 
 
 def _counted(worker: Callable[[Any], Any], unit: Any) -> Tuple[Any, obs.Snapshot]:

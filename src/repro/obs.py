@@ -2,8 +2,8 @@
 
 Every stage of the pipeline counts its own work: the plan caches, the
 steady-state folding simulator, the struct-of-arrays simulator core, the
-RTA fixpoint memo and vector engine, the persistent plan store and the
-fleet's resilience machinery.  :data:`TABLE` lists every group and its
+RTA vector engine, the persistent plan store and the fleet's resilience
+machinery.  :data:`TABLE` lists every group and its
 fields once.  A module takes its group's live dict from :func:`live` at
 import time and bumps it with plain dict increments, so the hot paths
 pay nothing for the registry.
@@ -49,7 +49,9 @@ TABLE: Dict[str, Tuple[str, ...]] = {
     "sim.fold": ("runs", "folds", "cycles_skipped", "jobs_skipped"),
     # Struct-of-arrays simulator core (repro.sched.simcore).
     "sim.soa": ("sim_soa_runs", "sim_soa_events", "sim_stand_downs"),
-    # RTA fixpoint memo (repro.sched.rta) and vector engine (vecrta).
+    # RTA vector engine (repro.sched.vecrta).  Nothing counts into
+    # exact_hits, misses or warm_hits, so they always read 0; they stay
+    # because readers index this tuple by position.
     "rta.fixpoint": (
         "exact_hits", "misses", "warm_hits",
         "vec_batches", "vec_rows", "vec_stand_downs",

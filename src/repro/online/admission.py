@@ -244,10 +244,6 @@ class AdmissionController:
         # admission.
         self._retry_budget = retry_budget
         self._fault_overhead = fault_overhead_cycles
-        # Screen chains across requests mostly repeat (only the request
-        # under test and tasks below it move); memoized WCRT problems
-        # make re-screens incremental without changing any verdict.
-        self._rta_cache = rta.FixpointCache()
         self._resident: Dict[str, Instance] = {}
         self._retired: List[Instance] = []
         self._reservations: List[Tuple[int, int]] = []
@@ -381,7 +377,6 @@ class AdmissionController:
         self._reservations = reservations
         self._counters = counters
         self.decisions = decisions
-        self._rta_cache = rta.FixpointCache()  # cold memo; verdicts identical
 
     # ------------------------------------------------------------------
     # Planning and schedulability
@@ -430,12 +425,7 @@ class AdmissionController:
             return False
         screened: List[rta.RtaTask] = []
         for candidate in built:
-            # Re-screens across requests repeat the unchanged prefix of
-            # this chain verbatim; the memo returns those bounds without
-            # iterating (exact keying keeps the verdicts bit-identical).
-            wcrt = rta.fp_preemptive_wcrt(
-                [*screened, candidate], candidate, cache=self._rta_cache
-            )
+            wcrt = rta.fp_preemptive_wcrt([*screened, candidate], candidate)
             if wcrt is None or wcrt > candidate.deadline:
                 return False
             screened.append(

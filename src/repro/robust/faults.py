@@ -83,9 +83,9 @@ class FaultConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.inflation_factor < 1.0:
+        if not (math.isfinite(self.inflation_factor) and self.inflation_factor >= 1.0):
             raise ValueError(
-                f"inflation_factor must be >= 1, got {self.inflation_factor}"
+                f"inflation_factor must be finite and >= 1, got {self.inflation_factor}"
             )
         if not 0.0 <= self.spike_prob <= 1.0:
             raise ValueError(f"spike_prob must be in [0, 1], got {self.spike_prob}")

@@ -18,11 +18,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro import obs
+from typing import List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -139,116 +136,6 @@ def try_hyperperiod(
         return None
 
 
-# ----------------------------------------------------------------------
-# Incremental fixpoint evaluation
-# ----------------------------------------------------------------------
-
-#: Sentinel distinguishing "no cached entry" from a cached ``None``
-#: (an unschedulable verdict is a result worth remembering too).
-CACHE_MISS = object()
-
-# Process-wide fixpoint counters (repro.obs group "rta.fixpoint"): the
-# per-instance counters roll up here so sweeps can report an aggregate
-# warm-start hit rate.  Its ``vec_*`` fields belong to repro.sched.vecrta.
-_COUNTS = obs.live("rta.fixpoint")
-
-
-class FixpointCache:
-    """Reuse between successive RTA fixpoint iterations.
-
-    Two mechanisms, both preserving bit-identical results:
-
-    * **Exact memoization**: a fixpoint problem is a pure function of
-      ``(own, blocking, interferers, cap)``; identical problems (the
-      unchanged task prefix of an admission re-screen, a repeated sweep
-      point) return the stored solution without iterating.  Always
-      sound.
-    * **Monotone warm starts**: iterating ``R = f(R)`` for a monotone
-      ``f`` from any value between the classic start ``own + blocking``
-      and the least fixpoint converges to the *same* least fixpoint
-      (from below the sequence climbs to it; from above-but-below-lfp
-      it descends to a fixpoint that minimality forces to be the lfp).
-      Callers may therefore seed an iteration with the converged value
-      of a *dominated* problem — one whose demand is pointwise no
-      larger, e.g. the previous (lower) inflation factor in a
-      sensitivity search.  Values are staged during a run and only
-      become warm-start seeds after :meth:`commit`, so a rejected probe
-      never pollutes the seeds.
-
-    The warm-start contract (seed problem dominated by the new one) is
-    the caller's to uphold; the property tests in
-    ``tests/test_prop_fixpoint.py`` pin both equality with cold starts
-    and the monotonicity arguments above.
-    """
-
-    def __init__(self, maxsize: int = 8192) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._exact: "OrderedDict[Any, Optional[int]]" = OrderedDict()
-        self._warm: Dict[Any, int] = {}
-        self._staged: Dict[Any, int] = {}
-        self.exact_hits = 0
-        self.misses = 0
-        self.warm_hits = 0
-
-    def get_exact(self, key: Any) -> Any:
-        """Stored solution for ``key``, or :data:`CACHE_MISS`."""
-        value = self._exact.get(key, CACHE_MISS)
-        if value is CACHE_MISS:
-            self.misses += 1
-            _COUNTS["misses"] += 1
-        else:
-            self._exact.move_to_end(key)
-            self.exact_hits += 1
-            _COUNTS["exact_hits"] += 1
-        return value
-
-    def put_exact(self, key: Any, value: Optional[int]) -> None:
-        """Store a solution (bounded LRU)."""
-        self._exact[key] = value
-        self._exact.move_to_end(key)
-        if len(self._exact) > self.maxsize:
-            self._exact.popitem(last=False)
-
-    def warm_start(self, key: Any) -> Optional[int]:
-        """Committed warm-start seed for ``key``, if any."""
-        value = self._warm.get(key)
-        if value is not None:
-            self.warm_hits += 1
-            _COUNTS["warm_hits"] += 1
-        return value
-
-    def stage(self, key: Any, value: int) -> None:
-        """Record a converged value, pending :meth:`commit`."""
-        self._staged[key] = value
-
-    def commit(self) -> None:
-        """Promote staged values to warm-start seeds."""
-        self._warm.update(self._staged)
-        self._staged.clear()
-
-    def discard(self) -> None:
-        """Drop staged values (the probe they came from was rejected)."""
-        self._staged.clear()
-
-    def counters(self) -> Dict[str, int]:
-        """This instance's hit/miss counters."""
-        return {
-            "exact_hits": self.exact_hits,
-            "misses": self.misses,
-            "warm_hits": self.warm_hits,
-        }
-
-
-def _memo_key(task: RtaTask) -> Tuple[int, int, int, int, int, int]:
-    """The numeric fields a WCRT computation actually reads."""
-    return (
-        task.exec_cycles, task.period, task.deadline,
-        task.priority, task.jitter, task.blocking,
-    )
-
-
 def _hp(tasks: Sequence[RtaTask], task: RtaTask) -> List[RtaTask]:
     """Strictly higher-priority tasks (deterministic name tiebreak)."""
     key = (task.priority, task.name)
@@ -279,66 +166,23 @@ def _response_cap(task: RtaTask, interferers: Sequence[RtaTask]) -> int:
     return 64 * (total + max(periods)) + 64 * task.period
 
 
-def _warm_seed(
-    cache: Optional[FixpointCache], warm_key: Any, start: int
-) -> int:
-    """Iteration start: the committed seed if any, clamped to ``start``.
-
-    The clamp keeps the seed inside the sound interval even when the
-    dominated problem's converged value lies below the new problem's
-    classic start.
-    """
-    if cache is None or warm_key is None:
-        return start
-    seed = cache.warm_start(warm_key)
-    if seed is None:
-        return start
-    return max(start, seed)
-
-
-def fp_preemptive_wcrt(
-    tasks: Sequence[RtaTask],
-    task: RtaTask,
-    cache: Optional[FixpointCache] = None,
-    warm_key: Any = None,
-) -> Optional[int]:
+def fp_preemptive_wcrt(tasks: Sequence[RtaTask], task: RtaTask) -> Optional[int]:
     """WCRT under preemptive fixed-priority scheduling with jitter/blocking.
 
     Busy-period formulation (handles response times beyond one period):
 
     ``w(q) = (q + 1) C_i + B_i + sum_hp ceil((w + J_j) / T_j) C_j``
     ``R_i  = max_q (w(q) - q T_i)``
-
-    Args:
-        cache: Optional :class:`FixpointCache`.  Identical (task,
-            interferer-set) problems return their memoized bound; with
-            ``warm_key`` also set, each busy-period/per-q fixpoint is
-            seeded from the committed value of the dominated problem the
-            caller staged under the same key.
-        warm_key: Stable identity of this fixpoint *problem site* across
-            a monotone family of calls (e.g. one task's screen slot
-            across inflation factors).  The caller must guarantee the
-            committed problem's demand is pointwise no larger.
     """
     interferers = _hp(tasks, task)
-    if cache is not None:
-        exact_key = (
-            "fp-p", _memo_key(task), tuple(_memo_key(t) for t in interferers)
-        )
-        hit = cache.get_exact(exact_key)
-        if hit is not CACHE_MISS:
-            return hit
     cap = _response_cap(task, interferers)
     busy = _busy_period(task, interferers, task.blocking, cap)
     if busy is None:
-        if cache is not None:
-            cache.put_exact(exact_key, None)
         return None
     q_max = int(math.ceil((busy + task.jitter) / task.period))
     worst = 0
     for q in range(q_max):
-        start = (q + 1) * task.exec_cycles + task.blocking
-        w = _warm_seed(cache, (warm_key, "fp-p", q) if warm_key is not None else None, start)
+        w = (q + 1) * task.exec_cycles + task.blocking
         while True:
             demand = (
                 (q + 1) * task.exec_cycles
@@ -351,24 +195,13 @@ def fp_preemptive_wcrt(
             if demand == w:
                 break
             if demand > cap:
-                if cache is not None:
-                    cache.put_exact(exact_key, None)
                 return None
             w = demand
-        if cache is not None and warm_key is not None:
-            cache.stage((warm_key, "fp-p", q), w)
         worst = max(worst, w - q * task.period)
-    if cache is not None:
-        cache.put_exact(exact_key, worst)
     return worst
 
 
-def fp_nonpreemptive_wcrt(
-    tasks: Sequence[RtaTask],
-    task: RtaTask,
-    cache: Optional[FixpointCache] = None,
-    warm_key: Any = None,
-) -> Optional[int]:
+def fp_nonpreemptive_wcrt(tasks: Sequence[RtaTask], task: RtaTask) -> Optional[int]:
     """WCRT under non-preemptive fixed-priority scheduling.
 
     Davis & Burns style: the *start* time of the q-th job in the level-i
@@ -380,28 +213,16 @@ def fp_nonpreemptive_wcrt(
     to completion (``exec_cycles`` is the whole non-preemptive section —
     for segmented tasks, call this per-segment via the higher-level
     analyses instead).
-
-    ``cache``/``warm_key`` behave as in :func:`fp_preemptive_wcrt`.
     """
     interferers = _hp(tasks, task)
-    if cache is not None:
-        exact_key = (
-            "fp-n", _memo_key(task), tuple(_memo_key(t) for t in interferers)
-        )
-        hit = cache.get_exact(exact_key)
-        if hit is not CACHE_MISS:
-            return hit
     cap = _response_cap(task, interferers)
     busy = _busy_period(task, interferers, task.blocking, cap)
     if busy is None:
-        if cache is not None:
-            cache.put_exact(exact_key, None)
         return None
     q_max = int(math.ceil((busy + task.jitter) / task.period))
     worst = 0
     for q in range(q_max):
-        start = task.blocking + q * task.exec_cycles
-        w = _warm_seed(cache, (warm_key, "fp-n", q) if warm_key is not None else None, start)
+        w = task.blocking + q * task.exec_cycles
         while True:
             demand = (
                 task.blocking
@@ -414,15 +235,9 @@ def fp_nonpreemptive_wcrt(
             if demand == w:
                 break
             if demand > cap:
-                if cache is not None:
-                    cache.put_exact(exact_key, None)
                 return None
             w = demand
-        if cache is not None and warm_key is not None:
-            cache.stage((warm_key, "fp-n", q), w)
         worst = max(worst, w + task.exec_cycles - q * task.period)
-    if cache is not None:
-        cache.put_exact(exact_key, worst)
     return worst
 
 

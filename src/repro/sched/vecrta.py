@@ -251,12 +251,8 @@ class ChainBatch:
         self._chains.append(chain)
         return len(self._chains) - 1
 
-    def solve(self, cache: Optional[rta.FixpointCache] = None) -> None:
-        """Solve every chain; with ``cache``, exact-memoize rows.
-
-        Cache keys are identical to the scalar ``_fixpoint`` keys, so a
-        cache shared with the scalar path hits across both engines.
-        """
+    def solve(self) -> None:
+        """Solve every chain (once)."""
         if self._solved:
             raise RuntimeError("ChainBatch.solve() may only run once")
         self._solved = True
@@ -275,7 +271,7 @@ class ChainBatch:
                     rows.append((chain, "rl"))
                     rows.append((chain, "rc"))
             if rows:
-                self._solve_level(level, rows, cache)
+                self._solve_level(level, rows)
         _TIMES["solve_s"] += time.perf_counter() - start
 
     def bounds(self, handle: int) -> List[Optional[int]]:
@@ -300,40 +296,26 @@ class ChainBatch:
             return chain.tc[k], chain.bl_c[k], chain.tc[:k], chain.cpu_j
         return chain.lat[k], chain.bl_both[k], chain.both_inter[:k], chain.both_j
 
-    def _solve_level(self, level, rows, cache) -> None:
-        values: List[Optional[int]] = [None] * len(rows)
-        keys: List[Any] = [None] * len(rows)
+    def _solve_level(self, level, rows) -> None:
         pending = []
-        for r, (chain, part) in enumerate(rows):
+        for chain, part in rows:
             own, blocking, inter, jit = self._row_params(chain, part, level)
-            periods = chain.periods[:level]
-            cap = chain.deadlines[level]
-            if cache is not None:
-                keys[r] = (own, blocking, tuple(zip(inter, periods, jit)), cap)
-                hit = cache.get_exact(keys[r])
-                if hit is not rta.CACHE_MISS:
-                    values[r] = hit
-                    continue
-            pending.append((r, own + blocking, cap, inter, periods, jit))
-        if pending and level == 0:
+            pending.append(
+                (own + blocking, chain.deadlines[level], inter, chain.periods[:level], jit)
+            )
+        values: List[Optional[int]]
+        if level == 0:
             # No interference at the top level: the fixpoint is the base.
             _count_batch(len(pending))
-            for r, base, cap, *_ in pending:
-                values[r] = base if base <= cap else None
-                if cache is not None:
-                    cache.put_exact(keys[r], values[r])
-        elif pending:
-            base = _np.array([p[1] for p in pending], dtype=_np.int64)
-            caps = _np.array([p[2] for p in pending], dtype=_np.int64)
-            inter = _np.array([p[3] for p in pending], dtype=_np.int64)
-            periods = _np.array([p[4] for p in pending], dtype=_np.int64)
-            jitters = _np.array([p[5] for p in pending], dtype=_np.int64)
+            values = [base if base <= cap else None for base, cap, *_ in pending]
+        else:
+            base = _np.array([p[0] for p in pending], dtype=_np.int64)
+            caps = _np.array([p[1] for p in pending], dtype=_np.int64)
+            inter = _np.array([p[2] for p in pending], dtype=_np.int64)
+            periods = _np.array([p[3] for p in pending], dtype=_np.int64)
+            jitters = _np.array([p[4] for p in pending], dtype=_np.int64)
             w, ok = _solve_rows_exact(base, caps, inter, periods, jitters)
-            for i, p in enumerate(pending):
-                r = p[0]
-                values[r] = int(w[i]) if ok[i] else None
-                if cache is not None:
-                    cache.put_exact(keys[r], values[r])
+            values = [int(v) if good else None for v, good in zip(w, ok)]
         i = 0
         while i < len(rows):
             chain, part = rows[i]
@@ -504,10 +486,7 @@ def chains_schedulable(
 # ----------------------------------------------------------------------
 
 
-def analyze_taskset_batch(
-    cases: Sequence[Tuple[Any, str]],
-    cache: Optional[rta.FixpointCache] = None,
-):
+def analyze_taskset_batch(cases: Sequence[Tuple[Any, str]]):
     """Batched :func:`repro.core.analysis.analyze` over many task sets.
 
     ``cases`` are ``(taskset, method)`` pairs; returns the matching list
@@ -520,7 +499,7 @@ def analyze_taskset_batch(
 
     cases = list(cases)
     if not enabled():
-        return [_analysis.analyze(ts, method, cache=cache) for ts, method in cases]
+        return [_analysis.analyze(ts, method) for ts, method in cases]
     start = time.perf_counter()
     batch = ChainBatch()
     plans = []
@@ -551,10 +530,10 @@ def analyze_taskset_batch(
         plans.append((idx, taskset, method, names, handles))
     _TIMES["pack_s"] += time.perf_counter() - start
     try:
-        batch.solve(cache=cache)
+        batch.solve()
     except StandDown:  # pragma: no cover - needs ~1e6 fixpoint steps
         _count_stand_down()
-        return [_analysis.analyze(ts, method, cache=cache) for ts, method in cases]
+        return [_analysis.analyze(ts, method) for ts, method in cases]
     start = time.perf_counter()
     for idx, taskset, method, names, handles in plans:
         wcrt = assemble_wcrt(batch, handles, method, names)
@@ -563,7 +542,7 @@ def analyze_taskset_batch(
     _TIMES["unpack_s"] += time.perf_counter() - start
     for idx in fallback:
         taskset, method = cases[idx]
-        results[idx] = _analysis.analyze(taskset, method, cache=cache)
+        results[idx] = _analysis.analyze(taskset, method)
     return results
 
 

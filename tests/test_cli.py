@@ -251,6 +251,22 @@ class TestChaosCommand:
         assert err.startswith("error: ValueError:")
 
 
+class TestRobustArguments:
+    @pytest.mark.parametrize("argv", [
+        ["--inflation", "inf"],
+        ["--inflation", "nan"],
+        ["--duration", "0"],
+        ["--duration", "-1"],
+        ["--duration", "nan"],
+    ])
+    def test_bad_input_rejected_before_any_output(self, argv, capsys):
+        assert main(["robust", "doorbell", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestQuietFlag:
     def test_plan_quiet(self, capsys):
         assert main(["plan", "doorbell", "--quiet"]) == 0

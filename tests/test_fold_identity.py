@@ -13,6 +13,13 @@ result was obtained and are excluded from the fold-on/off comparison
 (a fold-off run legitimately reports zero); every other field must
 match exactly.  Batch-vs-scalar comparisons include them — the shared
 setup must not even change how folding proceeds.
+
+Folding may only engage for fully deterministic, state-free
+configurations: every nondeterministic or stateful :class:`SimConfig`
+hook (traces, abort-on-miss, sporadic releases, fault injection,
+escalation, recovery, DEGRADE overload state) must force
+``_fold_eligible`` off, and such runs must report zero folding
+telemetry.
 """
 
 from __future__ import annotations
@@ -23,13 +30,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_taskset
 from repro.core.framework import RtMdm
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import get_platform
+from repro.robust.escalation import EscalationConfig
+from repro.robust.faults import FaultConfig
+from repro.robust.overload import DegradeConfig, OverrunPolicy
+from repro.robust.recovery import RecoveryConfig
 from repro.sched.policies import CpuPolicy
-from repro.sched.simulator import SimConfig, fold_enabled, simulate
+from repro.sched.simulator import SimConfig, Simulator, fold_enabled, simulate
 from repro.sched.task import TaskSet
 from repro.eval.parallel import simulate_batch
 from repro.workload.scenarios import get_scenario
@@ -166,3 +179,45 @@ def test_kill_switch_reports_zero_telemetry(fold_off):
         taskset, _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY)
     )
     assert result.fold_cycles == 0 and result.fold_jobs_skipped == 0
+
+
+seeds = st.integers(0, 10_000)
+
+
+def _nondeterministic_hooks():
+    """One SimConfig override per hook that must disable folding."""
+    return [
+        dict(record_trace=True),
+        dict(abort_on_miss=True),
+        dict(sporadic_slack=0.25),
+        dict(faults=FaultConfig(dma_fault_prob=0.1)),
+        dict(escalation=EscalationConfig(crc_fault_prob=0.1)),
+        dict(
+            faults=FaultConfig(dma_fault_prob=0.1),
+            recovery=RecoveryConfig(),
+        ),
+        dict(overrun=OverrunPolicy.DEGRADE, degrade=None),  # filled per-set
+    ]
+
+
+HOOK_INDEX = st.integers(0, len(_nondeterministic_hooks()) - 1)
+
+
+@given(seeds, HOOK_INDEX)
+@settings(max_examples=60, deadline=None)
+def test_fold_disabled_under_nondeterministic_hooks(seed, hook_index):
+    rng = random.Random(seed)
+    ts = random_taskset(rng, n_tasks=rng.randint(2, 3), util_target=0.5)
+    overrides = _nondeterministic_hooks()[hook_index]
+    if "degrade" in overrides:
+        overrides["degrade"] = DegradeConfig(
+            fallbacks={t.name: t.segments[:1] for t in ts}
+        )
+    horizon = 8 * max(t.period for t in ts)
+    config = SimConfig(horizon=horizon, **overrides)
+    assert not Simulator(ts, config)._fold_eligible
+    result = simulate(ts, config)
+    assert result.fold_cycles == 0
+    assert result.fold_jobs_skipped == 0
+    # Vacuity guard: the same run minus the hook IS fold-eligible.
+    assert Simulator(ts, SimConfig(horizon=horizon))._fold_eligible

@@ -1,0 +1,119 @@
+"""Identity tests for the sensitivity-margin searches.
+
+:func:`repro.core.analysis.sensitivity_margin` binary-searches the
+largest uniform compute inflation a set's admission survives, one scalar
+``analyze`` per probe; :func:`sensitivity_margin_batch` runs every set's
+search in lock-step through the vectorized batch analysis.  Both must
+return the same margin for every set, and every finite margin must be a
+factor the analysis actually admits.  The branches covered:
+
+* the nominal set is rejected (``None``);
+* the set is admitted even at ``upper`` (margin ``upper``);
+* ``tolerance >= upper - 1``, so the search never probes between 1 and
+  ``upper`` (margin ``1.0``);
+* an ordinary binary search in between;
+* all of these mixed in one batch.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_taskset
+from repro.core.analysis import (
+    METHODS,
+    analyze,
+    sensitivity_margin,
+    sensitivity_margin_batch,
+)
+from repro.core.priority import deadline_monotonic
+from repro.sched.task import inflate_compute
+
+seeds = st.integers(0, 10_000)
+
+#: ``(upper, tolerance)`` pairs: the default search, a coarse one, and
+#: three where ``tolerance >= upper - 1`` skips the bisection entirely.
+SEARCHES = ((16.0, 1e-3), (2.0, 0.05), (1.5, 0.5), (1.2, 1.0), (1.0, 1e-3))
+
+
+def _dm_set(rng: random.Random, n_tasks: int, util: float):
+    """A random segmented set under deadline-monotonic priorities."""
+    return deadline_monotonic(random_taskset(rng, n_tasks=n_tasks, util_target=util))
+
+
+def _draw_sets(rng: random.Random):
+    """Two to four sets spanning light (admitted at any probe) to heavy."""
+    return [
+        _dm_set(rng, rng.randint(1, 4), rng.choice([0.02, rng.uniform(0.05, 0.8)]))
+        for _ in range(rng.randint(2, 4))
+    ]
+
+
+def _check_margins(sets, method, upper, tolerance):
+    scalar = [
+        sensitivity_margin(ts, method, upper=upper, tolerance=tolerance)
+        for ts in sets
+    ]
+    batched = sensitivity_margin_batch(
+        sets, method, upper=upper, tolerance=tolerance
+    )
+    assert batched == scalar
+    for ts, margin in zip(sets, scalar):
+        if margin is None:
+            assert not analyze(ts, method).schedulable
+            continue
+        assert 1.0 <= margin <= upper
+        assert analyze(inflate_compute(ts, margin), method).schedulable
+        if margin < upper:
+            # The search probed ``upper`` first and saw it rejected.
+            assert not analyze(inflate_compute(ts, upper), method).schedulable
+        if margin < upper and tolerance >= upper - 1.0:
+            assert margin == 1.0
+    return scalar
+
+
+@given(seeds, st.sampled_from(METHODS), st.sampled_from(SEARCHES))
+@settings(max_examples=40, deadline=None)
+def test_batch_margins_match_scalar(seed, method, search):
+    upper, tolerance = search
+    _check_margins(_draw_sets(random.Random(seed)), method, upper, tolerance)
+
+
+def _classify(margin, upper):
+    if margin is None:
+        return "rejected"
+    return "upper" if margin == upper else "inside"
+
+
+def test_mixed_batch_covers_every_branch():
+    """One batch holding a rejected set, a set admitted at ``upper`` and
+    a set whose margin is 1.0 because ``tolerance >= upper - 1``."""
+    upper, tolerance = 1.5, 0.5
+    rng = random.Random(20240)
+    wanted = {}
+    for _ in range(400):
+        ts = _dm_set(rng, rng.randint(2, 3), rng.uniform(0.05, 0.8))
+        kind = _classify(
+            sensitivity_margin(ts, "rtmdm", upper=upper, tolerance=tolerance),
+            upper,
+        )
+        wanted.setdefault(kind, ts)
+        if len(wanted) == 3:
+            break
+    assert sorted(wanted) == ["inside", "rejected", "upper"]
+    sets = [wanted["inside"], wanted["rejected"], wanted["upper"], wanted["inside"]]
+    margins = _check_margins(sets, "rtmdm", upper, tolerance)
+    assert margins == [1.0, None, upper, 1.0]
+
+
+def test_bisected_margins_match_in_one_batch():
+    """Default search: the bisection branch and its neighbours together."""
+    rng = random.Random(7)
+    sets = [_dm_set(rng, 3, u) for u in (0.05, 0.1, 0.2, 0.3, 0.45, 1.4, 0.02)]
+    margins = _check_margins(sets, "rtmdm", 16.0, 1e-3)
+    kinds = [_classify(m, 16.0) for m in margins]
+    assert {"inside", "rejected", "upper"} <= set(kinds)
+    assert kinds.count("inside") >= 3

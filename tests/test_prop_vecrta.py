@@ -20,7 +20,6 @@ from conftest import random_taskset
 from repro.core.analysis import METHODS, analyze
 from repro.sched import vecrta
 from repro.sched.rta import (
-    FixpointCache,
     RtaTask,
     fault_aware_wcrt,
     fp_nonpreemptive_wcrt,
@@ -116,15 +115,14 @@ def test_analysis_batch_matches_scalar(seed):
         )
         cases.extend((ts, method) for method in METHODS)
     expected = [analyze(ts, method) for ts, method in cases]
-    for cache in (None, FixpointCache()):
-        got = vecrta.analyze_taskset_batch(cases, cache=cache)
-        for want, have in zip(expected, got):
-            assert have.wcrt == want.wcrt
-            assert have.schedulable == want.schedulable
-            assert all(
-                bound is None or type(bound) is int
-                for bound in have.wcrt.values()
-            )
+    got = vecrta.analyze_taskset_batch(cases)
+    for want, have in zip(expected, got):
+        assert have.wcrt == want.wcrt
+        assert have.schedulable == want.schedulable
+        assert all(
+            bound is None or type(bound) is int
+            for bound in have.wcrt.values()
+        )
 
 
 @given(seeds)

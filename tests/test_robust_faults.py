@@ -15,6 +15,8 @@ from repro.sched.task import PeriodicTask, Segment, TaskSet
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs", [
     {"inflation_factor": 0.5},
+    {"inflation_factor": math.inf},
+    {"inflation_factor": math.nan},
     {"spike_prob": -0.1},
     {"spike_prob": 1.5},
     {"dma_fault_prob": 2.0},
