@@ -38,7 +38,7 @@ from repro.eval.metrics import (
 )
 from repro.eval.parallel import run_units, simulate_batch, stable_seed
 from repro.eval.reporting import ExperimentResult
-from repro.eval.systems import SYSTEMS, admit, admit_batch, derive_taskset
+from repro.eval.systems import SYSTEMS, admit_batch, derive_taskset
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import PLATFORMS, get_platform
 from repro.sched.policies import CpuPolicy

@@ -5,12 +5,12 @@ service.  Devices are grouped into platform/workload **cohorts** (so the
 fleet's planning state collapses onto a handful of platform objects and
 their plan-cache keys), requests are routed to per-shard FIFO queues by
 a deterministic device hash, and each shard drains its queue in batches
-decided through the vectorized fast paths
-(:func:`repro.online.admission.mass_screen` backed by
-:mod:`repro.sched.vecrta`, with :func:`repro.core.segcache.cached_analyze`
-as the exact fallback).  Planning goes through
-:func:`repro.online.admission.plan_segments` — the same policy as the
-single-device controller — so a configured
+decided through the admission controller's scalar screen
+(:func:`repro.online.admission.mass_screen`, one
+:func:`~repro.online.admission.oblivious_screen` per candidate list,
+with :func:`repro.core.segcache.cached_analyze` as the exact fallback).
+Planning goes through :func:`repro.online.admission.plan_segments` —
+the same policy as the single-device controller — so a configured
 :mod:`repro.core.planstore` amortizes one segmentation search across the
 whole fleet and across runs.
 
@@ -33,8 +33,8 @@ A decision for device *d* depends only on *d*'s own resident set (plus
 the immutable cohort platform), and the service admits at most one
 request per device per batch (later same-device requests are held back
 to the next batch), so per-device request order is preserved under any
-shard count or batch size.  ``mass_screen`` is bit-identical to scalar
-screening and ``cached_analyze`` is exact, so **sharded decisions are
+shard count or batch size.  ``mass_screen`` is the controller's own
+screen and ``cached_analyze`` is exact, so **sharded decisions are
 bit-identical to the single-shard serial path** — the identity gate in
 ``tests/test_fleet.py`` and CI asserts this with backpressure disabled
 (shedding depends on queue depth, which legitimately differs by shard
@@ -81,6 +81,7 @@ clobbering its own history.  Three fault-tolerance mechanisms ride on top:
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -339,8 +340,10 @@ class FleetConfig:
             raise ValueError(
                 f"max_queue_depth must be > 0, got {self.max_queue_depth}"
             )
-        if self.service_us <= 0:
-            raise ValueError(f"service_us must be > 0, got {self.service_us}")
+        if not 0 < self.service_us < math.inf:
+            raise ValueError(
+                f"service_us must be finite and > 0, got {self.service_us}"
+            )
         if self.buffers < 1:
             raise ValueError(f"buffers must be >= 1, got {self.buffers}")
         if self.method not in METHODS:
@@ -368,10 +371,16 @@ class FleetConfig:
                 "crash_at requires journal_dir (a crashed shard recovers "
                 "from its journal)"
             )
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms}")
+        if self.timeout_ms is not None and not 0 < self.timeout_ms < math.inf:
+            raise ValueError(
+                f"timeout_ms must be finite and > 0, got {self.timeout_ms}"
+            )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        for name in ("backoff_ms", "backoff_cap_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         # ExponentialBackoff validates base/cap consistency.
         resilience.ExponentialBackoff(self.backoff_ms, self.backoff_cap_ms)
         if self.degrade_watermark is not None:
@@ -381,8 +390,10 @@ class FleetConfig:
                     f"got {self.degrade_watermark}"
                 )
         for f in self.stretch_factors:
-            if f <= 1.0:
-                raise ValueError(f"stretch factors must be > 1.0, got {f}")
+            if not 1.0 < f < math.inf:
+                raise ValueError(
+                    f"stretch factors must be finite and > 1.0, got {f}"
+                )
         if not 0.0 < self.degrade_factor <= 1.0:
             raise ValueError(
                 f"degrade_factor must be in (0, 1], got {self.degrade_factor}"
@@ -1017,12 +1028,12 @@ class FleetService:
 
         Stage 1 resolves removals/duplicates and plans every admit
         candidate (degrade-tagged entries detour through the ladder);
-        stage 2 screens all full-path candidates in one vectorized
-        ``mass_screen`` pass; stage 3 runs the exact analysis only for
-        screen failures.  Verdicts are bit-identical to deciding the
-        requests one at a time (the screen and analysis both are), which
-        is what makes decisions batch- and shard-invariant — and what
-        makes journal replay after a crash reproduce them exactly.
+        stage 2 screens all full-path candidates in one ``mass_screen``
+        call; stage 3 runs the exact analysis only for screen failures.
+        Verdicts are bit-identical to deciding the requests one at a
+        time (the screen and analysis both are), which is what makes
+        decisions batch- and shard-invariant — and what makes journal
+        replay after a crash reproduce them exactly.
 
         Three per-run memos short-circuit the fleet-wide repetition:
         ``plan_memo`` keys plans on their exact inputs ``(cohort, model,

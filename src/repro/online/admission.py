@@ -11,9 +11,10 @@ existing offline machinery so decisions stay fast:
 2. **Fast RTA screen** — the candidate union is checked with the
    suspension-oblivious bound rebuilt from the classic RTA primitives in
    :mod:`repro.sched.rta` (serialized per-job demand, segment-granular
-   non-preemptive blocking, chained release jitter).  The screen is
-   pessimistic relative to the full analysis: if it passes, the system
-   is schedulable and the expensive analysis is skipped.
+   non-preemptive blocking, chained release jitter).  With no fault
+   budget the screen is pessimistic relative to the full analysis: if
+   it passes, the system is schedulable and the expensive analysis is
+   skipped.
 3. **Full analysis** — otherwise the RT-MDM analysis runs via
    :func:`repro.core.segcache.cached_analyze`.
 4. **Degradation ladder** — on analysis failure the request is retried
@@ -400,38 +401,8 @@ class AdmissionController:
         return [inst.to_periodic(priority=rank) for rank, inst in enumerate(ordered)]
 
     def _screen(self, tasks: Sequence[PeriodicTask]) -> bool:
-        """Suspension-oblivious serialized screen via the RTA primitives.
-
-        Rebuilds the library's ``oblivious`` bound from
-        :mod:`repro.sched.rta` building blocks: serialized per-job demand
-        ``sum(C) + sum(L)``, segment-granular non-preemptive blocking
-        (``n_seg * max_lp_C + n_load * max_lp_L`` — one lower-priority
-        section per own segment boundary / issued transfer), and release
-        jitter ``R_j - E_j`` chained in priority order.  Every term
-        dominates the corresponding term of the ``overlap`` analysis, so
-        a pass here implies the full ``rtmdm`` analysis passes too —
-        the screen is pessimistic, never optimistic.
-
-        A whole-job NP-RTA (single blocking term) is NOT sound here: the
-        simulator preempts at segment boundaries, so a fine-grained task
-        can be blocked once per gap, far exceeding one lower-priority
-        job's length (``fp_nonpreemptive_wcrt``'s docstring warns about
-        exactly this misuse).
-        """
-        built = _screen_candidates(
-            tasks, self._retry_budget, self._fault_overhead
-        )
-        if built is None:
-            return False
-        screened: List[rta.RtaTask] = []
-        for candidate in built:
-            wcrt = rta.fp_preemptive_wcrt([*screened, candidate], candidate)
-            if wcrt is None or wcrt > candidate.deadline:
-                return False
-            screened.append(
-                replace(candidate, jitter=max(0, wcrt - candidate.exec_cycles))
-            )
-        return True
+        """The fast screen (:func:`oblivious_screen`) under this budget."""
+        return oblivious_screen(tasks, self._retry_budget, self._fault_overhead)
 
     def _schedulable(self, tasks: Sequence[PeriodicTask]) -> Tuple[bool, str]:
         """Admission test: fast oblivious-RTA screen, then full analysis."""
@@ -754,8 +725,8 @@ def degrade_ladder(
 
 
 # ----------------------------------------------------------------------
-# Class-level RTA screen primitives (shared by the per-request screen and
-# the vectorized mass screen)
+# The oblivious RTA screen (shared by the per-request controller and the
+# fleet service)
 # ----------------------------------------------------------------------
 
 
@@ -806,52 +777,54 @@ def _screen_candidates(
     return candidates
 
 
+def oblivious_screen(
+    tasks: Sequence[PeriodicTask],
+    retry_budget: int = 0,
+    fault_overhead: int = 0,
+) -> bool:
+    """Suspension-oblivious serialized screen via the RTA primitives.
+
+    Rebuilds the library's ``oblivious`` bound from
+    :mod:`repro.sched.rta` building blocks: serialized per-job demand
+    ``sum(C) + sum(L)``, segment-granular non-preemptive blocking
+    (``n_seg * max_lp_C + n_load * max_lp_L`` — one lower-priority
+    section per own segment boundary / issued transfer), and release
+    jitter ``R_j - E_j`` chained in priority order.  With no fault
+    budget every term dominates the corresponding term of the
+    ``overlap`` analysis, so a pass implies the full ``rtmdm`` analysis
+    passes too — the nominal screen is pessimistic, never optimistic.
+    With a budget the screen charges it once per job, while
+    :func:`repro.sched.task.inflate_loads` (what the full analysis
+    sees) charges it on up to two segments, so there a pass does not
+    imply the full analysis passes.
+
+    A whole-job NP-RTA (single blocking term) is NOT sound here: the
+    simulator preempts at segment boundaries, so a fine-grained task
+    can be blocked once per gap, far exceeding one lower-priority
+    job's length (``fp_nonpreemptive_wcrt``'s docstring warns about
+    exactly this misuse).
+    """
+    built = _screen_candidates(tasks, retry_budget, fault_overhead)
+    if built is None:
+        return False
+    screened: List[rta.RtaTask] = []
+    for candidate in built:
+        wcrt = rta.fp_preemptive_wcrt([*screened, candidate], candidate)
+        if wcrt is None or wcrt > candidate.deadline:
+            return False
+        screened.append(
+            replace(candidate, jitter=max(0, wcrt - candidate.exec_cycles))
+        )
+    return True
+
+
 def mass_screen(
     task_lists: Sequence[Sequence[PeriodicTask]],
     retry_budget: int = 0,
     fault_overhead: int = 0,
 ) -> List[bool]:
-    """Vectorized class-level RTA screen over many candidate rankings.
+    """:func:`oblivious_screen` over many candidate rankings, in order.
 
-    The fleet-scale entry point: each candidate list runs the same
-    suspension-oblivious cascade as ``AdmissionController._screen``, but
-    all lists advance level-by-level in lock-step with every live list's
-    fixpoint at the current level solved in one
-    :func:`repro.sched.vecrta.fp_wcrt_batch` array pass (scalar fallback
-    when the engine is off).  The chained jitter of each list feeds its
-    own next level exactly as in the scalar cascade, so every verdict is
-    bit-identical to screening the lists one at a time.
+    The fleet service's screen entry point: one verdict per list.
     """
-    from repro.sched import vecrta
-
-    verdicts = [False] * len(task_lists)
-    # (list index, candidates, screened-so-far) for cascades still alive.
-    live: List[Tuple[int, List[rta.RtaTask], List[rta.RtaTask]]] = []
-    for index, tasks in enumerate(task_lists):
-        candidates = _screen_candidates(tasks, retry_budget, fault_overhead)
-        if candidates is None:
-            continue
-        if not candidates:
-            verdicts[index] = True
-            continue
-        live.append((index, candidates, []))
-    while live:
-        problems = []
-        for _, candidates, screened in live:
-            candidate = candidates[len(screened)]
-            problems.append(([*screened, candidate], candidate))
-        wcrts = vecrta.fp_wcrt_batch(problems, preemptive=True)
-        advanced: List[Tuple[int, List[rta.RtaTask], List[rta.RtaTask]]] = []
-        for (index, candidates, screened), wcrt in zip(live, wcrts):
-            candidate = candidates[len(screened)]
-            if wcrt is None or wcrt > candidate.deadline:
-                continue
-            screened.append(
-                replace(candidate, jitter=max(0, wcrt - candidate.exec_cycles))
-            )
-            if len(screened) == len(candidates):
-                verdicts[index] = True
-            else:
-                advanced.append((index, candidates, screened))
-        live = advanced
-    return verdicts
+    return [oblivious_screen(t, retry_budget, fault_overhead) for t in task_lists]

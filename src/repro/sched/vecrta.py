@@ -1,10 +1,10 @@
 """Vectorized response-time analysis: numpy-batched fixpoint iteration.
 
-The scalar analyses in :mod:`repro.core.analysis` and
-:mod:`repro.sched.rta` solve one fixpoint at a time; a sweep solves
-hundreds of thousands.  This module packs *many* fixpoint problems into
-struct-of-arrays (SoA) buffers and iterates the recurrences for all of
-them simultaneously per array step, with a per-row convergence mask.
+The scalar analysis in :mod:`repro.core.analysis` solves one fixpoint
+at a time; a sweep solves hundreds of thousands.  This module packs
+*many* fixpoint problems into struct-of-arrays (SoA) buffers and
+iterates the recurrences for all of them simultaneously per array step,
+with a per-row convergence mask.
 
 Layout
     A :class:`ChainBatch` holds jitter-chained analysis cascades — one
@@ -22,20 +22,15 @@ Layout
     jitters chained from level ``k``'s bounds exactly as the scalar does.
 
 Exactness
-    The analysis-engine path mirrors ``core.analysis._fixpoint``: pure
-    ``int64`` arithmetic with integer ceil division ``-((w + J) // -T)``
-    — no float drift.  The :func:`fp_wcrt_batch` path mirrors
-    ``sched.rta``'s *float* ceil/floor semantics (``int(math.ceil((w +
-    J) / T))``): all quantities are proven ``< 2**52`` before packing,
-    where int64→float64 conversion is exact and IEEE division matches
-    CPython's correctly-rounded big-int ``/``, so results are
-    bit-identical to the scalar oracle.
+    The solver mirrors ``core.analysis._fixpoint``: pure ``int64``
+    arithmetic with integer ceil division ``-((w + J) // -T)`` — no
+    float drift.
 
 Stand-down
     The engine refuses problems it cannot solve exactly — demand
-    ceilings near int64 range, float-exactness violations, non-positive
-    periods — by raising :class:`StandDown`; callers fall back to the
-    scalar oracle for those cases (counted in ``vec_stand_downs``).
+    ceilings near int64 range, non-positive periods — by raising
+    :class:`StandDown`; callers fall back to the scalar oracle for
+    those cases (counted in ``vec_stand_downs``).
     ``REPRO_VEC_RTA=0`` is the global kill switch: every entry point
     then delegates wholesale to the scalar path.
 
@@ -59,17 +54,12 @@ except ImportError:  # pragma: no cover
     _np = None
 
 from repro import obs
-from repro.sched import rta
 
 #: Environment kill switch: set to ``0`` to force the scalar oracle.
 ENV_VAR = "REPRO_VEC_RTA"
 
 #: Demand ceilings at or above this stand down (int64 headroom).
 _INT64_LIMIT = 1 << 62
-
-#: Float-semantics path: every intermediate must stay below this so
-#: int64→float64 conversion is exact and division single-rounds.
-_FLOAT_EXACT = 1 << 52
 
 #: Hard iteration guard; the per-chain demand ceilings make genuine
 #: divergence hit the cap first, so tripping this is a logic error.
@@ -544,159 +534,3 @@ def analyze_taskset_batch(cases: Sequence[Tuple[Any, str]]):
         taskset, method = cases[idx]
         results[idx] = _analysis.analyze(taskset, method)
     return results
-
-
-# ----------------------------------------------------------------------
-# Batched classic RTA (sched.rta float-semantics oracle)
-# ----------------------------------------------------------------------
-
-
-def _fp_overflow_risk(task, interferers, cap) -> bool:
-    """True when float64 exactness cannot be proven for this problem."""
-    everyone = [task, *interferers]
-    j_max = max(t.jitter for t in everyone)
-    hp_interference = sum(
-        ((cap + t.jitter) // t.period + 1) * t.exec_cycles for t in interferers
-    )
-    ceil_busy = task.blocking + hp_interference + (
-        ((cap + task.jitter) // task.period + 1) * task.exec_cycles
-    )
-    q_bound = (cap + task.jitter) // task.period + 2
-    ceil_q = q_bound * task.exec_cycles + task.blocking + hp_interference
-    return max(cap, ceil_busy, ceil_q) + j_max >= _FLOAT_EXACT
-
-
-def fp_wcrt_batch(
-    problems: Sequence[Tuple[Sequence[rta.RtaTask], rta.RtaTask]],
-    preemptive: bool = True,
-) -> List[Optional[int]]:
-    """Batched ``fp_preemptive_wcrt``/``fp_nonpreemptive_wcrt``.
-
-    ``problems`` are ``(tasks, task)`` pairs; the result list matches
-    the scalar function bit-for-bit.  The float ceil/floor semantics of
-    the scalar oracle are reproduced exactly (see module docstring);
-    problems where exactness cannot be proven fall back to scalar.
-    """
-    scalar = rta.fp_preemptive_wcrt if preemptive else rta.fp_nonpreemptive_wcrt
-    problems = list(problems)
-    if not enabled() or not problems:
-        return [scalar(tasks, task) for tasks, task in problems]
-
-    start = time.perf_counter()
-    results: List[Optional[int]] = [None] * len(problems)
-    fallback: List[int] = []
-    packed = []
-    for idx, (tasks, task) in enumerate(problems):
-        interferers = rta._hp(tasks, task)
-        cap = rta._response_cap(task, interferers)
-        if _fp_overflow_risk(task, interferers, cap):
-            _count_stand_down()
-            fallback.append(idx)
-            continue
-        packed.append((idx, task, interferers, cap))
-    if packed:
-        try:
-            _fp_solve_packed(packed, results, preemptive, start)
-        except StandDown:  # pragma: no cover - needs ~1e6 fixpoint steps
-            _count_stand_down()
-            fallback.extend(p[0] for p in packed)
-    else:
-        _TIMES["pack_s"] += time.perf_counter() - start
-    for idx in fallback:
-        tasks, task = problems[idx]
-        results[idx] = scalar(tasks, task)
-    return results
-
-
-def _fp_solve_packed(packed, results, preemptive, start) -> None:
-    """Array-solve pre-screened classic-RTA problems into ``results``."""
-    n = len(packed)
-    k_max = max(len(p[2]) for p in packed)
-
-    def padded(getter, pad):
-        return _np.array(
-            [
-                [getter(t) for t in p[2]] + [pad] * (k_max - len(p[2]))
-                for p in packed
-            ],
-            dtype=_np.int64,
-        )
-
-    # Interferer matrices, padded with (C=0, T=1, J=0) no-op columns.
-    hp_c = padded(lambda t: t.exec_cycles, 0)
-    hp_t = padded(lambda t: t.period, 1)
-    hp_j = padded(lambda t: t.jitter, 0)
-    own_c = _np.array([p[1].exec_cycles for p in packed], dtype=_np.int64)
-    own_t = _np.array([p[1].period for p in packed], dtype=_np.int64)
-    own_j = _np.array([p[1].jitter for p in packed], dtype=_np.int64)
-    blocking = _np.array([p[1].blocking for p in packed], dtype=_np.int64)
-    caps = _np.array([p[3] for p in packed], dtype=_np.int64)
-    # Busy-period demand sums over [task, *interferers].
-    all_c = _np.concatenate([own_c[:, None], hp_c], axis=1)
-    all_t = _np.concatenate([own_t[:, None], hp_t], axis=1)
-    all_j = _np.concatenate([own_j[:, None], hp_j], axis=1)
-    _TIMES["pack_s"] += time.perf_counter() - start
-
-    start = time.perf_counter()
-    _count_batch(n)
-    length = _np.maximum(1, blocking + own_c)
-    busy_ok = _np.ones(n, dtype=bool)
-    active = _np.ones(n, dtype=bool)
-    for _ in range(_ITER_GUARD):
-        q = _np.ceil((length[:, None] + all_j) / all_t).astype(_np.int64)
-        demand = blocking + (q * all_c).sum(axis=1)
-        done = active & (demand <= length)
-        fail = active & ~done & (demand > caps)
-        busy_ok &= ~fail
-        active &= ~(done | fail)
-        if not active.any():
-            break
-        length = _np.where(active, demand, length)
-    else:
-        raise StandDown("busy-period iteration guard tripped")
-
-    q_max = _np.where(
-        busy_ok,
-        _np.ceil((length + own_j) / own_t).astype(_np.int64),
-        0,
-    )
-    worst = _np.zeros(n, dtype=_np.int64)
-    alive = busy_ok.copy()
-    for q in range(int(q_max.max())):
-        sel = alive & (q < q_max)
-        if not sel.any():
-            break
-        if preemptive:
-            base_q = (q + 1) * own_c + blocking
-        else:
-            base_q = blocking + q * own_c
-        w = base_q.copy()
-        act = sel.copy()
-        for _ in range(_ITER_GUARD):
-            shifted = (w[:, None] + hp_j) / hp_t
-            if preemptive:
-                qj = _np.ceil(shifted).astype(_np.int64)
-            else:
-                qj = _np.floor(shifted).astype(_np.int64) + 1
-            demand = base_q + (qj * hp_c).sum(axis=1)
-            done = act & (demand == w)
-            diverged = act & ~done & (demand > caps)
-            alive &= ~diverged
-            act &= ~(done | diverged)
-            if not act.any():
-                break
-            w = _np.where(act, demand, w)
-        else:
-            raise StandDown("per-q iteration guard tripped")
-        converged = sel & alive
-        if preemptive:
-            response = w - q * own_t
-        else:
-            response = w + own_c - q * own_t
-        worst = _np.where(converged, _np.maximum(worst, response), worst)
-    _TIMES["solve_s"] += time.perf_counter() - start
-
-    start = time.perf_counter()
-    for i, (idx, *_rest) in enumerate(packed):
-        results[idx] = int(worst[i]) if alive[i] else None
-    _TIMES["unpack_s"] += time.perf_counter() - start

@@ -336,6 +336,22 @@ class TestFleetCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--service-us", "nan"),
+        ("--service-us", "inf"),
+        ("--timeout-ms", "nan"),
+        ("--timeout-ms", "inf"),
+        ("--backoff-ms", "nan"),
+    ])
+    def test_non_finite_number_is_typed_error(self, capsys, flag, value):
+        assert main(["fleet", "--devices", "4", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ValueError:")
+        assert flag.lstrip("-").replace("-", "_") in lines[0]
+
 
 class TestFleetChaosCommand:
     def test_fleet_matrix_smoke(self, capsys):

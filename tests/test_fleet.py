@@ -95,6 +95,22 @@ class TestSharding:
         with pytest.raises(ValueError, match="service_us"):
             FleetConfig(service_us=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("service_us", float("nan")),
+        ("service_us", float("inf")),
+        ("timeout_ms", float("nan")),
+        ("timeout_ms", float("inf")),
+        ("backoff_ms", float("nan")),
+        ("backoff_cap_ms", float("nan")),
+        ("backoff_cap_ms", float("inf")),
+        ("stretch_factors", (float("nan"),)),
+        ("stretch_factors", (1.5, float("inf"))),
+    ])
+    def test_config_rejects_non_finite(self, field, value):
+        name = "stretch factors" if field == "stretch_factors" else field
+        with pytest.raises(ValueError, match=name):
+            FleetConfig(**{field: value})
+
     @pytest.mark.parametrize("buffers", [0, -1])
     def test_config_rejects_buffers_below_one(self, buffers):
         with pytest.raises(ValueError, match="buffers"):

@@ -11,7 +11,6 @@ import pytest
 from repro import obs
 from repro.core import planstore, segcache
 from repro.core.planstore import (
-    STORE_SCHEMA,
     PlanStore,
     canonical_key,
     decode_value,

@@ -14,6 +14,7 @@ regime the analysis covers.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -140,6 +141,38 @@ def test_fault_aware_wcrt_validates_inputs():
         rta.fault_aware_wcrt([task], task, -1, 10)
     with pytest.raises(ValueError):
         rta.fault_aware_wcrt([task], task, 1, -10)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(0, 400))
+@settings(max_examples=40, deadline=None)
+def test_fault_aware_wcrt_is_nonpreemptive_wcrt_of_inflated_set(
+    seed, k_faults, fault_cost
+):
+    """The budget lands on every task's demand and blocking: the bound
+    equals the plain non-preemptive WCRT of the inflated set."""
+    rng = random.Random(seed)
+    extra = k_faults * fault_cost
+    tasks = []
+    for i in range(rng.randint(2, 5)):
+        period = rng.randint(200, 4000)
+        compute = max(1, int(period * rng.uniform(0.08, 0.30)))
+        tasks.append(rta.RtaTask(
+            name=f"t{i}",
+            exec_cycles=compute,
+            period=period,
+            deadline=rng.randint(max(2, period // 2), period),
+            priority=i,
+            jitter=rng.choice([0, rng.randint(0, period // 4)]),
+            blocking=rng.choice([0, rng.randint(0, compute)]),
+        ))
+    inflated = [
+        replace(t, exec_cycles=t.exec_cycles + extra, blocking=t.blocking + extra)
+        for t in tasks
+    ]
+    for task, target in zip(tasks, inflated):
+        assert rta.fault_aware_wcrt(
+            tasks, task, k_faults, fault_cost
+        ) == rta.fp_nonpreemptive_wcrt(inflated, target)
 
 
 @pytest.mark.parametrize("seed", range(12))
