@@ -5,10 +5,11 @@ service.  Devices are grouped into platform/workload **cohorts** (so the
 fleet's planning state collapses onto a handful of platform objects and
 their plan-cache keys), requests are routed to per-shard FIFO queues by
 a deterministic device hash, and each shard drains its queue in batches
-decided through the admission controller's scalar screen
-(:func:`repro.online.admission.mass_screen`, one
-:func:`~repro.online.admission.oblivious_screen` per candidate list,
-with :func:`repro.core.segcache.cached_analyze` as the exact fallback).
+whose requests it decides one at a time, through the admission
+controller's screen (:func:`repro.online.admission.mass_screen` over one
+candidate list, i.e. one
+:func:`~repro.online.admission.oblivious_screen`) with
+:func:`repro.core.segcache.cached_analyze` as the exact fallback.
 Planning goes through :func:`repro.online.admission.plan_segments` —
 the same policy as the single-device controller — so a configured
 :mod:`repro.core.planstore` amortizes one segmentation search across the
@@ -33,7 +34,9 @@ A decision for device *d* depends only on *d*'s own resident set (plus
 the immutable cohort platform), and the service admits at most one
 request per device per batch (later same-device requests are held back
 to the next batch), so per-device request order is preserved under any
-shard count or batch size.  ``mass_screen`` is the controller's own
+shard count or batch size.  Every request — in a batch, an inline
+rescue or a journal replay — goes through the same per-request decision
+(``FleetService._decide``); ``mass_screen`` is the controller's own
 screen and ``cached_analyze`` is exact, so **sharded decisions are
 bit-identical to the single-shard serial path** — the identity gate in
 ``tests/test_fleet.py`` and CI asserts this with backpressure disabled
@@ -103,7 +106,11 @@ from repro.online.durable import DecisionJournal, JournalError, replay_journal, 
 from repro.online.events import Request, RequestKind
 from repro.robust import recovery as resilience
 from repro.sched.task import PeriodicTask, Segment, TaskSet
-from repro.workload.arrivals import bursty_arrival_times, poisson_arrival_times
+from repro.workload.arrivals import (
+    bursty_arrival_times,
+    poisson_arrival_times,
+    require_finite_positive,
+)
 from repro.workload.taskset import DEFAULT_MODEL_POOL
 
 __all__ = [
@@ -229,18 +236,14 @@ def fleet_trace(
     """
     if n_devices <= 0:
         raise ValueError(f"n_devices must be > 0, got {n_devices}")
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    if rate_per_device_hz <= 0:
-        raise ValueError(
-            f"rate_per_device_hz must be > 0, got {rate_per_device_hz}"
-        )
-    if mean_lifetime_s <= 0:
-        raise ValueError(f"mean_lifetime_s must be > 0, got {mean_lifetime_s}")
+    require_finite_positive("duration_s", duration_s)
+    require_finite_positive("rate_per_device_hz", rate_per_device_hz)
+    require_finite_positive("mean_lifetime_s", mean_lifetime_s)
     if not cohorts:
         raise ValueError("cohorts must be non-empty")
     rng = random.Random(seed)
     total_rate = n_devices * rate_per_device_hz
+    require_finite_positive("n_devices * rate_per_device_hz", total_rate)
     if arrival == "poisson":
         times = poisson_arrival_times(duration_s, total_rate, rng)
     elif arrival == "bursty":
@@ -302,6 +305,14 @@ class FleetConfig:
     model charges (it does not gate the engine); ``max_queue_depth``
     bounds each shard's queue — arrivals beyond it are shed (after the
     degrade ladder's inline rescue, when ``degrade_watermark`` is set).
+
+    ``method`` names the exact analysis, which runs only when the
+    screen fails: a screen pass admits without it.  The screen is
+    pessimistic against ``rtmdm`` but not against ``holistic`` (which
+    charges lower-priority load as DMA-stage blocking on top of the
+    CPU-stage blocking the screen counts once), so under
+    ``method="holistic"`` a few screen-admitted unions are ones the
+    holistic analysis would reject.
 
     Resilience knobs: ``checkpoint_interval`` bounds journal-suffix
     replay; ``crash_at`` injects seeded shard crashes (requires a
@@ -540,8 +551,7 @@ class _Shard:
         "index", "queue", "busy_until_s", "busy_s", "decided",
         "peak_depth", "journal", "journal_path", "devices", "inflight",
         "seq_base", "ckpt_seq", "crash_schedule", "recovered",
-        "recoveries", "cum_shed", "cum_timeouts", "cum_degraded",
-        "start_shed", "start_timeouts", "start_degraded",
+        "recoveries",
     )
 
     def __init__(self, index: int) -> None:
@@ -560,26 +570,6 @@ class _Shard:
         self.crash_schedule: List[int] = []
         self.recovered = 0
         self.recoveries: List[Dict] = []
-        # Journal-cumulative counters (reconciled on recovery); this
-        # run's contribution is cum - start.
-        self.cum_shed = 0
-        self.cum_timeouts = 0
-        self.cum_degraded = 0
-        self.start_shed = 0
-        self.start_timeouts = 0
-        self.start_degraded = 0
-
-    @property
-    def run_shed(self) -> int:
-        return self.cum_shed - self.start_shed
-
-    @property
-    def run_timeouts(self) -> int:
-        return self.cum_timeouts - self.start_timeouts
-
-    @property
-    def run_degraded(self) -> int:
-        return self.cum_degraded - self.start_degraded
 
 
 # ----------------------------------------------------------------------
@@ -729,6 +719,10 @@ class FleetService:
         # fingerprint memos are identity-keyed, so key construction
         # stays O(1) per decision.
         self._platforms = [cohort.platform() for cohort in self.cohorts]
+        # Per-run memos (see ``_decide``); ``run`` starts each run empty.
+        self._plan_memo: Dict[Tuple, Tuple] = {}
+        self._verdict_memo: Dict[Tuple, str] = {}
+        self._screen_memo: Dict[Tuple, str] = {}
 
     # -- setup ---------------------------------------------------------
     def _journal_config(self, shard_index: int) -> Dict:
@@ -756,7 +750,7 @@ class FleetService:
             "cohorts": [c.name for c in self.cohorts],
         }
 
-    def _open_shards(self, memos: Tuple[Dict, Dict, Dict]) -> List[_Shard]:
+    def _open_shards(self) -> List[_Shard]:
         """Open-or-create every shard: an existing journal with a
         matching header is recovered and resumed (state carried over),
         a missing one is created fresh."""
@@ -775,11 +769,8 @@ class FleetService:
                 )
                 shard.journal_path = path
                 if os.path.exists(path):
-                    _, info = self._restore_shard(shard, memos, startup=True)
+                    _, info = self._restore_shard(shard, startup=True)
                     shard.seq_base = info["last_intent_seq"] + 1
-                    shard.start_shed = shard.cum_shed
-                    shard.start_timeouts = shard.cum_timeouts
-                    shard.start_degraded = shard.cum_degraded
                 else:
                     shard.journal = DecisionJournal.create(
                         path,
@@ -790,13 +781,13 @@ class FleetService:
         return shards
 
     def _shard_state(self, shard: _Shard) -> Dict:
-        """Checkpoint payload: resident devices plus the cumulative
-        shed/timeout/degraded counters (so recovery can reconcile)."""
+        """Checkpoint payload: the shard's resident devices.
+
+        Per-run shed/timeout/degraded stats are counted from the run's
+        decision stream, so no counter rides the checkpoint.
+        """
         return {
             "schema": FLEET_CHECKPOINT_SCHEMA,
-            "shed": shard.cum_shed,
-            "timeouts": shard.cum_timeouts,
-            "degraded": shard.cum_degraded,
             "devices": {
                 device: [_resident_state(r) for r in residents.values()]
                 for device, residents in sorted(shard.devices.items())
@@ -845,9 +836,12 @@ class FleetService:
         return entry
 
     def _restore_state(self, shard: _Shard, state: Optional[Dict]) -> None:
-        """Load a checkpoint payload into ``shard`` (``None``: empty shard)."""
+        """Load a checkpoint payload into ``shard`` (``None``: empty shard).
+
+        Only ``devices`` is read: the ``shed``/``timeouts``/``degraded``
+        counters older checkpoints carry are ignored.
+        """
         shard.devices = {}
-        shard.cum_shed = shard.cum_timeouts = shard.cum_degraded = 0
         if state is None:
             return
         if state.get("schema") != FLEET_CHECKPOINT_SCHEMA:
@@ -856,9 +850,6 @@ class FleetService:
                 f"{state.get('schema')!r}"
             )
         try:
-            shard.cum_shed = state["shed"]
-            shard.cum_timeouts = state["timeouts"]
-            shard.cum_degraded = state["degraded"]
             shard.devices = {
                 device: {
                     r["task"]: _resident_from_state(r) for r in residents
@@ -871,20 +862,15 @@ class FleetService:
             ) from exc
 
     def _restore_shard(
-        self,
-        shard: _Shard,
-        memos: Tuple[Dict, Dict, Dict],
-        startup: bool,
+        self, shard: _Shard, startup: bool
     ) -> Tuple[List[FleetDecision], Dict]:
         """Rebuild a shard from its journal and reopen it for appending.
 
         Checks the journal header, runs the shared
         :func:`repro.online.durable.replay_journal` with the shard's
-        checkpoint decoder and decision core, reconciles the cumulative
-        counters and records the recovery.  Returns the repaired
-        decisions (the torn batch the in-run crash path publishes) and
-        the recovery record.  At ``startup`` repaired degraded admits
-        count at once (nobody will publish them).
+        checkpoint decoder and decision core, and records the recovery.
+        Returns the repaired decisions (the torn batch the in-run crash
+        path publishes) and the recovery record.
         """
         t0 = time.perf_counter_ns()
         path = shard.journal_path
@@ -899,21 +885,15 @@ class FleetService:
 
         def decide(request: Request, extra: Dict) -> FleetDecision:
             entry = self._entry_from_intent(request, extra)
-            outcome = self._decide_batch([entry], shard.devices, memos)[0]
-            return _decided(entry, shard.index, outcome)
+            return _decided(
+                entry, shard.index, self._decide(entry, shard.devices)
+            )
 
         replay = replay_journal(
             path, scan, lambda state: self._restore_state(shard, state),
             decide, self.config.fsync_interval, started_ns=t0,
         )
         shard.journal = replay.journal
-        shard.cum_shed += replay.events.get("shed", 0)
-        shard.cum_timeouts += replay.events.get("timeout", 0)
-        shard.cum_degraded += sum(
-            1 for r in replay.decisions
-            if (r.verified or startup)
-            and r.decision.outcome == "admitted" and r.decision.mode != "full"
-        )
         report = replay.report
         shard.ckpt_seq = report.checkpoint_seq
         info = {
@@ -928,25 +908,21 @@ class FleetService:
         shard.recoveries.append(info)
         return [r.decision for r in replay.decisions if not r.verified], info
 
-    def _crash_and_recover(
-        self,
-        shard: _Shard,
-        memos: Tuple[Dict, Dict, Dict],
-    ) -> List[FleetDecision]:
+    def _crash_and_recover(self, shard: _Shard) -> List[FleetDecision]:
         """Kill and restart a shard at the worst point (intents durable,
         commits not), then recover it from its own journal.
 
-        All in-memory shard state — resident devices, cumulative
-        counters, the run's decided count — is dropped and rebuilt from
-        the journal; the arrival queue survives (it models durable
-        ingress upstream of the shard).  Returns the repaired torn-batch
-        decisions for the caller to publish.
+        All in-memory shard state — resident devices and the run's
+        decided count — is dropped and rebuilt from the journal; the
+        arrival queue survives (it models durable ingress upstream of the
+        shard).  Returns the repaired torn-batch decisions for the caller
+        to publish.
         """
         _RESILIENCE["crashes"] += 1
         expect_decided = shard.decided
         assert shard.journal is not None
         shard.journal.close()
-        missing, info = self._restore_shard(shard, memos, startup=False)
+        missing, info = self._restore_shard(shard, startup=False)
         # Reconstruct this run's decided count from committed intents:
         # everything below the checkpoint plus committed suffix intents.
         shard.decided = (
@@ -978,168 +954,116 @@ class FleetService:
             for rank, r in enumerate(ordered)
         ]
 
-    def _decide_degraded(
-        self,
-        resident: Dict[str, _Resident],
-        candidate: _Resident,
-        screen_memo: Dict,
+    def _decide(
+        self, entry: _Queued, devices: Dict[str, Dict[str, _Resident]]
     ) -> Tuple[str, str, str]:
-        """Decide an over-watermark admit through the degrade ladder.
+        """Decide one request, mutating its device's resident set.
 
-        Screen-only by design: under overload the expensive exact
-        analysis is exactly what the shard cannot afford, and the
-        screen is pessimistic — every ladder admit is provably
-        schedulable.  ``screen_memo`` is separate from the full path's
-        ``verdict_memo`` because a screen verdict is *not* a
-        screen-or-analysis verdict (reusing the latter could admit a
-        candidate whose screen failed).
-        """
-        cfg = self.config
-        for mode, period, deadline, segments in degrade_ladder(
-            candidate.period, candidate.deadline, candidate.segments,
-            cfg.stretch_factors, cfg.degrade_factor,
-        ):
-            cand = candidate._replace(
-                segments=segments, period=period, deadline=deadline, mode=mode
-            )
-            ranked = sorted(
-                [*resident.values(), cand],
-                key=lambda r: (r.deadline, r.task),
-            )
-            vkey = tuple(
-                (r.plan_key, r.mode, r.period, r.deadline) for r in ranked
-            )
-            ok = screen_memo.get(vkey)
-            if ok is None:
-                ok = bool(mass_screen([self._ranked(ranked)])[0])
-                screen_memo[vkey] = ok
-            if ok:
-                resident[cand.task] = cand
-                return ("admitted", "rta-oblivious", mode)
-        return ("rejected", "rta: degraded ladder exhausted (screen)", "")
+        Returns ``(outcome, reason, mode)``.  A remove or a duplicate
+        admit resolves against the resident set; an admit is planned,
+        then either screened through the degrade ladder (degrade-tagged
+        entries) or screened at full service with the exact analysis as
+        the fallback.  A decision depends only on the device's own
+        resident set, and each shard decides its batch one request at a
+        time (a batch holds at most one request per device), which is
+        what makes decisions batch- and shard-invariant — and what makes
+        journal replay after a crash reproduce them exactly.
 
-    def _decide_batch(
-        self,
-        batch: Sequence[_Queued],
-        devices: Dict[str, Dict[str, _Resident]],
-        memos: Tuple[Dict, Dict, Dict],
-    ) -> List[Tuple[str, str, str]]:
-        """Decide one batch, mutating per-device state.
-
-        Stage 1 resolves removals/duplicates and plans every admit
-        candidate (degrade-tagged entries detour through the ladder);
-        stage 2 screens all full-path candidates in one ``mass_screen``
-        call; stage 3 runs the exact analysis only for screen failures.
-        Verdicts are bit-identical to deciding the requests one at a
-        time (the screen and analysis both are), which is what makes
-        decisions batch- and shard-invariant — and what makes journal
-        replay after a crash reproduce them exactly.
+        The ladder is screen-only by design: under overload the
+        expensive exact analysis is exactly what the shard cannot
+        afford, and the screen is pessimistic — every ladder admit is
+        provably schedulable.
 
         Three per-run memos short-circuit the fleet-wide repetition:
         ``plan_memo`` keys plans on their exact inputs ``(cohort, model,
-        period, free)``, ``verdict_memo`` keys full-path admission
-        verdicts on the candidate union's ranked (plan key, mode)
-        sequence, and ``screen_memo`` keys ladder screen verdicts
-        likewise.  All memoize pure deterministic functions of their
-        keys, so they change no decision — only how often the planner
-        and screen actually run.
+        period, free)``; ``verdict_memo`` keys full-path admission
+        verdicts on the candidate union's ranked ``(plan key, mode,
+        period, deadline)`` sequence, and ``screen_memo`` keys ladder
+        screen verdicts likewise.  ``screen_memo`` is separate from
+        ``verdict_memo`` because a screen verdict is *not* a
+        screen-or-analysis verdict (reusing the latter could admit a
+        ladder candidate whose screen failed).  All memoize pure
+        deterministic functions of their keys, so they change no
+        decision — only how often the planner, screen and analysis run.
         """
         cfg = self.config
-        plan_memo, verdict_memo, screen_memo = memos
-        outcomes: List[Optional[Tuple[str, str, str]]] = [None] * len(batch)
-        jobs: List[Tuple[int, Dict[str, _Resident], _Resident, List[_Resident], Tuple]] = []
-        for i, entry in enumerate(batch):
-            req = entry.req
-            resident = devices.get(req.device)
-            if resident is None:
-                resident = {}
-                devices[req.device] = resident
-            if req.kind is RequestKind.REMOVE:
-                if req.task in resident:
-                    del resident[req.task]
-                    outcomes[i] = ("removed", "", "")
-                else:
-                    outcomes[i] = ("ignored", "not-resident", "")
-                continue
-            if req.task in resident:
-                outcomes[i] = ("ignored", "already-resident", "")
-                continue
-            cohort_index = int(req.device[1:]) % len(self.cohorts)
-            platform = self._platforms[cohort_index]
-            period = max(1, platform.mcu.seconds_to_cycles(req.period_s))
-            free = platform.usable_sram_bytes - sum(
-                r.sram_bytes for r in resident.values()
-            )
-            plan_key = (cohort_index, req.model, period, free)
-            plan = plan_memo.get(plan_key)
-            if plan is None:
-                try:
-                    segments, cost = plan_segments(
-                        platform, req.model, period, free,
-                        quant=cfg.quant, buffers=cfg.buffers,
-                    )
-                    plan = ("ok", segments, cost)
-                except SegmentationError as exc:
-                    plan = ("err", f"sram: {exc}")
-                plan_memo[plan_key] = plan
-            if plan[0] == "err":
-                outcomes[i] = ("rejected", plan[1], "")
-                continue
-            candidate = _Resident(
-                task=req.task, model=req.model, segments=plan[1],
-                period=period, deadline=period, sram_bytes=plan[2],
-                plan_key=plan_key,
-            )
-            if entry.degraded:
-                outcomes[i] = self._decide_degraded(
-                    resident, candidate, screen_memo
+        req = entry.req
+        resident = devices.setdefault(req.device, {})
+        if req.kind is RequestKind.REMOVE:
+            if resident.pop(req.task, None) is None:
+                return ("ignored", "not-resident", "")
+            return ("removed", "", "")
+        if req.task in resident:
+            return ("ignored", "already-resident", "")
+        cohort_index = int(req.device[1:]) % len(self.cohorts)
+        platform = self._platforms[cohort_index]
+        period = max(1, platform.mcu.seconds_to_cycles(req.period_s))
+        free = platform.usable_sram_bytes - sum(
+            r.sram_bytes for r in resident.values()
+        )
+        plan_key = (cohort_index, req.model, period, free)
+        plan = self._plan_memo.get(plan_key)
+        if plan is None:
+            try:
+                segments, cost = plan_segments(
+                    platform, req.model, period, free,
+                    quant=cfg.quant, buffers=cfg.buffers,
                 )
-                continue
+                plan = ("ok", segments, cost)
+            except SegmentationError as exc:
+                plan = ("err", f"sram: {exc}")
+            self._plan_memo[plan_key] = plan
+        if plan[0] == "err":
+            return ("rejected", plan[1], "")
+        if entry.degraded:
+            rungs = degrade_ladder(
+                period, period, plan[1],
+                cfg.stretch_factors, cfg.degrade_factor,
+            )
+            memo = self._screen_memo
+        else:
+            rungs = [("full", period, period, plan[1])]
+            memo = self._verdict_memo
+        for mode, rung_period, deadline, segments in rungs:
+            cand = _Resident(
+                task=req.task, model=req.model, segments=segments,
+                period=rung_period, deadline=deadline, sram_bytes=plan[2],
+                plan_key=plan_key, mode=mode,
+            )
             ranked = sorted(
-                [*resident.values(), candidate],
+                [*resident.values(), cand],
                 key=lambda r: (r.deadline, r.task),
             )
             # The verdict depends only on the priority-ordered sequence
             # of task bodies (names never enter the RTA math), and each
             # body is determined by its (plan key, mode) pair — a
             # degraded resident shares its plan key with the full-mode
-            # plan but not its segments/period.
+            # plan but not its segments/period.  The memo holds the
+            # admission reason, "" for a rejection.
             vkey = tuple(
                 (r.plan_key, r.mode, r.period, r.deadline) for r in ranked
             )
-            verdict = verdict_memo.get(vkey)
-            if verdict is not None:
-                ok, reason = verdict
-                if ok:
-                    resident[candidate.task] = candidate
-                    outcomes[i] = ("admitted", reason, "full")
-                else:
-                    outcomes[i] = ("rejected", reason, "")
-                continue
-            jobs.append((i, resident, candidate, ranked, vkey))
-        if jobs:
-            task_lists = [
-                self._ranked(ranked) for _, _, _, ranked, _ in jobs
-            ]
-            verdicts = mass_screen(task_lists)
-            for (i, resident, candidate, ranked, vkey), tasks, ok in zip(
-                jobs, task_lists, verdicts
-            ):
-                reason = "rta-oblivious"
-                if not ok:
-                    result = segcache.cached_analyze(
-                        TaskSet.of(tasks), cfg.method
-                    )
-                    ok = result.schedulable
+            reason = memo.get(vkey)
+            if reason is None:
+                tasks = self._ranked(ranked)
+                # ``mass_screen`` is called through this module's global
+                # name so perfbench's traced run can wrap it as the
+                # screen span (until the program carries its own spans).
+                if mass_screen([tasks])[0]:
+                    reason = "rta-oblivious"
+                elif not entry.degraded and segcache.cached_analyze(
+                    TaskSet.of(tasks), cfg.method
+                ).schedulable:
                     reason = "analysis"
-                if ok:
-                    resident[candidate.task] = candidate
-                    outcomes[i] = ("admitted", reason, "full")
-                    verdict_memo[vkey] = (True, reason)
                 else:
-                    outcomes[i] = ("rejected", "rta: union unschedulable", "")
-                    verdict_memo[vkey] = (False, "rta: union unschedulable")
-        return outcomes  # type: ignore[return-value]
+                    reason = ""
+                memo[vkey] = reason
+            if reason:
+                resident[cand.task] = cand
+                return ("admitted", reason, mode)
+        if entry.degraded:
+            return ("rejected", "rta: degraded ladder exhausted (screen)", "")
+        return ("rejected", "rta: union unschedulable", "")
 
     # -- queue/drain machinery -----------------------------------------
     def _take_batch(
@@ -1196,17 +1120,14 @@ class FleetService:
         """Serve one fleet trace end to end."""
         cfg = self.config
         service_s = cfg.service_us * 1e-6
-        plan_memo: Dict = {}
-        verdict_memo: Dict = {}
-        screen_memo: Dict = {}
-        memos = (plan_memo, verdict_memo, screen_memo)
+        self._plan_memo, self._verdict_memo, self._screen_memo = {}, {}, {}
         decisions: List[Optional[FleetDecision]] = [None] * len(trace.requests)
         timeout_records: List[FleetDecision] = []
         queueing_ms: List[float] = []
         wall_us: List[float] = []
         engine_ns = 0
         cache_before = obs.snapshot()
-        shards = self._open_shards(memos)
+        shards = self._open_shards()
 
         def publish(
             shard: _Shard, entry: _Queued, decision: FleetDecision,
@@ -1216,7 +1137,6 @@ class FleetService:
             queueing_ms.append((completion_s - entry.orig_time_s) * 1000.0)
             wall_us.append(per_us)
             if decision.outcome == "admitted" and decision.mode != "full":
-                shard.cum_degraded += 1
                 _RESILIENCE["degraded_admits"] += 1
             if not entry.inline:
                 n = shard.inflight.get(entry.req.device, 0) - 1
@@ -1258,7 +1178,7 @@ class FleetService:
             t0 = time.perf_counter_ns()
             if crash:
                 shard.crash_schedule.pop(0)
-                batch_decisions = self._crash_and_recover(shard, memos)
+                batch_decisions = self._crash_and_recover(shard)
                 repaired = [d.seq for d in batch_decisions]
                 if repaired != [e.req.seq for e in entries]:
                     raise JournalError(
@@ -1268,9 +1188,9 @@ class FleetService:
                     )
                 commit = False  # recovery already re-committed them
             else:
-                outcomes = self._decide_batch(entries, shard.devices, memos)
                 batch_decisions = [
-                    _decided(e, shard.index, o) for e, o in zip(entries, outcomes)
+                    _decided(e, shard.index, self._decide(e, shard.devices))
+                    for e in entries
                 ]
                 commit = True
             elapsed_ns = time.perf_counter_ns() - t0
@@ -1286,7 +1206,6 @@ class FleetService:
                     return
                 batch, timed_out = self._take_batch(shard, start_s)
                 for entry, waited_ms, delay_ms in timed_out:
-                    shard.cum_timeouts += 1
                     _RESILIENCE["timeout_retries"] += 1
                     record = FleetDecision(
                         seq=entry.req.seq, device=entry.req.device,
@@ -1331,7 +1250,6 @@ class FleetService:
                         entry = _Queued(req, degraded=True, inline=True)
                         serve_entries(shard, [entry], req.time_s)
                         continue
-                    shard.cum_shed += 1
                     decision = FleetDecision(
                         seq=req.seq, device=req.device, task=req.task,
                         kind=req.kind.value, outcome="shed",
@@ -1369,6 +1287,11 @@ class FleetService:
             "removed": 0, "ignored": 0, "shed": 0,
         }
         degraded_admits = 0
+        # Per-shard stats of this run, counted from its own decision
+        # stream (a resumed journal's earlier runs do not count).
+        per_shard = [
+            {"shed": 0, "timeouts": 0, "degraded_admits": 0} for _ in shards
+        ]
         finals = [d for d in decisions if d is not None]
         for d in finals:
             if d.outcome == "rejected":
@@ -1378,16 +1301,19 @@ class FleetService:
                 ] += 1
             else:
                 counts[d.outcome] += 1
-            if d.outcome == "admitted" and d.mode != "full":
+            if d.outcome == "shed":
+                per_shard[d.shard]["shed"] += 1
+            elif d.outcome == "admitted" and d.mode != "full":
                 degraded_admits += 1
+                per_shard[d.shard]["degraded_admits"] += 1
+        for record in timeout_records:
+            per_shard[record.shard]["timeouts"] += 1
 
         shard_stats = [
             {
                 "shard": s.index,
                 "decided": s.decided,
-                "shed": s.run_shed,
-                "timeouts": s.run_timeouts,
-                "degraded_admits": s.run_degraded,
+                **per_shard[s.index],
                 "recovered": s.recovered,
                 "recoveries": list(s.recoveries),
                 "peak_depth": s.peak_depth,

@@ -112,7 +112,8 @@ class DecisionJournal:
     ``intent`` (request, written before any state mutation), ``commit``
     (the decision), ``checkpoint`` (full controller snapshot), ``event``
     (a non-mutating observation — e.g. a fleet shard's shed or timeout
-    record — that recovery counts but never replays), and ``fsync``
+    record — kept for the audit trail; recovery never replays it), and
+    ``fsync``
     (durability marker — the file is flushed and fsynced right after
     the marker is written).
     """
@@ -188,8 +189,8 @@ class DecisionJournal:
         """Journal a non-mutating observation (shed, timeout, ...).
 
         Events carry no ``seq`` and never advance the intent contiguity
-        counter: recovery *counts* them (so e.g. shed totals survive a
-        restart) but never replays them through the decision engine.
+        counter: they record what happened (e.g. which request was shed)
+        but recovery never replays them through the decision engine.
         """
         self._append({"type": "event", "kind": kind, "payload": payload})
         self._maybe_sync()
@@ -338,12 +339,10 @@ class ReplayedDecision(NamedTuple):
 
 
 class JournalReplay(NamedTuple):
-    """What :func:`replay_journal` rebuilt; ``events`` counts the event
-    records past the checkpoint by kind."""
+    """What :func:`replay_journal` rebuilt."""
 
     journal: DecisionJournal
     report: RecoveryReport
-    events: Dict[str, int]
     decisions: List[ReplayedDecision]
 
 
@@ -380,15 +379,12 @@ def replay_journal(
     checkpoint_seq = 0 if checkpoint is None else checkpoint["seq"]
     commits: Dict[int, Dict] = {}
     intents: List[Dict] = []
-    events: Dict[str, int] = {}
     for record in scan.records[checkpoint_pos + 1:]:
         kind = record["type"]
         if kind == "intent":
             intents.append(record)
         elif kind == "commit":
             commits[record["seq"]] = record["decision"]
-        elif kind == "event":
-            events[record["kind"]] = events.get(record["kind"], 0) + 1
     next_seq = checkpoint_seq
     replayed: List[ReplayedDecision] = []
     for record in intents:
@@ -428,7 +424,7 @@ def replay_journal(
         commits_repaired=len(repaired),
         recovery_us=(time.perf_counter_ns() - start_ns) / 1000.0,
     )
-    return JournalReplay(journal, report, events, replayed)
+    return JournalReplay(journal, report, replayed)
 
 
 def recover(

@@ -485,6 +485,10 @@ def fleet_invariants(report, max_retries: int = 3) -> Dict[str, int]:
       times (exactly-once: the retried request still gets one final).
     * ``degraded-screened`` — every degraded admit carries the
       screen-admission reason (it passed the RTA screen, never skipped).
+    * ``shard-stats-consistent`` — the per-shard ``shed``, ``timeouts``
+      and ``degraded_admits`` sum to the report's ``shed``,
+      ``timeout_retries`` and ``degraded_admits`` (counted once per
+      shard).
     """
     counts: Dict[str, int] = {}
     seqs = [d.seq for d in report.decisions]
@@ -528,6 +532,18 @@ def fleet_invariants(report, max_retries: int = 3) -> Dict[str, int]:
                     f"{d.mode!r} with reason {d.reason!r}"
                 )
     counts["degraded-screened"] = degraded
+    for stat, total in (
+        ("shed", report.shed),
+        ("timeouts", report.timeout_retries),
+        ("degraded_admits", report.degraded_admits),
+    ):
+        summed = sum(s[stat] for s in report.shard_stats)
+        if summed != total:
+            raise FleetInvariantError(
+                f"shard-stats-consistent: per-shard {stat} sum to {summed}, "
+                f"report has {total}"
+            )
+    counts["shard-stats-consistent"] = len(report.shard_stats)
     return counts
 
 

@@ -19,6 +19,7 @@ different SRAM budgets, which is what the EXP-D1 sweep does.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Sequence, Tuple
 
@@ -33,6 +34,18 @@ DEFAULT_PERIOD_LADDER_S: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8)
 
 #: Rescale factors (applied to the running period; < 1 = faster rate).
 DEFAULT_RESCALE_FACTORS: Tuple[float, ...] = (0.5, 1.5, 2.0)
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0.
+
+    Every generator here loops until a running arrival time passes the
+    horizon: a NaN horizon or rate never ends that loop (``t >= nan`` is
+    always false), nor does an infinite rate (each draw adds 0.0), and
+    an infinite lifetime mean reaches ``expovariate(0.0)``.
+    """
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _task_requests(
@@ -113,8 +126,10 @@ def bursty_arrival_times(
     piecewise-constant-rate Poisson process (memorylessness), so no
     thinning is needed.
     """
-    if burst_factor < 1.0:
-        raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
+    if not 1.0 <= burst_factor < math.inf:
+        raise ValueError(
+            f"burst_factor must be finite and >= 1, got {burst_factor}"
+        )
     if not 0.0 < duty < 1.0:
         raise ValueError(f"duty must be in (0, 1), got {duty}")
     if burst_factor * duty > 1.0:
@@ -122,8 +137,7 @@ def bursty_arrival_times(
             f"burst_factor * duty must be <= 1 (OFF rate would be negative), "
             f"got {burst_factor} * {duty}"
         )
-    if mean_cycle_s <= 0:
-        raise ValueError(f"mean_cycle_s must be > 0, got {mean_cycle_s}")
+    require_finite_positive("mean_cycle_s", mean_cycle_s)
     on_rate = rate_hz * burst_factor
     off_rate = rate_hz * (1.0 - duty * burst_factor) / (1.0 - duty)
     on_mean = duty * mean_cycle_s
@@ -171,12 +185,9 @@ def poisson_trace(
         rescale_prob: Probability a task issues one RESCALE at a uniform
             point within its (in-horizon) lifetime.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    if rate_hz <= 0:
-        raise ValueError(f"rate_hz must be > 0, got {rate_hz}")
-    if mean_lifetime_s <= 0:
-        raise ValueError(f"mean_lifetime_s must be > 0, got {mean_lifetime_s}")
+    require_finite_positive("duration_s", duration_s)
+    require_finite_positive("rate_hz", rate_hz)
+    require_finite_positive("mean_lifetime_s", mean_lifetime_s)
     if not 0.0 <= rescale_prob <= 1.0:
         raise ValueError(f"rescale_prob must be in [0, 1], got {rescale_prob}")
     if not model_pool or not period_ladder_s:
@@ -224,12 +235,9 @@ def bursty_trace(
     function of the arguments (seed-deterministic) and round-trips
     through the standard ``rtmdm-trace/1`` JSON form.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    if rate_hz <= 0:
-        raise ValueError(f"rate_hz must be > 0, got {rate_hz}")
-    if mean_lifetime_s <= 0:
-        raise ValueError(f"mean_lifetime_s must be > 0, got {mean_lifetime_s}")
+    require_finite_positive("duration_s", duration_s)
+    require_finite_positive("rate_hz", rate_hz)
+    require_finite_positive("mean_lifetime_s", mean_lifetime_s)
     if not 0.0 <= rescale_prob <= 1.0:
         raise ValueError(f"rescale_prob must be in [0, 1], got {rescale_prob}")
     if not model_pool or not period_ladder_s:

@@ -221,6 +221,24 @@ class TestTypedErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: JournalError:")
 
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--duration", "nan"],
+        ["fleet", "--rate", "inf"],
+        ["serve", "--duration", "inf"],
+        ["chaos", "--rate", "nan"],
+        ["chaos", "--fleet", "--rate", "nan"],
+    ])
+    def test_non_finite_trace_parameter(self, capsys, argv):
+        # Each would loop forever drawing arrivals if it reached the
+        # trace generator unchecked.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ValueError:")
+        assert "must be finite" in lines[0]
+
 
 class TestChaosCommand:
     def test_reduced_matrix_smoke(self, capsys):

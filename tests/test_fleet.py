@@ -76,6 +76,24 @@ class TestFleetTrace:
         with pytest.raises(ValueError, match="cohorts"):
             fleet_trace(10, 1.0, 1.0, seed=1, cohorts=())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [
+        "duration_s", "rate_per_device_hz", "mean_lifetime_s",
+    ])
+    def test_non_finite_parameters_rejected(self, name, value):
+        kwargs = {
+            "n_devices": 10, "duration_s": 1.0, "rate_per_device_hz": 1.0,
+            "seed": 1, name: value,
+        }
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fleet_trace(**kwargs)
+
+    def test_aggregate_rate_overflow_rejected(self):
+        # Each factor is finite, their product is not: an infinite rate
+        # would add 0.0 per arrival draw and never reach the horizon.
+        with pytest.raises(ValueError, match="n_devices \\* rate"):
+            fleet_trace(10, 1.0, 1e308, seed=1)
+
 
 class TestSharding:
     def test_shard_of_is_stable_and_in_range(self):
@@ -372,9 +390,8 @@ class TestCrashRecovery:
             if r["type"] == "event" and r["kind"] == "shed"
         ]
         assert len(sheds) == first.shed
-        # A restarted service reconciles the cumulative count from the
-        # journal: its run-scoped counter starts at zero, and any
-        # checkpoint it writes carries first-run sheds too.
+        # A restarted service counts only its own run's sheds; the
+        # journal keeps both runs' shed events.
         second = FleetService(config=config).run(trace)
         assert second.shard_stats[0]["shed"] == second.shed
         scan = scan_journal(str(path))
@@ -383,10 +400,92 @@ class TestCrashRecovery:
             if r["type"] == "event" and r["kind"] == "shed"
         ]
         assert len(sheds) == first.shed + second.shed
-        checkpoints = [
-            r for r in scan.records if r["type"] == "checkpoint"
-        ]
-        assert checkpoints[-1]["state"]["shed"] >= first.shed
+
+    #: (shard, decided, shed, timeouts, degraded_admits, recovered) of
+    #: ``_storm_config``'s run and of a second run resuming its journals,
+    #: recorded when shards still checkpointed journal-cumulative
+    #: shed/timeout/degraded counters and reconciled them on recovery.
+    RECORDED_STORM_STATS = (
+        [[0, 298, 86, 152, 24, 1], [1, 359, 83, 135, 46, 1]],
+        [[0, 298, 86, 152, 3, 2], [1, 359, 83, 135, 8, 2]],
+    )
+
+    @staticmethod
+    def _storm_config(journal_dir):
+        """Crash on both shards, 4 ms timeouts and the degrade ladder."""
+        return FleetConfig(
+            n_shards=2, batch_size=4, max_queue_depth=8, service_us=900.0,
+            degrade_watermark=4, timeout_ms=4.0, checkpoint_interval=16,
+            journal_dir=str(journal_dir), crash_at=((0, 15), (1, 25)),
+        )
+
+    @staticmethod
+    def _stats(report):
+        keys = ("shard", "decided", "shed", "timeouts", "degraded_admits",
+                "recovered")
+        return [[s[k] for k in keys] for s in report.shard_stats]
+
+    def test_shard_stats_counted_from_decisions_match_recorded(self, tmp_path):
+        from repro.robust.chaos import fleet_invariants
+
+        trace = fleet_trace(30, 1.0, 20.0, seed=11, arrival="bursty")
+        config = self._storm_config(tmp_path)
+        runs = [FleetService(config=config).run(trace) for _ in range(2)]
+        assert [self._stats(r) for r in runs] == list(self.RECORDED_STORM_STATS)
+        for report in runs:
+            counts = fleet_invariants(report, max_retries=config.max_retries)
+            assert counts["shard-stats-consistent"] == config.n_shards
+
+    def test_checkpoint_with_counter_keys_still_restores(self, tmp_path):
+        """Checkpoints that also carry ``shed``/``timeouts``/``degraded``
+        counters (the older payload, same schema tag) restore as before:
+        the reader takes ``devices`` and ignores the rest."""
+        from repro.eval.fleet import FLEET_CHECKPOINT_SCHEMA
+        from repro.online.durable import DecisionJournal
+        from repro.online.events import Request
+
+        trace = fleet_trace(30, 1.0, 20.0, seed=11, arrival="bursty")
+        new, old = tmp_path / "new", tmp_path / "old"
+        FleetService(config=self._storm_config(new)).run(trace)
+        old.mkdir()
+        for shard in range(2):
+            name = f"shard{shard:03d}.journal"
+            scan = scan_journal(str(new / name))
+            journal = DecisionJournal.create(
+                str(old / name), scan.header["config"]
+            )
+            shed = timeouts = degraded = 0
+            for r in scan.records:
+                if r["type"] == "intent":
+                    journal.append_intent(
+                        r["seq"], Request.from_dict(r["request"]),
+                        extra=r.get("extra"),
+                    )
+                elif r["type"] == "commit":
+                    d = r["decision"]
+                    degraded += d["outcome"] == "admitted" and d["mode"] != "full"
+                    journal.append_commit(r["seq"], d)
+                elif r["type"] == "event":
+                    shed += r["kind"] == "shed"
+                    timeouts += r["kind"] == "timeout"
+                    journal.append_event(r["kind"], r["payload"])
+                elif r["type"] == "checkpoint":
+                    assert r["state"]["schema"] == FLEET_CHECKPOINT_SCHEMA
+                    assert set(r["state"]) == {"schema", "devices"}
+                    journal.append_checkpoint(r["seq"], {
+                        **r["state"], "shed": shed, "timeouts": timeouts,
+                        "degraded": degraded,
+                    })
+            journal.close()
+        resumed = {
+            d: FleetService(config=self._storm_config(tmp_path / d)).run(trace)
+            for d in ("new", "old")
+        }
+        assert decision_identity(resumed["old"].all_decisions()) == (
+            decision_identity(resumed["new"].all_decisions())
+        )
+        assert self._stats(resumed["old"]) == self._stats(resumed["new"])
+        assert self._stats(resumed["old"]) == self.RECORDED_STORM_STATS[1]
 
 
 class TestJournalDamage:

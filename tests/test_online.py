@@ -146,6 +146,25 @@ class TestEvents:
         with pytest.raises(ValueError, match="mean_cycle_s"):
             bursty_trace(5.0, 1.0, seed=1, mean_cycle_s=0.0)
 
+    @pytest.mark.parametrize("make", [poisson_trace, bursty_trace])
+    @pytest.mark.parametrize("name", ["duration_s", "rate_hz", "mean_lifetime_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, make, name, value):
+        # NaN or infinite horizons and rates would never end the
+        # arrival loop; an infinite lifetime mean divides by zero.
+        kwargs = {"duration_s": 5.0, "rate_hz": 1.0, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"burst_factor": float("nan")}, "burst_factor"),
+        ({"mean_cycle_s": float("inf")}, "mean_cycle_s"),
+        ({"mean_cycle_s": float("nan")}, "mean_cycle_s"),
+    ])
+    def test_bursty_non_finite_phase_parameters_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bursty_trace(5.0, 1.0, seed=1, **kwargs)
+
 
 class TestModeChange:
     def test_empty_set_is_idle_now(self):
