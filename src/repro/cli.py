@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import List, Optional
 
@@ -283,25 +282,13 @@ def _cmd_robust(args: argparse.Namespace) -> int:
     from repro.sched.policies import CpuPolicy
     from repro.sched.simulator import SimConfig, simulate
 
-    if args.duration is not None and not (
-        math.isfinite(args.duration) and args.duration > 0
-    ):
-        print(f"error: --duration must be positive, got {args.duration}", file=sys.stderr)
-        return 2
     config = _build_config(args.scenario, args.platform, args.flash)
     if not config.feasible:
         print(f"INFEASIBLE: {config.infeasible_reason}")
         return 1
     platform = config.platform
     taskset = config.taskset
-    if args.duration is not None:
-        horizon = platform.mcu.seconds_to_cycles(args.duration)
-    else:
-        from repro.sched.rta import try_hyperperiod
-
-        max_period = max(t.period for t in taskset)
-        hp = try_hyperperiod([t.period for t in taskset])
-        horizon = min(2 * hp, 200 * max_period) if hp else 200 * max_period
+    horizon = config.horizon_cycles(args.duration)
     crc = platform.dma.crc_cycles(platform.mcu)
     try:
         faults = FaultConfig(
@@ -385,14 +372,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         return 1
     platform = config.platform
     taskset = config.taskset
-    if args.duration is not None:
-        horizon = platform.mcu.seconds_to_cycles(args.duration)
-    else:
-        from repro.sched.rta import try_hyperperiod
-
-        max_period = max(t.period for t in taskset)
-        hp = try_hyperperiod([t.period for t in taskset])
-        horizon = min(2 * hp, 200 * max_period) if hp else 200 * max_period
+    horizon = config.horizon_cycles(args.duration)
     crc = platform.dma.crc_cycles(platform.mcu)
     try:
         escalation = EscalationConfig(

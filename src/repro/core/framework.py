@@ -132,22 +132,34 @@ class Configuration:
         taskset = self.taskset
         if phases is not None:
             taskset = taskset.with_phases(list(phases))
-        if duration_s is not None:
-            horizon = self.platform.mcu.seconds_to_cycles(duration_s)
-        else:
-            from repro.sched.rta import try_hyperperiod
-
-            max_period = max(t.period for t in taskset)
-            hp = try_hyperperiod([t.period for t in taskset])
-            horizon = min(2 * hp, 200 * max_period) if hp else 200 * max_period
         config = SimConfig(
             policy=policy,
             dma_arbitration=self.platform.dma.arbitration,
-            horizon=horizon,
+            horizon=self.horizon_cycles(duration_s),
             record_trace=record_trace,
             abort_on_miss=abort_on_miss,
         )
         return simulate(taskset, config)
+
+    def horizon_cycles(self, duration_s: Optional[float] = None) -> int:
+        """Simulation release horizon in cycles.
+
+        ``duration_s`` converted to cycles, or by default two
+        hyperperiods capped at 200 jobs of the slowest task.  Raises
+        ``ValueError`` for a duration that is not a positive, finite
+        cycle count.
+        """
+        if duration_s is None:
+            from repro.sched.rta import try_hyperperiod
+
+            periods = [t.period for t in self.taskset]
+            hp = try_hyperperiod(periods)
+            cap = 200 * max(periods)
+            return min(2 * hp, cap) if hp else cap
+        horizon = self.platform.mcu.seconds_to_cycles(duration_s)
+        if horizon <= 0:
+            raise ValueError(f"duration must be positive, got {duration_s}")
+        return horizon
 
     def report_rows(self) -> List[dict]:
         """Per-task summary rows (the case-study table)."""

@@ -46,10 +46,10 @@ Key soundness notes:
 * ``SegmentationError`` outcomes are cached too (negative caching): the
   planner is deterministic, so an infeasible key stays infeasible.
 
-Environment knobs: ``REPRO_PLAN_CACHE=0`` disables all caches;
-``REPRO_PLAN_CACHE_SIZE`` overrides the per-cache entry bound;
-``REPRO_PLAN_STORE=<dir>`` adds the persistent on-disk tier below the
-search LRU (see :mod:`repro.core.planstore`).
+Every cache holds at most :data:`MAXSIZE` entries.  Environment knobs:
+``REPRO_PLAN_CACHE=0`` disables all caches; ``REPRO_PLAN_STORE=<dir>``
+adds the persistent on-disk tier below the search LRU (see
+:mod:`repro.core.planstore`).
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ __all__ = [
     "cached_xip_segments",
     "cache_note",
     "clear_all",
-    "configure",
     "delta_since",
     "freeze",
     "planner_platform_fingerprint",
@@ -96,18 +95,12 @@ __all__ = [
     "xip_columns",
 ]
 
-_DEFAULT_MAXSIZE = 4096
+#: Entry bound of every plan cache and private memo.
+MAXSIZE = 4096
 
 
 def _env_enabled() -> bool:
     return os.environ.get("REPRO_PLAN_CACHE", "1") != "0"
-
-
-def _env_maxsize() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_PLAN_CACHE_SIZE", _DEFAULT_MAXSIZE)))
-    except ValueError:
-        return _DEFAULT_MAXSIZE
 
 
 # ----------------------------------------------------------------------
@@ -176,9 +169,9 @@ class PlanCache:
     registry; any other (the private memos) keeps its own tally.
     """
 
-    def __init__(self, name: str, maxsize: Optional[int] = None) -> None:
+    def __init__(self, name: str, maxsize: int = MAXSIZE) -> None:
         self.name = name
-        self._maxsize = maxsize if maxsize is not None else _env_maxsize()
+        self._maxsize = maxsize
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._counts = (
@@ -223,12 +216,6 @@ class PlanCache:
         """Drop every entry; the counters keep counting."""
         with self._lock:
             self._data.clear()
-
-    def resize(self, maxsize: int) -> None:
-        with self._lock:
-            self._maxsize = max(1, maxsize)
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
 
 
 #: Public caches, by planning stage.  "refine" + "search" together form
@@ -277,18 +264,6 @@ def is_enabled() -> bool:
 # The pipeline module's id-keyed latency memo obeys the same master
 # switch; bound late because ``pipeline`` cannot import this module.
 _pipeline._memo_enabled = is_enabled
-
-
-def configure(enabled: Optional[bool] = None, maxsize: Optional[int] = None) -> None:
-    """Adjust cache behaviour at runtime (used by tests and the CLI)."""
-    if enabled is not None:
-        set_enabled(enabled)
-    if maxsize is not None:
-        for cache in CACHES.values():
-            cache.resize(maxsize)
-        _costs_memo.resize(maxsize)
-        _xip_memo.resize(maxsize)
-        _transform_memo.resize(maxsize)
 
 
 def clear_all() -> None:

@@ -10,6 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: Largest cycle count a duration converts to: centuries at any MCU
+#: clock, and below the ``1 << 62`` "never" sentinels of the simulators
+#: and the RTA hyperperiod cap.
+MAX_CYCLES = (1 << 62) - 1
+
 
 @dataclass(frozen=True)
 class McuSpec:
@@ -58,10 +63,19 @@ class McuSpec:
         return self.sram_bytes - self.sram_reserved_bytes
 
     def seconds_to_cycles(self, seconds: float) -> int:
-        """Convert a duration in seconds to (ceil) CPU cycles."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be non-negative, got {seconds}")
-        return int(math.ceil(seconds * self.clock_hz))
+        """Convert a duration in seconds to (ceil) CPU cycles.
+
+        Raises ``ValueError`` unless the cycle count lies in
+        ``[0, MAX_CYCLES]``, which rejects negative, NaN, infinite and
+        absurdly long durations alike.
+        """
+        cycles = seconds * self.clock_hz
+        if not 0 <= cycles <= MAX_CYCLES:
+            raise ValueError(
+                f"seconds must be non-negative and convert to at most "
+                f"2**62 - 1 cycles, got {seconds}"
+            )
+        return int(math.ceil(cycles))
 
     def cycles_to_seconds(self, cycles: int) -> float:
         """Convert CPU cycles to seconds."""

@@ -9,13 +9,18 @@ still run to completion — exactly the drain semantics the mode-change
 protocols assume.
 
 Starts need no extension: an instance's start cycle is its ``phase``.
+
+:func:`simulate_dynamic` sends runs without stops through
+:func:`~repro.sched.simulator.simulate`, so they run on simcore (and
+fold steady state there) whenever it models the config; only runs with
+stop cycles need the scalar subclass.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.sched.simulator import _FOLD_OFF, SimConfig, Simulator, SimResult
+from repro.sched.simulator import SimConfig, Simulator, SimResult, simulate
 from repro.sched.task import PeriodicTask, TaskSet
 
 
@@ -34,12 +39,6 @@ class DynamicSimulator(Simulator):
             taskset.by_name(name)  # raises KeyError on unknown names
             if stop < 0:
                 raise ValueError(f"stop cycle for {name!r} must be >= 0, got {stop}")
-        if self._stops:
-            # Stop cycles make release behavior depend on absolute time,
-            # which breaks the translation invariance steady-state
-            # folding relies on.
-            self._fold_eligible = False
-            self._fold_boundary = _FOLD_OFF
 
     def _release(
         self, time: int, task: PeriodicTask, task_pos: int, index: int
@@ -55,5 +54,12 @@ class DynamicSimulator(Simulator):
 def simulate_dynamic(
     taskset: TaskSet, config: SimConfig, stops: Mapping[str, int] = ()
 ) -> SimResult:
-    """Run a :class:`DynamicSimulator` to completion."""
+    """Run ``taskset`` to completion, stopping releases at ``stops``.
+
+    Without stops this is :func:`~repro.sched.simulator.simulate`: the
+    same result as :class:`DynamicSimulator` in every field but the fold
+    telemetry.
+    """
+    if not stops:
+        return simulate(taskset, config)
     return DynamicSimulator(taskset, config, stops).run()

@@ -4,7 +4,9 @@ The scalar :class:`~repro.sched.simulator.Simulator` dispatches every
 event through Python-object machinery: a ``_Job`` dataclass per released
 job, method calls per event, tuple keys per scheduling decision.  A
 sweep pays that overhead tens of millions of times.  This module runs
-the *same* discrete-event semantics on flat state:
+the *same* discrete-event semantics on flat state, and is the only
+engine that folds steady state; the scalar loop stays the plain,
+unfolded reference it is checked against:
 
 Layout
     Per-task decision state lives in dense columns indexed by task
@@ -52,16 +54,30 @@ Frontier batching / fast-forward
     so heap tie-breaks are preserved).  Either way the result is
     event-for-event identical to the stepped path.
 
+Steady-state folding
+    A deterministic periodic system is eventually periodic in its
+    state.  At each hyperperiod boundary the engine fingerprints its
+    full state relative to the boundary (head-job progress, backlog
+    offsets, CPU/DMA occupancy, the pending heap canonicalized, the
+    skip-next flags); on the first repeat it replays as many whole
+    cycles as fit before the horizon arithmetically — response
+    accumulators tiled, counters and busy cycles scaled, live state
+    shifted — and simulates the tail normally.  The result equals the
+    unfolded run in every field except ``fold_cycles`` and
+    ``fold_jobs_skipped``.  Folding arms only when two hyperperiods
+    fit in the horizon, stops after the first fold, on a horizon-cut
+    release chain, or after :data:`_FOLD_PROBE_LIMIT` non-repeating
+    boundaries.  ``REPRO_SIM_FOLD=0`` (:func:`fold_enabled`) kills it.
+
 Stand-down
-    The core models exactly the fold-eligible feature set of PR 5 plus
-    deadline aborts: no traces, no ``abort_on_miss``, no sporadic
+    The core models deterministic, state-free configs (deadline aborts
+    and skip-next included): no traces, no ``abort_on_miss``, no sporadic
     arrivals, no fault injection/escalation/recovery, no ``DEGRADE``,
     single DMA channel.  Anything else raises :class:`StandDown` and
     the caller falls back to the scalar path (counted in
-    ``sim_stand_downs``).  ``REPRO_VEC_SIM=0`` is the global kill
-    switch.  Steady-state folding (``REPRO_SIM_FOLD``) composes: the
-    SoA engine replicates the scalar boundary fingerprint canonically,
-    so fold decisions — and the fold telemetry — are bit-identical.
+    ``sim_stand_downs``), which never folds — so every config whose
+    future depends on state outside the fingerprint runs unfolded.
+    ``REPRO_VEC_SIM=0`` is the global kill switch.
 
 Telemetry lives in :mod:`repro.obs`: the ``sim.soa`` counter group holds
 ``sim_soa_runs`` accepted runs, ``sim_soa_events`` scalar-equivalent
@@ -87,19 +103,25 @@ from repro import obs
 from repro.hw.dma import DmaArbitration
 from repro.robust.overload import OverrunPolicy
 from repro.sched.simulator import (
-    _FOLD_OFF,
-    _FOLD_PROBE_LIMIT,
     SharedSetup,
     SimConfig,
     SimResult,
     TaskStats,
     _capped_lcm,
-    fold_enabled,
 )
 from repro.sched.task import PeriodicTask, TaskSet
 
 #: Environment kill switch: set to ``0`` to force the scalar simulator.
 ENV_VAR = "REPRO_VEC_SIM"
+
+#: Sentinel boundary meaning "no further fold fingerprinting".
+_FOLD_OFF = 1 << 63
+
+#: Give up fingerprinting after this many non-repeating boundaries: a
+#: system that has not reached steady state by then (e.g. unbounded
+#: backlog growth under overload) is unlikely to, and each fingerprint
+#: costs a full state walk.
+_FOLD_PROBE_LIMIT = 64
 
 #: Segment-column cache bound (entries are tiny; this only guards
 #: pathological churn through millions of distinct segmentations).
@@ -127,6 +149,11 @@ def available() -> bool:
 def enabled() -> bool:
     """Whether the SoA path is active (numpy + kill switch)."""
     return _np is not None and os.environ.get(ENV_VAR, "1").strip() != "0"
+
+
+def fold_enabled() -> bool:
+    """Whether steady-state folding is enabled (``REPRO_SIM_FOLD=0`` kills it)."""
+    return os.environ.get("REPRO_SIM_FOLD", "1") != "0"
 
 
 _counters = obs.live("sim.soa")
@@ -230,10 +257,11 @@ def default_arena() -> Arena:
 def _check_supported(config: SimConfig) -> None:
     """Raise :class:`StandDown` for features the SoA core does not model.
 
-    Mirrors the fold-eligibility rules (traces, abort_on_miss,
-    sporadic arrivals, faults/escalation — and therefore recovery,
-    which is inert without a fault source — and DEGRADE), plus the
-    multi-channel DMA configuration the flat engine does not model.
+    Everything that would break the fold fingerprint's translation
+    invariance (traces, abort_on_miss, sporadic arrivals,
+    faults/escalation — and therefore recovery, which is inert without
+    a fault source — and DEGRADE's mode state), plus the multi-channel
+    DMA configuration the flat engine does not model.
     """
     if config.record_trace:
         raise StandDown("record_trace")
@@ -342,7 +370,7 @@ def _run(
     abort_policy = config.overrun is OverrunPolicy.ABORT_AT_DEADLINE
     skip_policy = config.overrun is OverrunPolicy.SKIP_NEXT
 
-    # ----- steady-state folding (same eligibility arithmetic as scalar)
+    # ----- steady-state folding ---------------------------------------
     fold_period = 0
     fold_boundary = _FOLD_OFF
     if fold_enabled():
@@ -430,9 +458,10 @@ def _run(
         )
 
     def _fingerprint(boundary: int) -> Tuple:
-        # Canonically equivalent to Simulator._fingerprint: same state
-        # components, same discrimination power, so fold decisions (and
-        # telemetry) match the scalar run bit for bit.
+        # Canonical state relative to ``boundary``: two equal
+        # fingerprints evolve identically (shifted in time).  Job
+        # indices and stale CPU tokens are unobservable in a traceless
+        # run, so heap payloads reduce to queue-relative references.
         queues = []
         for p in range(n):
             qp = q[p]

@@ -31,6 +31,12 @@ or, with no recovery configured, quarantines the task — a fault never
 silently succeeds.  With no faults, a null escalation config, and
 ``OverrunPolicy.CONTINUE`` the simulator is bit-identical to the nominal
 engine.
+
+:class:`Simulator` is the plain reference loop: it steps every event
+and never folds.  :func:`simulate` prefers the struct-of-arrays core
+(:mod:`repro.sched.simcore`, the only engine with steady-state
+folding) and stands down to this loop for the configs that core does
+not model; the identity suites check simcore against it.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -70,23 +75,10 @@ _DEADLINE = 3
 # and a module-global lookup beats the heapq attribute chain.
 _heappush = heapq.heappush
 
-#: Sentinel boundary meaning "no further fold fingerprinting".
-_FOLD_OFF = 1 << 63
-
-#: Give up fingerprinting after this many non-repeating boundaries: a
-#: system that has not reached steady state by then (e.g. unbounded
-#: backlog growth under overload) is unlikely to, and each fingerprint
-#: costs a full state walk.
-_FOLD_PROBE_LIMIT = 64
-
-# Process-wide fold counters (repro.obs group "sim.fold"), bumped by
-# both simulator engines.
+# Process-wide fold counters (repro.obs group "sim.fold").  Only
+# simcore folds; this loop bumps ``runs`` so the group counts every run
+# of either engine.
 _fold_counters = obs.live("sim.fold")
-
-
-def fold_enabled() -> bool:
-    """Whether steady-state folding is enabled (``REPRO_SIM_FOLD=0`` kills it)."""
-    return os.environ.get("REPRO_SIM_FOLD", "1") != "0"
 
 
 @dataclass(slots=True)
@@ -136,10 +128,6 @@ class _Job:
         j = self.loads_issued
         return j < len(self.segments) and j - self.computes_done < self.task.buffers
 
-    def compute_ready(self) -> bool:
-        """Whether the next compute segment has its weights staged."""
-        return self.computes_done < self.loads_done
-
 
 @dataclass(slots=True)
 class TaskStats:
@@ -185,10 +173,11 @@ class SimResult:
     recovery_latencies: List[int] = field(default_factory=list)
     recovery_counts: Dict[str, int] = field(default_factory=dict)
     quarantined: Tuple[str, ...] = ()
-    #: Steady-state folding telemetry: a detected state cycle lets the
-    #: simulator replay whole hyperperiods arithmetically.  Every other
-    #: field of the result is bit-identical to the unfolded run; these
-    #: two only describe how it was obtained.
+    #: Steady-state folding telemetry, filled only by
+    #: :mod:`repro.sched.simcore`: a detected state cycle lets it replay
+    #: whole hyperperiods arithmetically.  Every other field of the
+    #: result is bit-identical to the unfolded run; these two only
+    #: describe how it was obtained (the scalar loop reports zero).
     fold_cycles: int = 0
     fold_jobs_skipped: int = 0
 
@@ -286,10 +275,10 @@ class SharedSetup:
     """Per-taskset precomputation shared across a batch of simulations.
 
     :func:`repro.eval.parallel.simulate_batch` builds one of these and
-    hands it to every :class:`Simulator` of the batch, so the period
-    maximum and the (potentially big-int) hyperperiod LCM are computed
-    once per work unit instead of once per run.  Results are identical
-    with or without it.
+    hands it to every :func:`simulate` call of the batch, so simcore
+    computes the period maximum and the (potentially big-int)
+    hyperperiod LCM once per work unit instead of once per run.
+    Results are identical with or without it.
     """
 
     __slots__ = ("max_period", "hyperperiod")
@@ -316,12 +305,7 @@ def _capped_lcm(periods: List[int]) -> Optional[int]:
 class Simulator:
     """Event-driven executor for a :class:`~repro.sched.task.TaskSet`."""
 
-    def __init__(
-        self,
-        taskset: TaskSet,
-        config: SimConfig,
-        shared: Optional[SharedSetup] = None,
-    ) -> None:
+    def __init__(self, taskset: TaskSet, config: SimConfig) -> None:
         if config.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {config.horizon}")
         self.taskset = taskset
@@ -349,12 +333,8 @@ class Simulator:
         self._dma_retries = 0
         self._aborted = False
         self._truncated = False
-        self._max_period = (
-            shared.max_period if shared is not None
-            else max(t.period for t in taskset)
-        )
-        self._hard_cap = (
-            int(config.horizon * config.hard_cap_factor) + self._max_period
+        self._hard_cap = int(config.horizon * config.hard_cap_factor) + max(
+            t.period for t in taskset
         )
         self._arrival_rng = random.Random(config.seed)
         self._faults: Optional[FaultInjector] = (
@@ -382,58 +362,6 @@ class Simulator:
         self._recovery_latencies: List[int] = []
         self._recovery_counts: Dict[str, int] = {}
         self._quarantined: set = set()
-        self._stats_list: List[TaskStats] = [
-            self._stats[t.name] for t in self._tasks
-        ]
-        # ----- steady-state folding --------------------------------------
-        # Eligible only for fully deterministic, state-free configurations:
-        # everything the future evolution depends on must be captured by
-        # the boundary fingerprint.  DEGRADE carries OverloadManager mode
-        # state and traces carry absolute times/job indices, so both are
-        # excluded; abort_on_miss can stop a run mid-cycle.
-        self._fold_eligible = (
-            fold_enabled()
-            and not config.record_trace
-            and not config.abort_on_miss
-            and config.sporadic_slack == 0
-            and self._faults is None
-            and self._escalation is None
-            and self._recovery is None
-            and config.overrun is not OverrunPolicy.DEGRADE
-        )
-        self._fold_boundary = _FOLD_OFF
-        self._fold_period = 0
-        if self._fold_eligible:
-            h = (
-                shared.hyperperiod if shared is not None
-                else _capped_lcm([t.period for t in self._tasks])
-            )
-            # Need at least two boundaries inside the horizon for a
-            # fingerprint to repeat, plus headroom to make a fold pay.
-            if h is not None and 2 * h <= config.horizon:
-                self._fold_period = h
-                self._fold_boundary = h
-        self._fold_states: Dict[Tuple, Tuple[int, Tuple]] = {}
-        self._fold_probes = 0
-        self._fold_cycles = 0
-        self._fold_jobs_skipped = 0
-        self._folds = 0
-        self._release_suppressed = False
-
-    # ------------------------------------------------------------------
-    # Priorities (lower tuple = served first)
-    # ------------------------------------------------------------------
-    def _cpu_key(self, job: _Job) -> Tuple:
-        if self._deadline_driven:
-            return (job.abs_deadline, job.task.priority, job.release, job.task_pos)
-        return (job.task.priority, job.release, job.task_pos)
-
-    def _dma_key(self, job: _Job) -> Tuple:
-        if self._fifo_dma:
-            since = job.load_eligible_since if job.load_eligible_since is not None else 0
-            return (since, job.release, job.task_pos)
-        return self._cpu_key(job)
-
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
@@ -450,10 +378,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Job lifecycle
     # ------------------------------------------------------------------
-    def _head(self, task_name: str) -> Optional[_Job]:
-        queue = self._queues[task_name]
-        return queue[0] if queue else None
-
     def _release(
         self, time: int, task: PeriodicTask, task_pos: int, index: int
     ) -> bool:
@@ -472,8 +396,6 @@ class Simulator:
             next_time = time + task.period
             if next_time < self.config.horizon:
                 self._push(next_time, _RELEASE, (task_pos, index + 1))
-            else:
-                self._release_suppressed = True
             return False
         if self._skip_next[task.name]:
             # SKIP_NEXT: a late predecessor sheds this release entirely;
@@ -520,8 +442,6 @@ class Simulator:
                 next_time += self._arrival_rng.randrange(slack + 1)
         if next_time < self.config.horizon:
             self._push(next_time, _RELEASE, (task_pos, index + 1))
-        else:
-            self._release_suppressed = True
         return changed
 
     def _complete_job(self, time: int, job: _Job) -> None:
@@ -847,15 +767,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # CPU scheduling
     # ------------------------------------------------------------------
-    def _cpu_candidates(self) -> List[_Job]:
-        ready = []
-        for queue in self._queue_list:
-            if queue:
-                job = queue[0]
-                if not job.complete and job.compute_ready():
-                    ready.append(job)
-        return ready
-
     def _start_compute(self, time: int, job: _Job) -> None:
         segment = job.segments[job.computes_done]
         if job.compute_remaining is None:
@@ -910,8 +821,9 @@ class Simulator:
         for queue in self._queue_list:
             if queue:
                 job = queue[0]
-                # compute_ready (and implicitly not complete: a complete
-                # job has computes_done == n_seg >= loads_done).
+                # Next segment's weights staged (and implicitly not
+                # complete: a complete job has computes_done == n_seg >=
+                # loads_done).
                 if job.computes_done < job.loads_done:
                     if deadline_driven:
                         key = (
@@ -966,175 +878,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # Steady-state folding
-    # ------------------------------------------------------------------
-    def _stats_mark(self) -> Tuple:
-        """Cumulative output counters (for per-cycle deltas)."""
-        return (
-            tuple(len(s.responses) for s in self._stats_list),
-            tuple(s.misses for s in self._stats_list),
-            tuple(s.aborts for s in self._stats_list),
-            tuple(s.skips for s in self._stats_list),
-            self._cpu_busy,
-            self._dma_busy,
-        )
-
-    def _fingerprint(self, boundary: int) -> Tuple:
-        """Canonical full state relative to ``boundary``.
-
-        Two boundary states with equal fingerprints evolve identically
-        (shifted in time): the fingerprint covers every queue's job
-        progress, CPU/DMA occupancy, the pending heap in pop order with
-        payloads reduced to queue-relative references (job indices and
-        stale tokens are canonicalized away — they are unobservable in a
-        traceless run), and the SKIP_NEXT flags.  Everything else the
-        evolution could read is constant (config, task parameters) or
-        excluded by fold eligibility (fault/recovery/degrade state,
-        arrival randomness).
-        """
-        queues = tuple(
-            tuple(
-                (
-                    job.loads_issued,
-                    job.loads_done,
-                    job.computes_done,
-                    job.compute_remaining,
-                    job.release - boundary,
-                    job.abs_deadline - boundary,
-                    None
-                    if job.load_eligible_since is None
-                    else job.load_eligible_since - boundary,
-                )
-                for job in queue
-            )
-            for queue in self._queue_list
-        )
-        cpu_job = self._cpu_job
-        cpu = (
-            None
-            if cpu_job is None
-            else (cpu_job.task_pos, self._cpu_start - boundary)
-        )
-        dma = tuple(
-            sorted(
-                (ch, -1 if job.aborted else job.task_pos)
-                for ch, job in self._dma_channels.items()
-            )
-        )
-        entries = []
-        for t, seq, kind, payload in sorted(self._heap):
-            if kind == _RELEASE:
-                canon: Tuple = (payload[0],)  # type: ignore[index]
-            elif kind == _DMA_DONE:
-                ch, job = payload  # type: ignore[misc]
-                canon = (ch, -1 if job.aborted else job.task_pos)
-            elif kind == _CPU_DONE:
-                token, job = payload  # type: ignore[misc]
-                if token == self._cpu_token and job is cpu_job:
-                    canon = (1, job.task_pos)
-                else:
-                    canon = (0,)  # stale: pops as a no-op
-            else:  # _DEADLINE
-                job = payload  # type: ignore[assignment]
-                if job.aborted or job.computes_done == job.n_seg:
-                    canon = (-1,)  # dead: pops as a no-op
-                else:
-                    queue = self._queue_list[job.task_pos]
-                    pos = next(i for i, j in enumerate(queue) if j is job)
-                    canon = (job.task_pos, pos)
-            entries.append((t - boundary, kind, canon))
-        return (
-            queues,
-            cpu,
-            dma,
-            tuple(entries),
-            tuple(self._skip_next.values()),
-        )
-
-    def _at_boundary(self, boundary: int) -> int:
-        """Fingerprint the state at a hyperperiod boundary; maybe fold.
-
-        Returns the next boundary to watch (``_FOLD_OFF`` to stop).
-        """
-        if self._release_suppressed:
-            # The horizon cut a release chain: cycles near the end are
-            # no longer translation-invariant, so stop fingerprinting.
-            return _FOLD_OFF
-        self._fold_probes += 1
-        if self._fold_probes > _FOLD_PROBE_LIMIT:
-            return _FOLD_OFF
-        fingerprint = self._fingerprint(boundary)
-        previous = self._fold_states.get(fingerprint)
-        if previous is None:
-            self._fold_states[fingerprint] = (boundary, self._stats_mark())
-            return boundary + self._fold_period
-        return self._fold(previous, boundary)
-
-    def _fold(self, previous: Tuple[int, Tuple], boundary: int) -> int:
-        """Replay whole cycles arithmetically instead of simulating them.
-
-        The state at ``boundary`` matches the recorded state at an
-        earlier boundary, so the run is periodic with period
-        ``boundary - earlier``.  Replaying ``n`` cycles means: extend
-        the output counters by ``n`` copies of the recorded per-cycle
-        delta and shift all live state ``n`` periods into the future.
-        ``n`` is capped so every replayed release (all of which fall
-        before ``cycle end + max_period``) still lands inside the
-        horizon and below the hard cap — the tail past the last whole
-        cycle is simulated normally, which also pins ``end_time``.
-        """
-        start, mark = previous
-        period = boundary - start
-        limit = min(self.config.horizon, self._hard_cap)
-        n = (limit - self._max_period - boundary) // period
-        if n <= 0:
-            return boundary + self._fold_period
-        (
-            (resp0, miss0, abort0, skip0, cpu0, dma0),
-            (resp1, miss1, abort1, skip1, cpu1, dma1),
-        ) = (mark, self._stats_mark())
-        jobs_per_cycle = 0
-        for i, stats in enumerate(self._stats_list):
-            cycle_responses = stats.responses[resp0[i]:resp1[i]]
-            if cycle_responses:
-                stats.responses.extend(cycle_responses * n)
-            stats.misses += n * (miss1[i] - miss0[i])
-            stats.aborts += n * (abort1[i] - abort0[i])
-            stats.skips += n * (skip1[i] - skip0[i])
-            jobs_per_cycle += (
-                len(cycle_responses)
-                + (abort1[i] - abort0[i])
-                + (skip1[i] - skip0[i])
-            )
-        self._cpu_busy += n * (cpu1 - cpu0)
-        self._dma_busy += n * (dma1 - dma0)
-        shift = n * period
-        shifted = set()
-        for queue in self._queue_list:
-            for job in queue:
-                shifted.add(id(job))
-                job.release += shift
-                job.abs_deadline += shift
-                if job.load_eligible_since is not None:
-                    job.load_eligible_since += shift
-        for job in self._dma_channels.values():
-            if id(job) not in shifted:  # aborted mid-transfer: off-queue
-                job.release += shift
-                job.abs_deadline += shift
-        if self._cpu_job is not None:
-            self._cpu_start += shift
-        # A uniform time shift preserves heap order (sequence numbers
-        # break all remaining ties), so no re-heapify is needed.
-        self._heap[:] = [
-            (t + shift, seq, kind, payload)
-            for t, seq, kind, payload in self._heap
-        ]
-        self._folds += 1
-        self._fold_cycles += n
-        self._fold_jobs_skipped += n * jobs_per_cycle
-        return _FOLD_OFF
-
     def _dispatch(self, time: int, kind: int, payload: object) -> bool:
         """Process one event; True iff scheduler-visible state changed.
 
@@ -1167,15 +910,8 @@ class Simulator:
         schedule_dma = self._schedule_dma
         schedule_cpu = self._schedule_cpu
         hard_cap = self._hard_cap
-        fold_boundary = self._fold_boundary
         time = 0
         while heap and not self._aborted:
-            if heap[0][0] >= fold_boundary:
-                # All events before the hyperperiod boundary are done:
-                # fingerprint the state (and fold on a repeat) before
-                # crossing into the next cycle.
-                fold_boundary = self._at_boundary(fold_boundary)
-                continue
             time, _, kind, payload = pop(heap)
             if time > hard_cap:
                 self._truncated = True
@@ -1191,12 +927,7 @@ class Simulator:
                 schedule_cpu(time)
         for task in self.taskset:
             self._stats[task.name].unfinished += len(self._queues[task.name])
-        counters = _fold_counters
-        counters["runs"] += 1
-        if self._folds:
-            counters["folds"] += self._folds
-            counters["cycles_skipped"] += self._fold_cycles
-            counters["jobs_skipped"] += self._fold_jobs_skipped
+        _fold_counters["runs"] += 1
         return SimResult(
             stats=self._stats,
             trace=self.trace,
@@ -1210,8 +941,6 @@ class Simulator:
             recovery_latencies=self._recovery_latencies,
             recovery_counts=self._recovery_counts,
             quarantined=tuple(sorted(self._quarantined)),
-            fold_cycles=self._fold_cycles,
-            fold_jobs_skipped=self._fold_jobs_skipped,
         )
 
 
@@ -1227,11 +956,12 @@ def simulate(
     """Run one simulation, preferring the struct-of-arrays core.
 
     Dispatches to :mod:`repro.sched.simcore` when it is enabled and the
-    config is within its modeled feature set (results are bit-identical;
-    ``REPRO_VEC_SIM=0`` forces the scalar path), and falls back to the
-    scalar :class:`Simulator` otherwise.  ``arena`` optionally reuses a
-    :class:`~repro.sched.simcore.Arena` across runs (see
-    :func:`repro.eval.parallel.simulate_batch`).
+    config is within its modeled feature set (results are bit-identical
+    up to fold telemetry; ``REPRO_VEC_SIM=0`` forces the scalar path),
+    and falls back to the scalar :class:`Simulator` otherwise.
+    ``shared`` and ``arena`` only reach simcore: a
+    :class:`SharedSetup` and an :class:`~repro.sched.simcore.Arena`
+    reused across runs (see :func:`repro.eval.parallel.simulate_batch`).
     """
     global _simcore
     if _simcore is None:
@@ -1242,4 +972,4 @@ def simulate(
         result = _simcore.try_simulate(taskset, config, shared, arena)
         if result is not None:
             return result
-    return Simulator(taskset, config, shared).run()
+    return Simulator(taskset, config).run()

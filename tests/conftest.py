@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -78,3 +79,16 @@ def random_taskset(
             )
         )
     return TaskSet.of(tasks)
+
+
+def sim_essence(result) -> dict:
+    """Every SimResult field except the folding telemetry.
+
+    ``fold_cycles``/``fold_jobs_skipped`` describe how simcore obtained
+    a result; an unfolded run (the scalar loop, or ``REPRO_SIM_FOLD=0``)
+    legitimately reports zero.
+    """
+    d = dataclasses.asdict(result)
+    d.pop("fold_cycles")
+    d.pop("fold_jobs_skipped")
+    return d

@@ -273,9 +273,6 @@ class TestRobustArguments:
     @pytest.mark.parametrize("argv", [
         ["--inflation", "inf"],
         ["--inflation", "nan"],
-        ["--duration", "0"],
-        ["--duration", "-1"],
-        ["--duration", "nan"],
     ])
     def test_bad_input_rejected_before_any_output(self, argv, capsys):
         assert main(["robust", "doorbell", *argv]) == 2
@@ -283,6 +280,17 @@ class TestRobustArguments:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestDurationArguments:
+    @pytest.mark.parametrize("duration", ["inf", "1e300", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "energy", "robust", "recover"])
+    def test_bad_duration_is_typed_error(self, command, duration, capsys):
+        assert main([command, "doorbell", "--duration", duration]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ValueError:")
 
 
 class TestQuietFlag:

@@ -1,8 +1,8 @@
 """Bit-identity regression matrix for steady-state folding and batching.
 
-Folding replays whole hyperperiods arithmetically once the simulator
-sees a repeated boundary state; batching shares input-derived setup
-across runs.  Neither is allowed to change a single field of any
+Folding replays whole hyperperiods arithmetically once simcore (the
+only engine that folds) sees a repeated boundary state; batching shares
+input-derived setup across runs.  Neither is allowed to change a single field of any
 :class:`~repro.sched.simulator.SimResult`.  This module pins that down
 as a matrix: fold on/off x batched vs scalar execution x every CPU
 policy x both DMA arbitrations, over random harmonic task sets and the
@@ -17,9 +17,10 @@ setup must not even change how folding proceeds.
 Folding may only engage for fully deterministic, state-free
 configurations: every nondeterministic or stateful :class:`SimConfig`
 hook (traces, abort-on-miss, sporadic releases, fault injection,
-escalation, recovery, DEGRADE overload state) must force
-``_fold_eligible`` off, and such runs must report zero folding
-telemetry.
+escalation, recovery, DEGRADE overload state) must make simcore stand
+down to the scalar loop, which never folds, and such runs must report
+zero folding telemetry.  The online path's ``simulate_dynamic`` folds
+on simcore only when no task has a stop cycle.
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_taskset
+from conftest import random_taskset, sim_essence
+from repro import obs
 from repro.core.framework import RtMdm
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import get_platform
 from repro.robust.escalation import EscalationConfig
 from repro.robust.faults import FaultConfig
 from repro.robust.overload import DegradeConfig, OverrunPolicy
+from repro.online.sim import DynamicSimulator, simulate_dynamic
 from repro.robust.recovery import RecoveryConfig
 from repro.sched.policies import CpuPolicy
-from repro.sched.simulator import SimConfig, Simulator, fold_enabled, simulate
+from repro.sched.simcore import fold_enabled
+from repro.sched.simulator import SharedSetup, SimConfig, simulate
 from repro.sched.task import TaskSet
 from repro.eval.parallel import simulate_batch
 from repro.workload.scenarios import get_scenario
@@ -98,14 +102,6 @@ def _config(taskset: TaskSet, policy: CpuPolicy, arb: DmaArbitration) -> SimConf
     )
 
 
-def _essence(result) -> dict:
-    """Every SimResult field except the folding telemetry."""
-    d = dataclasses.asdict(result)
-    d.pop("fold_cycles")
-    d.pop("fold_jobs_skipped")
-    return d
-
-
 @pytest.fixture
 def fold_off(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_FOLD", "0")
@@ -121,7 +117,7 @@ def test_fold_identical_to_unfolded_random_sets(policy, arb, monkeypatch):
         unfolded = simulate(taskset, config)
         monkeypatch.setenv("REPRO_SIM_FOLD", "1")
         folded = simulate(taskset, config)
-        assert _essence(folded) == _essence(unfolded)
+        assert sim_essence(folded) == sim_essence(unfolded)
         assert unfolded.fold_cycles == 0
 
 
@@ -134,7 +130,7 @@ def test_fold_identical_to_unfolded_scenario_zoo(key, monkeypatch):
         unfolded = simulate(taskset, config)
         monkeypatch.setenv("REPRO_SIM_FOLD", "1")
         folded = simulate(taskset, config)
-        assert _essence(folded) == _essence(unfolded)
+        assert sim_essence(folded) == sim_essence(unfolded)
 
 
 @pytest.mark.parametrize("fold", ["1", "0"])
@@ -203,21 +199,67 @@ def _nondeterministic_hooks():
 HOOK_INDEX = st.integers(0, len(_nondeterministic_hooks()) - 1)
 
 
+def _soa_delta(before) -> tuple:
+    """``sim.soa`` (runs, events, stand-downs) since ``before``."""
+    return obs.delta_since(before)["sim.soa"]
+
+
 @given(seeds, HOOK_INDEX)
 @settings(max_examples=60, deadline=None)
 def test_fold_disabled_under_nondeterministic_hooks(seed, hook_index):
     rng = random.Random(seed)
-    ts = random_taskset(rng, n_tasks=rng.randint(2, 3), util_target=0.5)
+    ts = _harmonic(
+        random_taskset(rng, n_tasks=rng.randint(2, 3), util_target=0.5)
+    )
     overrides = _nondeterministic_hooks()[hook_index]
     if "degrade" in overrides:
         overrides["degrade"] = DegradeConfig(
             fallbacks={t.name: t.segments[:1] for t in ts}
         )
     horizon = 8 * max(t.period for t in ts)
-    config = SimConfig(horizon=horizon, **overrides)
-    assert not Simulator(ts, config)._fold_eligible
-    result = simulate(ts, config)
+    # Vacuity guard: the same set minus the hook runs on simcore with
+    # folding armed (two hyperperiods fit in the horizon).
+    assert fold_enabled() and 2 * SharedSetup(ts).hyperperiod <= horizon
+    before = obs.snapshot()
+    simulate(ts, SimConfig(horizon=horizon))
+    runs, _, stand_downs = _soa_delta(before)
+    assert (runs, stand_downs) == (1, 0)
+    # Under the hook simcore stands down to the scalar loop, which
+    # never folds.
+    before = obs.snapshot()
+    result = simulate(ts, SimConfig(horizon=horizon, **overrides))
+    assert _soa_delta(before) == (0, 0, 1)
     assert result.fold_cycles == 0
     assert result.fold_jobs_skipped == 0
-    # Vacuity guard: the same run minus the hook IS fold-eligible.
-    assert Simulator(ts, SimConfig(horizon=horizon))._fold_eligible
+
+
+def test_simulate_dynamic_without_stops_folds_on_simcore():
+    """With no stop cycles the online path runs on simcore and folds;
+    the result equals the scalar ``DynamicSimulator`` run in every
+    field but the fold telemetry."""
+    taskset = _random_harmonic(1)
+    config = _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY)
+    before = obs.snapshot()
+    folded = simulate_dynamic(taskset, config)
+    runs, _, stand_downs = _soa_delta(before)
+    assert (runs, stand_downs) == (1, 0)
+    assert folded.fold_cycles > 0 and folded.fold_jobs_skipped > 0
+    reference = DynamicSimulator(taskset, config).run()
+    assert reference.fold_cycles == 0 and reference.fold_jobs_skipped == 0
+    assert sim_essence(folded) == sim_essence(reference)
+
+
+def test_simulate_dynamic_with_stops_runs_unfolded_scalar_loop():
+    taskset = _random_harmonic(1)
+    config = _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY)
+    stops = {taskset[0].name: config.horizon // 2}
+    before = obs.snapshot()
+    result = simulate_dynamic(taskset, config, stops)
+    assert _soa_delta(before) == (0, 0, 0)
+    assert result.fold_cycles == 0 and result.fold_jobs_skipped == 0
+    assert dataclasses.asdict(result) == dataclasses.asdict(
+        DynamicSimulator(taskset, config, stops).run()
+    )
+    unstopped = simulate_dynamic(taskset, config)
+    name = taskset[0].name
+    assert result.stats[name].jobs < unstopped.stats[name].jobs

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.hw.mcu import McuSpec, SramRegion
+from repro.hw.mcu import MAX_CYCLES, McuSpec, SramRegion
 
 
 def _mcu(**kwargs):
@@ -59,6 +59,19 @@ class TestMcuSpec:
             mcu.seconds_to_cycles(-1.0)
         with pytest.raises(ValueError):
             mcu.cycles_to_seconds(-1)
+
+    @pytest.mark.parametrize("seconds", [
+        float("inf"), float("-inf"), float("nan"), 1e300,
+    ])
+    def test_non_finite_or_huge_durations_rejected(self, seconds):
+        with pytest.raises(ValueError):
+            _mcu().seconds_to_cycles(seconds)
+
+    def test_cycle_count_bound(self):
+        mcu = _mcu(clock_hz=1)
+        assert mcu.seconds_to_cycles(2.0**61) == 2**61 <= MAX_CYCLES
+        with pytest.raises(ValueError):
+            mcu.seconds_to_cycles(2.0**62)
 
     def test_frozen(self):
         with pytest.raises(Exception):

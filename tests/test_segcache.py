@@ -361,15 +361,15 @@ def test_analysis_cache_keys_on_taskset_and_method(fresh_caches):
     assert counts() == (1, 3)
 
 
-def test_configure_resizes_and_disables(model, platform):
-    segcache.configure(maxsize=2)
-    for div in (1, 2, 3, 4, 5):
-        try:
-            cached_search_segmentation(
-                model, platform, platform.usable_sram_bytes // div, INT8
-            )
-        except SegmentationError:
-            pass
-    assert len(segcache.CACHES["search"]) <= 2
-    segcache.configure(enabled=False)
+def test_lru_bound_and_disable_switch(model, platform):
+    cache = segcache.PlanCache("t", maxsize=2)
+    for key in range(5):
+        cache.put(key, key)
+    cache.get(3)  # refreshes 3: inserting 5 evicts 4, the LRU entry
+    cache.put(5, 5)
+    assert len(cache) == 2
+    assert cache.get(3) == (True, 3) and cache.get(4) == (False, None)
+    segcache.set_enabled(False)
     assert not segcache.is_enabled()
+    cached_search_segmentation(model, platform, platform.usable_sram_bytes, INT8)
+    assert len(segcache.CACHES["search"]) == 0
