@@ -85,6 +85,7 @@ clobbering its own history.  Three fault-tolerance mechanisms ride on top:
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 import time
@@ -102,7 +103,10 @@ from repro.eval.metrics import latency_stats
 from repro.hw.platform import Platform
 from repro.hw.presets import get_platform
 from repro.online.admission import degrade_ladder, mass_screen, plan_segments
-from repro.online.durable import DecisionJournal, JournalError, replay_journal, scan_journal
+from repro.online.durable import (
+    DecisionJournal, JournalError, canonical_json, replay_journal,
+    scan_journal,
+)
 from repro.online.events import Request, RequestKind
 from repro.robust import recovery as resilience
 from repro.sched.task import PeriodicTask, Segment, TaskSet
@@ -551,7 +555,7 @@ class _Shard:
         "index", "queue", "busy_until_s", "busy_s", "decided",
         "peak_depth", "journal", "journal_path", "devices", "inflight",
         "seq_base", "ckpt_seq", "crash_schedule", "recovered",
-        "recoveries",
+        "recoveries", "fragments",
     )
 
     def __init__(self, index: int) -> None:
@@ -570,6 +574,8 @@ class _Shard:
         self.crash_schedule: List[int] = []
         self.recovered = 0
         self.recoveries: List[Dict] = []
+        # device -> (residents encoded, checkpoint fragment text)
+        self.fragments: Dict[str, Tuple[Tuple[_Resident, ...], str]] = {}
 
 
 # ----------------------------------------------------------------------
@@ -780,20 +786,33 @@ class FleetService:
             shards.append(shard)
         return shards
 
-    def _shard_state(self, shard: _Shard) -> Dict:
-        """Checkpoint payload: the shard's resident devices.
+    def _shard_state(self, shard: _Shard) -> str:
+        """Checkpoint payload (canonical JSON): the shard's resident devices.
 
+        A device's fragment is re-encoded only when its residents are not
+        the very (immutable) ``_Resident`` objects it was encoded from.
         Per-run shed/timeout/degraded stats are counted from the run's
         decision stream, so no counter rides the checkpoint.
         """
-        return {
-            "schema": FLEET_CHECKPOINT_SCHEMA,
-            "devices": {
-                device: [_resident_state(r) for r in residents.values()]
-                for device, residents in sorted(shard.devices.items())
-                if residents
-            },
-        }
+        fragments: Dict[str, Tuple[Tuple[_Resident, ...], str]] = {}
+        for device, residents in sorted(shard.devices.items()):
+            current = tuple(residents.values())
+            if not current:
+                continue
+            cached = shard.fragments.get(device)
+            if cached is None or len(cached[0]) != len(current) or not all(
+                map(operator.is_, cached[0], current)
+            ):
+                fragment = canonical_json(device) + ":" + canonical_json(
+                    [_resident_state(r) for r in current]
+                )
+                cached = (current, fragment)
+            fragments[device] = cached
+        shard.fragments = fragments
+        return (
+            '{"devices":{' + ",".join(f for _, f in fragments.values())
+            + '},"schema":' + canonical_json(FLEET_CHECKPOINT_SCHEMA) + "}"
+        )
 
     def _maybe_checkpoint(self, shard: _Shard, incoming: int) -> None:
         """Checkpoint before a batch would push the journal suffix past

@@ -95,14 +95,18 @@ class InjectedCrash(RuntimeError):
 # ----------------------------------------------------------------------
 
 
+def canonical_json(obj: Any) -> str:
+    """The journal's one JSON encoding: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _crc32(text: str) -> str:
+    return f"{zlib.crc32(text.encode('utf-8')):08x}"
+
+
 def _crc(record: Dict) -> str:
     """CRC32 (hex) over the canonical JSON of ``record`` minus ``crc``."""
-    canonical = json.dumps(
-        {k: v for k, v in record.items() if k != "crc"},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return f"{zlib.crc32(canonical.encode('utf-8')):08x}"
+    return _crc32(canonical_json({k: v for k, v in record.items() if k != "crc"}))
 
 
 class DecisionJournal:
@@ -137,9 +141,10 @@ class DecisionJournal:
         """Start a fresh journal (truncates ``path``) with a header record."""
         handle = open(path, "w", encoding="utf-8")
         journal = cls(path, handle, fsync_interval)
-        journal._append(
-            {"type": "header", "schema": JOURNAL_SCHEMA, "config": config}
-        )
+        header = {"type": "header", "schema": JOURNAL_SCHEMA, "config": config}
+        # ``config`` sorts before ``crc``, so the header alone is encoded
+        # with its crc in place rather than spliced in front.
+        journal._write(canonical_json({**header, "crc": _crc(header)}))
         journal.sync()
         return journal
 
@@ -149,15 +154,20 @@ class DecisionJournal:
         handle = open(path, "a", encoding="utf-8")
         return cls(path, handle, fsync_interval)
 
-    def _append(self, record: Dict) -> None:
+    def _write(self, line: str) -> None:
         if self._handle is None:
             raise JournalError(f"journal {self.path} is closed")
-        record["crc"] = _crc(record)
-        self._handle.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._handle.write(line + "\n")
         self.records_written += 1
         self._since_sync += 1
+
+    def _append_body(self, body: str) -> None:
+        # ``body`` is the record's canonical JSON without ``crc``; every
+        # non-header key sorts after ``crc``, so it is spliced in front.
+        self._write(f'{{"crc":"{_crc32(body)}",{body[1:]}')
+
+    def _append(self, record: Dict) -> None:
+        self._append_body(canonical_json(record))
 
     def _maybe_sync(self) -> None:
         if self._since_sync >= self._fsync_interval:
@@ -200,9 +210,15 @@ class DecisionJournal:
         self._append({"type": "commit", "seq": seq, "decision": decision})
         self._maybe_sync()
 
-    def append_checkpoint(self, seq: int, state: Dict) -> None:
-        """Embed a full controller snapshot covering decisions ``< seq``."""
-        self._append({"type": "checkpoint", "seq": seq, "state": state})
+    def append_checkpoint(self, seq: int, state_json: str) -> None:
+        """Embed a controller snapshot covering decisions ``< seq``, given
+        as its :func:`canonical_json` text (callers may cache its parts)."""
+        if not isinstance(state_json, str):
+            raise TypeError(f"state_json must be str, got {type(state_json).__name__}")
+        self._append_body(
+            f'{{"seq":{canonical_json(seq)},"state":{state_json},'
+            f'"type":"checkpoint"}}'
+        )
         self.sync()  # checkpoints are durability barriers by definition
 
     def sync(self) -> None:
@@ -246,7 +262,8 @@ def scan_journal(path: str) -> JournalScan:
             not a valid ``rtmdm-journal/1`` header.
     """
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise JournalError(f"cannot read journal {path}: {exc}") from exc
     records: List[Dict] = []
@@ -857,7 +874,9 @@ def serve_durable(
                     mon.check(cycles_of(request.time_s))
                 done = len(controller.decisions)
                 if done % checkpoint_interval == 0:
-                    journal.append_checkpoint(done, controller.snapshot())
+                    journal.append_checkpoint(
+                        done, canonical_json(controller.snapshot())
+                    )
                     checkpoints += 1
     finally:
         journal.close()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -92,3 +94,24 @@ def sim_essence(result) -> dict:
     d.pop("fold_cycles")
     d.pop("fold_jobs_skipped")
     return d
+
+
+def journal_lines_canonical(path: str) -> Counter:
+    """Assert every line of a journal is in its on-disk canonical form.
+
+    Each line must re-encode to itself under ``canonical_json`` (sorted
+    keys, no whitespace) and carry a CRC that verifies.  Returns the
+    count of records per type, so callers can check what was covered.
+    """
+    from repro.online.durable import _crc, canonical_json
+
+    seen: Counter = Counter()
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    assert text.endswith("\n"), path
+    for line in text.splitlines():
+        record = json.loads(line)
+        assert line == canonical_json(record), line[:120]
+        assert record["crc"] == _crc(record), line[:120]
+        seen[record["type"]] += 1
+    return seen

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import sys
 import types
+import warnings
 
 import pytest
+from conftest import journal_lines_canonical
 
 from repro.core import segcache
 from repro.hw.presets import get_platform
@@ -21,6 +25,7 @@ from repro.online.durable import (
     JournalError,
     StreamError,
     _crc,
+    canonical_json,
     envelope_stream,
     recover,
     scan_journal,
@@ -72,7 +77,7 @@ class TestJournal:
         journal = DecisionJournal.create(path, {"k": 1}, fsync_interval=2)
         journal.append_intent(0, _admit(0.1, "a"))
         journal.append_commit(0, {"outcome": "admitted"})
-        journal.append_checkpoint(1, {"state": True})
+        journal.append_checkpoint(1, canonical_json({"state": True}))
         journal.close()
         scan = scan_journal(path)
         assert scan.header["config"] == {"k": 1}
@@ -111,6 +116,27 @@ class TestJournal:
         scan = scan_journal(path)
         assert scan.truncated_lines == 1
         assert [r["seq"] for r in scan.records if r["type"] == "intent"] == [0]
+
+    def test_checkpoint_state_must_be_json_text(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = DecisionJournal.create(path, {})
+        with pytest.raises(TypeError, match="state_json"):
+            journal.append_checkpoint(0, {"state": True})
+        journal.close()
+        assert [r["type"] for r in scan_journal(path).records] == ["fsync"]
+
+    def test_scan_journal_closes_its_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "j.jsonl")
+        DecisionJournal.create(path, {}).close()
+        # With ResourceWarning as an error, a leaked handle raises in the
+        # file object's finalizer, which Python reports as unraisable.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            scan_journal(path)
+            gc.collect()
+        assert unraisable == []
 
     def test_noncontiguous_intent_rejected(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -202,6 +228,32 @@ class TestRecover:
         assert [d.to_dict() for d in result.report.decisions] == [
             d.to_dict() for d in baseline.decisions
         ]
+
+    def test_journal_lines_stay_canonical(self, tmp_path):
+        """Header, intents, commits, checkpoints, fsync markers and the
+        commits recovery repairs are all written as canonical JSON with
+        a CRC that verifies -- the journal's on-disk form."""
+        path = str(tmp_path / "j.jsonl")
+        runtime = OnlineRuntime(PLATFORM)
+        trace = _trace()
+        with pytest.raises(InjectedCrash):
+            serve_trace_durable(
+                runtime, trace, path, checkpoint_interval=4, crash_at=5
+            )
+        result = serve_trace_durable(
+            runtime, trace, path, checkpoint_interval=4, restore=True
+        )
+        assert result.recovery.commits_repaired == 1
+        seen = journal_lines_canonical(path)
+        assert seen["header"] == 1
+        assert all(seen[t] for t in ("intent", "commit", "checkpoint", "fsync"))
+        # The checkpoint text restores to the controller it was taken of.
+        checkpoint = [
+            r for r in scan_journal(path).records if r["type"] == "checkpoint"
+        ][-1]
+        clone = AdmissionController(PLATFORM)
+        clone.restore(checkpoint["state"])
+        assert len(clone.decisions) == checkpoint["seq"]
 
     def test_replay_divergence_detected(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

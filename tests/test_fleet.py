@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import segcache
@@ -14,7 +16,7 @@ from repro.eval.fleet import (
     fleet_trace,
     shard_of,
 )
-from repro.online.durable import scan_journal
+from repro.online.durable import canonical_json, scan_journal
 from repro.online.events import RequestKind
 
 
@@ -472,10 +474,10 @@ class TestCrashRecovery:
                 elif r["type"] == "checkpoint":
                     assert r["state"]["schema"] == FLEET_CHECKPOINT_SCHEMA
                     assert set(r["state"]) == {"schema", "devices"}
-                    journal.append_checkpoint(r["seq"], {
+                    journal.append_checkpoint(r["seq"], canonical_json({
                         **r["state"], "shed": shed, "timeouts": timeouts,
                         "degraded": degraded,
-                    })
+                    }))
             journal.close()
         resumed = {
             d: FleetService(config=self._storm_config(tmp_path / d)).run(trace)
@@ -542,10 +544,10 @@ class TestMalformedJournals:
         journal = DecisionJournal.create(
             str(tmp_path / "shard000.journal"), header
         )
-        journal.append_checkpoint(0, {
+        journal.append_checkpoint(0, canonical_json({
             "schema": FLEET_CHECKPOINT_SCHEMA,
             "shed": 0, "timeouts": 0, "degraded": 0,
-        })
+        }))
         journal.close()
         with pytest.raises(JournalError, match="malformed fleet checkpoint"):
             FleetService(config=config).run(small_trace(n_devices=10))
@@ -655,3 +657,117 @@ class TestDegradeLadder:
         assert vals["degraded_admits"] == report.degraded_admits
         assert vals["timeout_retries"] == report.timeout_retries
         assert vals["recovered"] == 0
+
+
+class TestJournalEncoding:
+    """Shard journals stay in their canonical on-disk form, and
+    checkpoints assembled from cached per-device fragments always equal
+    the state encoded from scratch."""
+
+    @staticmethod
+    def _check_checkpoints(monkeypatch):
+        """Make every shard checkpoint assert it equals a from-scratch
+        encoding of the shard's residents; returns the checked texts."""
+        from repro.eval.fleet import FLEET_CHECKPOINT_SCHEMA, _resident_state
+
+        checked = []
+        cached = FleetService._shard_state
+
+        def from_scratch(self, shard):
+            text = cached(self, shard)
+            assert text == canonical_json({
+                "schema": FLEET_CHECKPOINT_SCHEMA,
+                "devices": {
+                    device: [_resident_state(r) for r in residents.values()]
+                    for device, residents in shard.devices.items()
+                    if residents
+                },
+            })
+            checked.append(text)
+            return text
+
+        monkeypatch.setattr(FleetService, "_shard_state", from_scratch)
+        return checked
+
+    def test_storm_journals_canonical_through_crash_and_resume(
+        self, tmp_path, monkeypatch
+    ):
+        from conftest import journal_lines_canonical
+
+        checked = self._check_checkpoints(monkeypatch)
+        trace = fleet_trace(30, 1.0, 20.0, seed=11, arrival="bursty")
+        config = TestCrashRecovery._storm_config(tmp_path)
+        runs = [FleetService(config=config).run(trace) for _ in range(2)]
+        # Removes, ladder admits, timeouts, sheds, an injected crash per
+        # shard, then a rerun resuming both journals.
+        for report in runs:
+            assert report.removed and report.degraded_admits
+            assert report.timeout_retries and report.shed
+        assert [r.recovered for r in runs] == [2, 4]
+        for shard in range(config.n_shards):
+            path = str(tmp_path / f"shard{shard:03d}.journal")
+            seen = journal_lines_canonical(path)
+            assert seen["header"] == 1
+            for kind in ("intent", "commit", "checkpoint", "event", "fsync"):
+                assert seen[kind], kind
+        assert len(checked) == sum(
+            journal_lines_canonical(str(tmp_path / f"shard{s:03d}.journal"))[
+                "checkpoint"
+            ]
+            for s in range(config.n_shards)
+        )
+
+    def test_fragment_cache_never_serves_stale_state(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.eval.fleet import FleetRequest, FleetTrace
+
+        checked = self._check_checkpoints(monkeypatch)
+        a, b = "d0000000", "d0000003"
+        steps = [
+            (a, RequestKind.ADMIT, "m0", "lenet5", 0.4),
+            (a, RequestKind.ADMIT, "m1", "tinyconv", 0.4),
+            # A checkpoint falls before every even step.  Remove and
+            # re-admit m0 (new period) between two checkpoints: same
+            # resident count, different residents.
+            (a, RequestKind.REMOVE, "m0", "", 0.0),
+            (a, RequestKind.ADMIT, "m0", "lenet5", 0.8),
+            (a, RequestKind.REMOVE, "m0", "", 0.0),
+            (a, RequestKind.ADMIT, "m0", "lenet5", 0.4),
+            (b, RequestKind.ADMIT, "m0", "tinyconv", 0.4),
+            (b, RequestKind.ADMIT, "m1", "lenet5", 0.8),
+            (a, RequestKind.REMOVE, "m1", "", 0.0),
+            (b, RequestKind.REMOVE, "m0", "", 0.0),
+            (a, RequestKind.ADMIT, "m2", "tinyconv", 0.2),
+        ]
+        trace = FleetTrace(
+            requests=tuple(
+                FleetRequest(
+                    seq=i, time_s=0.1 * i, device=device, kind=kind,
+                    task=task, model=model, period_s=period,
+                )
+                for i, (device, kind, task, model, period) in enumerate(steps)
+            ),
+            duration_s=2.0, n_devices=4, cohorts=DEFAULT_COHORTS,
+            arrival="poisson",
+        )
+        config = FleetConfig(
+            n_shards=1, batch_size=1, checkpoint_interval=2,
+            journal_dir=str(tmp_path),
+        )
+        first = FleetService(config=config).run(trace)
+        assert [d.outcome for d in first.decisions] == [
+            "admitted", "admitted", "removed", "admitted", "removed",
+            "admitted", "admitted", "admitted", "removed", "removed",
+            "admitted",
+        ]
+        assert len(checked) == 5
+        # A shard rebuilt by checkpoint restore plus replay: a startup
+        # resume, and an in-run crash whose replay rebuilds residents
+        # the cache saw before the crash.
+        crashed = FleetService(
+            config=replace(config, crash_at=((0, 5),))
+        ).run(trace)
+        assert crashed.recovered == 2
+        assert {"admitted", "removed"} <= {d.outcome for d in crashed.decisions}
+        assert len(checked) == 10
