@@ -66,7 +66,14 @@ from repro.core import pipeline as _pipeline
 from repro.core import planstore
 from repro.core.analysis import AnalysisResult, analyze
 from repro.core.pipeline import SegmentedModel
-from repro.core.segmentation import SegmentationError, search_segmentation
+from repro.core.segmentation import (
+    LayerCosts,
+    SegmentationError,
+    _Planner,
+    _search_planned,
+    layer_costs,
+)
+from repro.dnn import layers as _layers
 from repro.dnn.models import Model, refine_model
 from repro.dnn.quantization import Quantization
 from repro.dnn.zoo import build_model
@@ -106,6 +113,12 @@ def _env_enabled() -> bool:
 # ----------------------------------------------------------------------
 # Deterministic deep fingerprints
 # ----------------------------------------------------------------------
+_SCALARS = (bool, int, float, str, bytes)
+_EXACT_SCALARS = frozenset({type(None), *_SCALARS})
+#: Dataclass type -> its field names (``dataclasses.fields`` is slow).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def freeze(obj: Any) -> Any:
     """Recursively convert ``obj`` into a hashable, deterministic key part.
 
@@ -114,17 +127,24 @@ def freeze(obj: Any) -> Any:
     enums, sequences and mappings.  The result is stable across processes
     (no reliance on ``id``/``hash`` randomization).
     """
-    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
+    cls = type(obj)
+    # Fast paths for the exact types keys are mostly made of; subclasses
+    # (an IntEnum, a NamedTuple) take the general checks below.
+    if cls in _EXACT_SCALARS:
+        return obj
+    if cls is tuple:
+        return tuple(map(freeze, obj))
+    if isinstance(obj, _SCALARS):
         return obj
     if isinstance(obj, enum.Enum):
-        return (type(obj).__name__, obj.name)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (cls.__name__, obj.name)
+    names = _FIELD_NAMES.get(cls)
+    if names is None and dataclasses.is_dataclass(cls) and not isinstance(obj, type):
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    if names is not None:
         return (
-            type(obj).__name__,
-            tuple(
-                (f.name, freeze(getattr(obj, f.name)))
-                for f in dataclasses.fields(obj)
-            ),
+            cls.__name__,
+            tuple((name, freeze(getattr(obj, name))) for name in names),
         )
     if isinstance(obj, Mapping):
         return ("map", tuple(sorted((freeze(k), freeze(v)) for k, v in obj.items())))
@@ -227,8 +247,10 @@ CACHES: Dict[str, PlanCache] = {
     "analysis": PlanCache("analysis"),
 }
 
-#: Internal per-(model, platform) aggregate memo (not part of the public
-#: counters; it only amortizes prefix-sum style aggregates).
+#: Internal per-(model, compute fingerprint, quant) memo of
+#: :class:`~repro.core.segmentation.LayerCosts` (not part of the public
+#: counters): key canonicalization and the cold search's planner share
+#: one set of cost vectors.
 _costs_memo = PlanCache("_costs")
 
 #: Internal memo for derived XIP-baseline segment tuples (immutable, so
@@ -270,10 +292,14 @@ def clear_all() -> None:
     """Drop every cached entry and memo; counters are monotone and stay."""
     for cache in (*CACHES.values(), _costs_memo, _xip_memo, _transform_memo):
         cache.clear()
-    for memo in (_model_fingerprint, _quant_fingerprint, _platform_fingerprint):
+    for memo in (
+        _layer_fingerprint, _model_fingerprint, _quant_fingerprint,
+        _platform_fingerprint,
+    ):
         memo.clear()
     xip_columns.clear()
     _pipeline._latency_memo.clear()
+    _layers._split_memo.clear()
 
 
 def cache_note(totals: Mapping[str, Tuple[int, int]]) -> str:
@@ -347,8 +373,11 @@ class _IdentityMemo:
     object means an ``id`` can never be reused while its entry is alive.
     """
 
-    def __init__(self, compute: "Callable[[Any], Any]") -> None:
+    def __init__(
+        self, compute: "Callable[[Any], Any]", maxsize: int = _FP_MEMO_MAX
+    ) -> None:
         self._compute = compute
+        self._maxsize = maxsize
         self._data: "OrderedDict[int, Tuple[Any, Any]]" = OrderedDict()
 
     def __call__(self, obj: Any) -> Any:
@@ -362,7 +391,7 @@ class _IdentityMemo:
         with _fp_lock:
             self._data[key] = (obj, fp)
             self._data.move_to_end(key)
-            while len(self._data) > _FP_MEMO_MAX:
+            while len(self._data) > self._maxsize:
                 self._data.popitem(last=False)
         return fp
 
@@ -371,7 +400,32 @@ class _IdentityMemo:
             self._data.clear()
 
 
-_model_fingerprint: "Callable[[Model], Any]" = _IdentityMemo(freeze)
+#: Per-layer frozen forms.  Refined models share their unsplit layers
+#: with the source model and their slices with each other (see
+#: :func:`repro.dnn.layers.split_layer`), so a new model's fingerprint
+#: freezes only the layer objects no earlier fingerprint has met.
+#: Entries pin layers, never models.
+_layer_fingerprint: "Callable[[Any], Any]" = _IdentityMemo(freeze, MAXSIZE)
+
+
+def _freeze_model(model: Model) -> Any:
+    """:func:`freeze` of ``model``, reading its layers' frozen forms
+    from the per-layer memo; the result is identical."""
+    return (
+        type(model).__name__,
+        tuple(
+            (
+                f.name,
+                tuple(map(_layer_fingerprint, model.layers))
+                if f.name == "layers"
+                else freeze(getattr(model, f.name)),
+            )
+            for f in dataclasses.fields(model)
+        ),
+    )
+
+
+_model_fingerprint: "Callable[[Model], Any]" = _IdentityMemo(_freeze_model)
 _quant_fingerprint: "Callable[[Quantization], Any]" = _IdentityMemo(freeze)
 _platform_fingerprint: "Callable[[Platform], Any]" = _IdentityMemo(
     lambda platform: (_compute_fingerprint(platform), _load_fingerprint(platform))
@@ -509,36 +563,23 @@ def cached_refine_model(
     return refined
 
 
-def _model_costs(
-    model: Model, platform: Platform, quant: Quantization
-) -> Tuple[int, int, int, int, int]:
-    """``(max_layer_w, total_w, act_bytes, max_layer_c, total_c)``.
+def _model_costs(model: Model, platform: Platform, quant: Quantization) -> LayerCosts:
+    """:func:`~repro.core.segmentation.layer_costs`, memoized per (model,
+    compute fingerprint, quant).
 
-    Memoized per (model, compute fingerprint, quant); these aggregates
-    are exactly what key canonicalization needs and what the planner
-    recomputes on every construction.
+    Key canonicalization reads its maxima and totals; a cold search
+    hands it to the planner, so the vectors are computed once per model.
     """
-    if _enabled:
-        key = (
-            _model_fingerprint(model),
-            _compute_fingerprint(platform),
-            _quant_fingerprint(quant),
-        )
-        found, value = _costs_memo.get(key)
-        if found:
-            return value
-    weights = [layer.param_bytes(quant) for layer in model.layers]
-    computes = [
-        platform.compute_cycles(layer, quant.weight_bytes) for layer in model.layers
-    ]
-    value = (
-        max(weights),
-        sum(weights),
-        model.peak_activation_bytes(quant),
-        max(computes),
-        sum(computes),
+    if not _enabled:
+        return layer_costs(model, platform, quant)
+    key = (
+        _model_fingerprint(model),
+        _compute_fingerprint(platform),
+        _quant_fingerprint(quant),
     )
-    if _enabled:
+    found, value = _costs_memo.get(key)
+    if not found:
+        value = layer_costs(model, platform, quant)
         _costs_memo.put(key, value)
     return value
 
@@ -588,7 +629,10 @@ def cached_search_segmentation(
     """
     if buffers < 1:
         raise ValueError(f"buffers must be >= 1, got {buffers}")
-    max_w, total_w, act, max_c, total_c = _model_costs(model, platform, quant)
+    costs = _model_costs(model, platform, quant)
+    max_w, total_w = costs.max_weight, costs.prefix_w[-1]
+    max_c, total_c = costs.max_compute, costs.prefix_c[-1]
+    act = costs.activation_bytes
     slot_cap = (sram_budget - act) // buffers
     if slot_cap < max_w:
         slot_q = -1  # byte-infeasible: one canonical negative entry
@@ -661,13 +705,8 @@ def cached_search_segmentation(
         )
     budget_q = slot_q * buffers + act
     try:
-        seg = search_segmentation(
-            model,
-            platform,
-            budget_q,
-            quant=quant,
-            buffers=buffers,
-            max_segment_compute=cap_q,
+        seg = _search_planned(
+            _Planner(model, platform, budget_q, quant, buffers, cap_q, costs)
         )
     except SegmentationError as exc:
         if cache is not None:

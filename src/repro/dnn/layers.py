@@ -16,8 +16,9 @@ conventions ("same"/"valid" padding, NHWC).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 Shape = Tuple[int, ...]
 Size2D = Union[int, Tuple[int, int]]
@@ -313,17 +314,36 @@ def _max_parts(layer: Layer) -> int:
     return 1
 
 
+#: ``(id(layer), parts) -> (layer, slices)``: every split of one layer
+#: object into the same number of parts yields the same slice objects, so
+#: models refined from one source model share them and identity-keyed
+#: memos downstream (the plan cache's fingerprints) meet each slice once.
+#: An entry holds its source layer, so the id stays valid while it
+#: lives.  :func:`repro.core.segcache.clear_all` empties it.
+_split_memo: "OrderedDict[Tuple[int, int], Tuple[Layer, Tuple[Layer, ...]]]" = (
+    OrderedDict()
+)
+_SPLIT_MEMO_MAX = 4096
+
+
 def split_layer(layer: Layer, parts: int) -> List[Layer]:
     """Split a weight-bearing layer into ``parts`` filter-group slices.
 
     MACs, weights and biases are divided as evenly as integers allow
     (remainders go to the last slice).  Raises for non-splittable kinds.
+    Slices are immutable and shared: splitting the same layer object
+    into the same number of parts again returns the same slice objects.
     """
     if layer.kind not in SPLITTABLE_KINDS:
         raise ValueError(f"cannot split layer kind {layer.kind!r}")
     parts = min(parts, _max_parts(layer))
     if parts <= 1:
         return [layer]
+    key = (id(layer), parts)
+    entry = _split_memo.get(key)
+    if entry is not None and entry[0] is layer:
+        _split_memo.move_to_end(key)
+        return list(entry[1])
     slices: List[Layer] = []
     for part in range(parts):
         first = part == 0
@@ -346,4 +366,7 @@ def split_layer(layer: Layer, parts: int) -> List[Layer]:
                 base_output_shape=layer.output_shape,
             )
         )
+    _split_memo[key] = (layer, tuple(slices))
+    while len(_split_memo) > _SPLIT_MEMO_MAX:
+        _split_memo.popitem(last=False)
     return slices

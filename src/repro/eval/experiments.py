@@ -428,24 +428,14 @@ def _case_config(taskset, horizon_jobs: int,
     )
 
 
-def _simulate_case(taskset, horizon_jobs: int, phases_rng: Optional[random.Random],
-                   arbitration: DmaArbitration = DmaArbitration.PRIORITY):
-    config = _case_config(taskset, horizon_jobs, arbitration)
-    if phases_rng is not None:
-        taskset = taskset.with_phases(
-            [phases_rng.randrange(t.period) for t in taskset]
-        )
-    return simulate(taskset, config)
-
-
 def _simulate_case_batch(taskset, horizon_jobs: int,
                          phase_rngs: Sequence[Optional[random.Random]],
                          arbitration: DmaArbitration = DmaArbitration.PRIORITY):
-    """Batched :func:`_simulate_case`: one config + shared setup per set.
+    """Simulate ``taskset`` once per phasing rng: one config + shared setup.
 
-    Draws each phasing from its rng exactly as the scalar path does, so
-    every returned :class:`SimResult` is bit-identical to the
-    corresponding scalar call.
+    Each phasing draws ``randrange(period)`` per task from its rng (no
+    rng: the set's own phases), so results are bit-identical to one
+    :func:`simulate` call per phasing.
     """
     config = _case_config(taskset, horizon_jobs, arbitration)
     cases = []

@@ -611,15 +611,6 @@ class IngressGate:
         self._recent_set: set = set()
         self.stats = GateStats()
 
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the gate is waiting to emit."""
-        return self._next
-
-    def pending(self) -> int:
-        """Envelopes held back waiting for a gap to fill."""
-        return len(self._buffer)
-
     def _remember(self, request_id: str) -> None:
         if len(self._recent_ids) == self._recent_ids.maxlen:
             self._recent_set.discard(self._recent_ids[0])

@@ -42,7 +42,6 @@ from repro.online.durable import (
 )
 from repro.online.events import RequestTrace
 from repro.online.runtime import OnlineRuntime
-from repro.workload.arrivals import poisson_trace
 
 #: Delivery/journal perturbation modes the matrix sweeps.  ``none`` is
 #: the control column; the journal-damage modes deliver canonically but
@@ -379,21 +378,6 @@ def run_matrix(
         invariants = dict(mon.counts)
     report.invariants = invariants
     return report
-
-
-def quick_matrix(
-    platform_key: str = "f746-qspi",
-    duration_s: float = 5.0,
-    rate_hz: float = 1.5,
-    seed: int = 1,
-    **kwargs,
-) -> ChaosReport:
-    """A seeded end-to-end matrix over a generated trace (CLI / smoke)."""
-    from repro.hw.presets import get_platform
-
-    runtime = OnlineRuntime(get_platform(platform_key))
-    trace = poisson_trace(duration_s, rate_hz, seed=seed)
-    return run_matrix(runtime, trace, seed=seed, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -70,11 +70,6 @@ class StandDown(Exception):
     """The vector engine cannot solve this problem exactly; use scalar."""
 
 
-def available() -> bool:
-    """Whether numpy is importable (the engine's only dependency)."""
-    return _np is not None
-
-
 def enabled() -> bool:
     """Whether the vectorized path is active (numpy + kill switch)."""
     return _np is not None and os.environ.get(ENV_VAR, "1").strip() != "0"

@@ -95,13 +95,15 @@ class TestJournal:
         for seq in range(3):
             journal.append_intent(seq, _admit(0.1 * (seq + 1), f"t{seq}"))
         journal.close()
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
         lines = raw.splitlines(keepends=True)
         # Flip one byte inside the second intent record's payload
         # (line 0 is the header, line 1 the create-time fsync marker).
         target = lines[3]
         lines[3] = target[:-10] + bytes([target[-10] ^ 0xFF]) + target[-9:]
-        open(path, "wb").write(b"".join(lines))
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
         scan = scan_journal(path)
         assert scan.truncated_lines == 2  # the corrupt line and its tail
         assert [r["seq"] for r in scan.records if r["type"] == "intent"] == [0]
@@ -259,7 +261,8 @@ class TestRecover:
         path = str(tmp_path / "j.jsonl")
         runtime = OnlineRuntime(PLATFORM)
         serve_trace_durable(runtime, _trace(), path, checkpoint_interval=100)
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         out = []
         for line in lines:
             record = json.loads(line)
@@ -267,7 +270,8 @@ class TestRecover:
                 record["decision"]["outcome"] = "rejected"
                 record["crc"] = _crc(record)
             out.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        open(path, "w", encoding="utf-8").write("\n".join(out) + "\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(out) + "\n")
         with pytest.raises(JournalError, match="divergence"):
             recover(path, runtime.controller)
 

@@ -10,6 +10,11 @@ cold, or warm.  These tests pin each property.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+from collections.abc import Mapping
+from typing import NamedTuple
+
 import pytest
 
 from repro import obs
@@ -24,8 +29,10 @@ from repro.core.segcache import (
     pow2_floor,
     quarter_pow2_floor,
 )
+from repro.core.planstore import canonical_key
 from repro.core.segmentation import SegmentationError, search_segmentation
-from repro.dnn.models import refine_model
+from repro.dnn.layers import Dense
+from repro.dnn.models import Model, refine_model
 from repro.dnn.quantization import FLOAT32, INT8
 from repro.dnn.zoo import build_model
 from repro.eval.experiments import run_experiment
@@ -197,6 +204,81 @@ def test_clear_all_releases_refined_models(platform):
     segcache.clear_all()
     gc.collect()
     assert ref() is None
+
+
+def test_refinements_share_slices_until_clear_all(model):
+    """Equal splits of one source layer are one object (the fingerprint
+    memo meets each slice once); :func:`segcache.clear_all` drops the
+    sharing and every pinned layer."""
+    first = refine_model(model, INT8, 2048)
+    second = refine_model(model, INT8, 2048)
+    assert first.num_layers > model.num_layers
+    assert all(a is b for a, b in zip(first.layers, second.layers))
+    segcache._model_fingerprint(first)
+    slice_ref = weakref.ref(next(x for x in first.layers if "#" in x.name))
+    segcache.clear_all()
+    third = refine_model(model, INT8, 2048)
+    assert third == first
+    assert not any(a is b for a, b in zip(first.layers, third.layers) if "#" in a.name)
+    del first, second, third, model
+    gc.collect()
+    assert slice_ref() is None
+
+
+def _reference_freeze(obj):
+    """:func:`segcache.freeze` without its fast paths."""
+    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
+        return obj
+    if isinstance(obj, enum.Enum):
+        return (type(obj).__name__, obj.name)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (
+            type(obj).__name__,
+            tuple(
+                (f.name, _reference_freeze(getattr(obj, f.name)))
+                for f in dataclasses.fields(obj)
+            ),
+        )
+    if isinstance(obj, Mapping):
+        return ("map", tuple(sorted(
+            (_reference_freeze(k), _reference_freeze(v)) for k, v in obj.items()
+        )))
+    if isinstance(obj, (list, tuple)):
+        return tuple(_reference_freeze(item) for item in obj)
+    if isinstance(obj, (set, frozenset)):
+        return ("set", tuple(sorted(_reference_freeze(item) for item in obj)))
+    raise TypeError(type(obj).__name__)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 1
+
+
+class _Pair(NamedTuple):
+    a: int
+    b: float
+
+
+def test_freeze_fast_paths_match_general_checks(platform):
+    objects = [
+        None, True, 1, 1.0, 0.0, -0.0, "x", b"x", (True, 1, -0.0), [1, (2, [3])],
+        _Level.HIGH, _Pair(1, -0.0), {"b": 1, "a": (True,)}, frozenset({2, 1}),
+        platform, INT8, build_model("resnet8"),
+        refine_model(build_model("ds-cnn"), INT8, 2048, 4000),
+    ]
+    for obj in objects:
+        assert repr(segcache.freeze(obj)) == repr(_reference_freeze(obj))
+
+
+def test_model_fingerprint_tells_bool_from_int():
+    """Models equal under ``==`` but frozen apart (``True`` vs ``1``)
+    never share a fingerprint, whichever is fingerprinted first."""
+    as_int = Model("m", (Dense("d", (4,), out_features=1),))
+    as_bool = Model("m", (Dense("d", (4,), out_features=True),))
+    assert as_int == as_bool
+    keys = [canonical_key(segcache._model_fingerprint(m)) for m in (as_int, as_bool)]
+    assert keys == [canonical_key(segcache.freeze(m)) for m in (as_int, as_bool)]
+    assert keys[0] != keys[1]
 
 
 def test_cache_note_formats_rates():

@@ -4,9 +4,10 @@ The oracle below is a frozen copy of the planner's earlier quadratic
 algorithms: an unbracketed binary search and list-scan padding in the
 min-max partition, and hill climbing that evaluates every candidate
 shift's full latency, driven by the same search loop.  The planner in
-``repro.core.segmentation`` brackets the search, pads with a heap and
-rejects shifts by dominance; both must return the same boundaries or
-the same ``SegmentationError`` text.  ``_Planner``'s set-up (costs,
+``repro.core.segmentation`` brackets the search and tightens the
+bracket after every probe, pads with a heap and rejects shifts by
+dominance; both must return the same boundaries or the same
+``SegmentationError`` text.  ``_Planner``'s set-up (costs,
 caps, unit costs, feasibility and its own errors) is shared.
 """
 
@@ -262,6 +263,29 @@ def _outcome(fn):
 @settings(max_examples=150, deadline=None)
 def test_partition_matches_oracle_at_every_k(weights):
     for k in range(1, len(weights) + 1):
+        assert min_max_weight_partition(weights, k) == oracle_partition(weights, k)
+
+
+def _runs_of_costs():
+    # Refined models repeat one cost over a split layer's slices, so the
+    # costs come in runs of equal values.
+    run = st.tuples(st.one_of(st.just(0), st.integers(0, 1_000_000)), st.integers(1, 8))
+    return st.lists(run, min_size=1, max_size=12).map(
+        lambda runs: [cost for cost, length in runs for _ in range(length)]
+    ).filter(lambda w: max(w) > 0)
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(0, 1_000_000)), min_size=1, max_size=48)
+    .filter(lambda w: max(w) > 0)
+    | _runs_of_costs()
+)
+@settings(max_examples=200, deadline=None)
+def test_partition_matches_oracle_in_sweep_regime(weights):
+    # The search's unit costs run up to _SCALE with zeros mixed in, and
+    # its segment counts sit in the upper half of the layer count.
+    n = len(weights)
+    for k in range((n + 1) // 2, n + 1):
         assert min_max_weight_partition(weights, k) == oracle_partition(weights, k)
 
 
