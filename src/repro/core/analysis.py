@@ -41,10 +41,11 @@ admits a task set, no simulated phasing may miss a deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import isolated_latency
+from repro.core.pipeline import isolated_latency, pipelined_latency
 from repro.sched.task import PeriodicTask, TaskSet, inflate_compute, inflate_loads
 
 #: Analysis method names accepted by :func:`analyze`.
@@ -374,6 +375,44 @@ def sensitivity_margin(
     return lo
 
 
+class _InflatedCols:
+    """Column view of ``inflate_compute(taskset, f)`` for any ``f``.
+
+    Inflation scales compute only, so loads, segment and transfer
+    counts, buffers, periods and deadlines keep the nominal set's
+    columns.  Per probe, each segment's compute becomes ``ceil(C * f)``
+    (the same expression :func:`inflate_compute` evaluates), and
+    ``total_c``, ``max_c`` and the pipelined ``latency`` are recomputed
+    from those integers: the columns the set's views would give, without
+    building the set.
+    """
+
+    def __init__(self, taskset: TaskSet) -> None:
+        from repro.sched import vecrta
+
+        views = _views_by_priority(taskset)
+        self.nominal = vecrta.cols_from_views(views)
+        self.bodies = [
+            (
+                [s.load_cycles for s in v.task.segments],
+                [s.compute_cycles for s in v.task.segments],
+                v.task.buffers,
+            )
+            for v in views
+        ]
+
+    def at(self, factor: float):
+        total_c: List[int] = []
+        max_c: List[int] = []
+        latency: List[int] = []
+        for loads, computes, buffers in self.bodies:
+            inflated = [math.ceil(c * factor) for c in computes]
+            total_c.append(sum(inflated))
+            max_c.append(max(inflated))
+            latency.append(pipelined_latency(loads, inflated, buffers))
+        return replace(self.nominal, total_c=total_c, max_c=max_c, latency=latency)
+
+
 def sensitivity_margin_batch(
     tasksets: Sequence[TaskSet],
     method: str = "rtmdm",
@@ -382,13 +421,18 @@ def sensitivity_margin_batch(
 ) -> List[Optional[float]]:
     """Batched :func:`sensitivity_margin` over many task sets.
 
-    Runs every set's binary search in lock-step: at each step all still-
-    active sets' inflated probes go through one vectorized batch analysis
-    (:func:`repro.sched.vecrta.analyze_taskset_batch`; scalar fallback
-    when the engine is off).  Each set sees exactly the probe sequence
-    the scalar search would issue — midpoints depend only on that set's
-    own lo/hi floats and verdicts are bit-identical — so returned
-    margins equal ``[sensitivity_margin(ts, ...) for ts in tasksets]``.
+    Runs every set's binary search in lock-step.  The nominal sets go
+    through one :func:`repro.sched.vecrta.analyze_taskset_batch`; after
+    that, each step packs every still-active set's probe straight from
+    its inflated columns (:class:`_InflatedCols`) into one
+    :func:`repro.sched.vecrta.solve_cols_batch`, with no inflated task
+    set built.  A probe the engine stands down on, and every probe when
+    the engine is off, is answered by scalar ``analyze`` on
+    ``inflate_compute(ts, f)``.  Each set sees exactly the probe
+    sequence the scalar search would issue — midpoints depend only on
+    that set's own lo/hi floats and verdicts are bit-identical — so
+    returned margins equal ``[sensitivity_margin(ts, ...) for ts in
+    tasksets]``.
     """
     if upper < 1.0:
         raise ValueError(f"upper must be >= 1, got {upper}")
@@ -401,12 +445,30 @@ def sensitivity_margin_batch(
 
     base = vecrta.analyze_taskset_batch([(ts, method) for ts in tasksets])
     admitted = [i for i, res in enumerate(base) if res.schedulable]
-    top = vecrta.analyze_taskset_batch(
-        [(inflate_compute(tasksets[i], upper), method) for i in admitted]
+    columns = (
+        {i: _InflatedCols(tasksets[i]) for i in admitted}
+        if vecrta.enabled() else {}
     )
+
+    def admits(probes: List[Tuple[int, float]]) -> List[bool]:
+        """Verdicts for ``(set index, factor)`` probes, in order."""
+        solved = None
+        if columns:
+            solved = vecrta.solve_cols_batch(
+                [(columns[i].at(f), method, {}) for i, f in probes]
+            )
+        out = []
+        for k, (i, f) in enumerate(probes):
+            plan = solved[1][k] if solved is not None else None
+            if plan is None:
+                out.append(analyze(inflate_compute(tasksets[i], f), method).schedulable)
+            else:
+                out.append(vecrta.chains_schedulable(solved[0], plan, method))
+        return out
+
     bounds: Dict[int, Tuple[float, float]] = {}
-    for i, res in zip(admitted, top):
-        if res.schedulable:
+    for i, ok in zip(admitted, admits([(i, upper) for i in admitted])):
+        if ok:
             margins[i] = upper
         elif upper - 1.0 > tolerance:
             bounds[i] = (1.0, upper)
@@ -414,17 +476,14 @@ def sensitivity_margin_batch(
             margins[i] = 1.0
     active = sorted(bounds)
     while active:
-        mids = {i: (bounds[i][0] + bounds[i][1]) / 2 for i in active}
-        step = vecrta.analyze_taskset_batch(
-            [(inflate_compute(tasksets[i], mids[i]), method) for i in active]
-        )
+        mids = [(i, (bounds[i][0] + bounds[i][1]) / 2) for i in active]
         remaining = []
-        for i, res in zip(active, step):
+        for (i, mid), ok in zip(mids, admits(mids)):
             lo, hi = bounds[i]
-            if res.schedulable:
-                lo = mids[i]
+            if ok:
+                lo = mid
             else:
-                hi = mids[i]
+                hi = mid
             if hi - lo > tolerance:
                 bounds[i] = (lo, hi)
                 remaining.append(i)

@@ -49,6 +49,26 @@ def pipeline_finish_times(
     return finish
 
 
+def pipelined_latency(
+    loads: Sequence[int], computes: Sequence[int], buffers: int
+) -> int:
+    """The recurrence's ``f_comp(m)`` over plain per-segment cycle columns.
+
+    Equal to :func:`isolated_latency` of segments with these load and
+    compute cycles; callers that only vary the cycle counts (the
+    sensitivity-margin probes) skip building :class:`Segment` objects.
+    """
+    f_comp: List[int] = []
+    prev_load = 0
+    prev_comp = 0
+    for j, (load, compute) in enumerate(zip(loads, computes)):
+        freed = f_comp[j - buffers] if j >= buffers else 0
+        prev_load = max(prev_load, freed) + load
+        prev_comp = max(prev_comp, prev_load) + compute
+        f_comp.append(prev_comp)
+    return prev_comp
+
+
 # id-keyed latency memo over *shared* segment tuples.  The plan cache
 # hands the same immutable tuple to every re-materialized hit, and the
 # analyses recompute its isolated latency once per admission test; the

@@ -56,8 +56,20 @@ Algorithms:
   candidate's state is componentwise ``>=`` the incumbent's at some
   ``j >= i+1``, its latency cannot come out strictly lower, and the
   candidate is rejected there — the same decision a full evaluation
-  reaches.  Most shifts are rejected a few segments past the cut
-  instead of at the end of the chain.
+  reaches.
+* Latency bounds from the same recurrence.  Every compute follows the
+  previous one, so a candidate that has finished segment ``j`` (ending
+  at layer ``e``) at ``f_comp[j]`` cannot finish before ``f_comp[j] +
+  prefix_c[-1] - prefix_c[e]``; the shift is rejected as soon as that
+  reaches the incumbent's latency, which at the last segment is the
+  exact accept test.  And no segmentation at all finishes before the
+  *floor* ``prefix_c[-1] + load_cycles(weights[0])``: the first load
+  stages at least layer 0 (``load_cycles`` is monotone in the bytes,
+  and 0 for 0 bytes) and nothing computes before it lands.  An
+  incumbent at the floor cannot be beaten, so its climb stops there.
+  Neither bound changes a decision.  Most shifts are rejected at the
+  cut, the rest a few segments past it instead of at the end of the
+  chain.
 """
 
 from __future__ import annotations
@@ -265,6 +277,9 @@ class _Planner:
                 f"available (budget {sram_budget} B, activations {act} B, "
                 f"{buffers} buffers)"
             )
+        # Every segmentation's first load stages at least layer 0 and its
+        # computes run one after another: no latency is below this.
+        self.latency_floor = costs.prefix_c[-1] + platform.load_cycles(costs.weights[0])
         # An individually-over-cap layer relaxes the compute cap to itself.
         if max_segment_compute is not None:
             self.compute_cap: Optional[int] = max(
@@ -372,9 +387,14 @@ class _Planner:
 
         Resumes from the incumbent's ``(f_load, f_comp)`` at ``i`` and
         returns the candidate's ``f_load``/``f_comp`` from ``i`` to the
-        end.  Past segment ``i+1`` the chain is the incumbent's, so once
-        the carried state (``f_load[j]`` and the last ``buffers`` values
-        of ``f_comp``) is componentwise ``>=`` the incumbent's, the
+        end.  Two bounds reject early.  After each segment ending at
+        ``e`` the layers from ``e`` on still compute serially, so the
+        candidate cannot finish before ``f_comp + prefix_c[-1] -
+        prefix_c[e]``: reject once that reaches the incumbent's latency
+        (at the last segment this is the exact comparison).  Past
+        segment ``i+1`` the chain is the incumbent's, so once the
+        carried state (``f_load[j]`` and the last ``buffers`` values of
+        ``f_comp``) is componentwise ``>=`` the incumbent's, the
         monotone max-plus recurrence cannot finish lower: reject there.
         """
         load_cache = self._load_cache
@@ -382,6 +402,8 @@ class _Planner:
         prefix_w = self.prefix_w
         prefix_c = self.prefix_c
         b = self.buffers
+        total_c = prefix_c[-1]
+        latency = f_comp[-1]
         prev_load = f_load[i - 1] if i else 0
         prev_comp = f_comp[i - 1] if i else 0
         loads: List[int] = []
@@ -412,6 +434,8 @@ class _Planner:
                 prev_comp = prev_load + comp
             else:
                 prev_comp += comp
+            if prev_comp + total_c - prefix_c[e] >= latency:
+                return None
             loads.append(prev_load)
             comps.append(prev_comp)
             if j > i and prev_load >= f_load[j] and prev_comp >= f_comp[j]:
@@ -422,9 +446,7 @@ class _Planner:
                     m += 1
                 if m == j:
                     return None
-        if prev_comp < f_comp[-1]:
-            return loads, comps
-        return None
+        return loads, comps
 
     def hill_climb(self, boundaries: Boundaries) -> Tuple[Boundaries, int]:
         """Shift boundaries +-1 layer while it reduces exact latency.
@@ -432,13 +454,17 @@ class _Planner:
         First-improvement scan, at most ``_MAX_PASSES`` passes.  Each
         candidate is evaluated by :meth:`_shifted_tail` from the
         incumbent's stored recurrence state, without copying the
-        boundary list, and most are rejected by dominance a few segments
-        past the cut — the same accept/reject decisions as evaluating
-        every candidate's full latency.  Returns the climbed boundaries
-        and their latency.
+        boundary list, and most are rejected by a bound at or a few
+        segments past the cut — the same accept/reject decisions as
+        evaluating every candidate's full latency.  An incumbent at
+        :attr:`latency_floor` cannot be beaten, so the climb stops
+        there.  Returns the climbed boundaries and their latency.
         """
         best = list(boundaries)
         f_load, f_comp = self._latency_state(best)
+        floor = self.latency_floor
+        if f_comp[-1] <= floor:
+            return best, f_comp[-1]
         slot_cap = self.slot_cap
         cap = self.compute_cap
         prefix_w = self.prefix_w
@@ -469,6 +495,8 @@ class _Planner:
                         best[i] = (s0, cut)
                         best[i + 1] = (cut, e1)
                         f_load[i:], f_comp[i:] = tail
+                        if f_comp[-1] <= floor:
+                            return best, f_comp[-1]
                         improved = True
             if not improved:
                 break

@@ -102,7 +102,9 @@ from repro.dnn.quantization import INT8, Quantization
 from repro.eval.metrics import latency_stats
 from repro.hw.platform import Platform
 from repro.hw.presets import get_platform
-from repro.online.admission import degrade_ladder, mass_screen, plan_segments
+from repro.online.admission import (
+    degrade_ladder, mass_screen, plan_segments, screen_decides,
+)
 from repro.online.durable import (
     DecisionJournal, JournalError, canonical_json, replay_journal,
     scan_journal,
@@ -310,13 +312,13 @@ class FleetConfig:
     bounds each shard's queue — arrivals beyond it are shed (after the
     degrade ladder's inline rescue, when ``degrade_watermark`` is set).
 
-    ``method`` names the exact analysis, which runs only when the
-    screen fails: a screen pass admits without it.  The screen is
-    pessimistic against ``rtmdm`` but not against ``holistic`` (which
-    charges lower-priority load as DMA-stage blocking on top of the
-    CPU-stage blocking the screen counts once), so under
-    ``method="holistic"`` a few screen-admitted unions are ones the
-    holistic analysis would reject.
+    ``method`` names the exact analysis.  A full-service admit skips
+    it on a screen pass only where the screen dominates it
+    (:func:`~repro.online.admission.screen_decides`: ``oblivious``,
+    ``overlap`` and ``rtmdm``); under ``holistic``, which charges
+    lower-priority load as DMA-stage blocking on top of the CPU-stage
+    blocking the screen counts once, every full-service admit runs the
+    analysis.  Degrade-ladder admits are screen-only.
 
     Resilience knobs: ``checkpoint_interval`` bounds journal-suffix
     replay; ``crash_at`` injects seeded shard crashes (requires a
@@ -725,6 +727,7 @@ class FleetService:
         # fingerprint memos are identity-keyed, so key construction
         # stays O(1) per decision.
         self._platforms = [cohort.platform() for cohort in self.cohorts]
+        self._screen_decides = screen_decides(config.method)
         # Per-run memos (see ``_decide``); ``run`` starts each run empty.
         self._plan_memo: Dict[Tuple, Tuple] = {}
         self._verdict_memo: Dict[Tuple, str] = {}
@@ -981,8 +984,9 @@ class FleetService:
         Returns ``(outcome, reason, mode)``.  A remove or a duplicate
         admit resolves against the resident set; an admit is planned,
         then either screened through the degrade ladder (degrade-tagged
-        entries) or screened at full service with the exact analysis as
-        the fallback.  A decision depends only on the device's own
+        entries) or decided at full service by the exact analysis, with
+        a screen pass standing in for it where the screen dominates the
+        configured method.  A decision depends only on the device's own
         resident set, and each shard decides its batch one request at a
         time (a batch holds at most one request per device), which is
         what makes decisions batch- and shard-invariant — and what makes
@@ -990,8 +994,9 @@ class FleetService:
 
         The ladder is screen-only by design: under overload the
         expensive exact analysis is exactly what the shard cannot
-        afford, and the screen is pessimistic — every ladder admit is
-        provably schedulable.
+        afford, and a screen pass implies the safe ``oblivious``
+        analysis passes — every ladder admit is provably schedulable,
+        though under ``holistic`` not necessarily admitted by it.
 
         Three per-run memos short-circuit the fleet-wide repetition:
         ``plan_memo`` keys plans on their exact inputs ``(cohort, model,
@@ -1068,7 +1073,8 @@ class FleetService:
                 # ``mass_screen`` is called through this module's global
                 # name so perfbench's traced run can wrap it as the
                 # screen span (until the program carries its own spans).
-                if mass_screen([tasks])[0]:
+                screened = entry.degraded or self._screen_decides
+                if screened and mass_screen([tasks])[0]:
                     reason = "rta-oblivious"
                 elif not entry.degraded and segcache.cached_analyze(
                     TaskSet.of(tasks), cfg.method

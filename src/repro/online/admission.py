@@ -11,12 +11,13 @@ existing offline machinery so decisions stay fast:
 2. **Fast RTA screen** — the candidate union is checked with the
    suspension-oblivious bound rebuilt from the classic RTA primitives in
    :mod:`repro.sched.rta` (serialized per-job demand, segment-granular
-   non-preemptive blocking, chained release jitter).  With no fault
-   budget the screen is pessimistic relative to the full analysis: if
-   it passes, the system is schedulable and the expensive analysis is
-   skipped.
-3. **Full analysis** — otherwise the RT-MDM analysis runs via
-   :func:`repro.core.segcache.cached_analyze`.
+   non-preemptive blocking, chained release jitter).  Only where the
+   screen provably dominates the configured analysis
+   (:func:`screen_decides`: ``oblivious``, ``overlap`` or ``rtmdm``
+   with no fault budget) does a pass admit and skip the analysis.
+3. **Full analysis** — otherwise the configured analysis runs via
+   :func:`repro.core.segcache.cached_analyze`, on the fault-inflated
+   set (:func:`~repro.sched.task.inflate_loads`) when a budget is set.
 4. **Degradation ladder** — on analysis failure the request is retried
    at stretched periods and/or as a reduced fallback variant
    (:func:`degrade_ladder`, shared with the fleet service) before any
@@ -55,6 +56,10 @@ from repro.online.modechange import Protocol, drain_start
 from repro.robust.overload import degraded_variant
 from repro.sched import rta
 from repro.sched.task import PeriodicTask, Segment, TaskSet, inflate_loads
+
+#: Analyses a nominal screen pass implies (``tests/test_prop_screen.py``
+#: checks the dominance).  ``holistic`` is not dominated.
+SCREEN_DOMINATED = ("oblivious", "overlap", "rtmdm")
 
 
 @dataclass(frozen=True)
@@ -245,6 +250,9 @@ class AdmissionController:
         # admission.
         self._retry_budget = retry_budget
         self._fault_overhead = fault_overhead_cycles
+        self._screen_decides = screen_decides(
+            method, retry_budget, fault_overhead_cycles
+        )
         self._resident: Dict[str, Instance] = {}
         self._retired: List[Instance] = []
         self._reservations: List[Tuple[int, int]] = []
@@ -405,8 +413,10 @@ class AdmissionController:
         return oblivious_screen(tasks, self._retry_budget, self._fault_overhead)
 
     def _schedulable(self, tasks: Sequence[PeriodicTask]) -> Tuple[bool, str]:
-        """Admission test: fast oblivious-RTA screen, then full analysis."""
-        if self._screen(tasks):
+        """Admission test: the fast screen where its pass proves the
+        configured analysis passes (:func:`screen_decides`), otherwise
+        the analysis itself."""
+        if self._screen_decides and self._screen(tasks):
             return True, "rta-oblivious"
         taskset = TaskSet.of(tasks)
         if self._retry_budget > 0 and self._fault_overhead > 0:
@@ -777,6 +787,16 @@ def _screen_candidates(
     return candidates
 
 
+def screen_decides(method: str, retry_budget: int = 0, fault_overhead: int = 0) -> bool:
+    """Whether an :func:`oblivious_screen` pass may stand in for ``method``.
+
+    True only where the screen dominates the analysis: a method in
+    :data:`SCREEN_DOMINATED` with no fault budget.  Everywhere else a
+    screen pass proves nothing, and admission runs the analysis.
+    """
+    return method in SCREEN_DOMINATED and retry_budget * fault_overhead == 0
+
+
 def oblivious_screen(
     tasks: Sequence[PeriodicTask],
     retry_budget: int = 0,
@@ -796,7 +816,8 @@ def oblivious_screen(
     With a budget the screen charges it once per job, while
     :func:`repro.sched.task.inflate_loads` (what the full analysis
     sees) charges it on up to two segments, so there a pass does not
-    imply the full analysis passes.
+    imply the full analysis passes; nor does it imply ``holistic``
+    passes (:func:`screen_decides` says where a pass may admit).
 
     A whole-job NP-RTA (single blocking term) is NOT sound here: the
     simulator preempts at segment boundaries, so a fine-grained task

@@ -471,6 +471,34 @@ def chains_schedulable(
 # ----------------------------------------------------------------------
 
 
+def solve_cols_batch(items: Sequence[Tuple[ViewCols, str, Dict[str, int]]]):
+    """Pack and solve many column-form analyses in one :class:`ChainBatch`.
+
+    ``items`` are ``(cols, method, chain_memo)`` triples (the memo as in
+    :func:`plan_chains`; pass one dict per task set).  Returns ``(batch,
+    handles)`` with ``handles[i]`` ``None`` where item ``i`` stood down
+    (the caller answers it with the scalar oracle), or ``None`` when the
+    whole solve stood down.  Read verdicts back with
+    :func:`chains_schedulable` or bounds with :func:`assemble_wcrt`.
+    """
+    start = time.perf_counter()
+    batch = ChainBatch()
+    handles: List[Optional[Dict[str, int]]] = []
+    for cols, method, memo in items:
+        try:
+            handles.append(plan_chains(batch, cols, method, memo=memo))
+        except StandDown:
+            _count_stand_down()
+            handles.append(None)
+    _TIMES["pack_s"] += time.perf_counter() - start
+    try:
+        batch.solve()
+    except StandDown:  # pragma: no cover - needs ~1e6 fixpoint steps
+        _count_stand_down()
+        return None
+    return batch, handles
+
+
 def analyze_taskset_batch(cases: Sequence[Tuple[Any, str]]):
     """Batched :func:`repro.core.analysis.analyze` over many task sets.
 
@@ -486,15 +514,13 @@ def analyze_taskset_batch(cases: Sequence[Tuple[Any, str]]):
     if not enabled():
         return [_analysis.analyze(ts, method) for ts, method in cases]
     start = time.perf_counter()
-    batch = ChainBatch()
-    plans = []
-    fallback = []
-    results: List[Any] = [None] * len(cases)
+    items = []
+    names_of = []
     # Batches routinely analyze the same task set under several methods
     # (method-family sweeps, rtmdm next to its components); views and
     # columns depend only on the set, so share them per set object.
     shared: dict = {}
-    for idx, (taskset, method) in enumerate(cases):
+    for taskset, method in cases:
         if method not in _analysis.METHODS:
             raise ValueError(
                 f"unknown analysis method {method!r}; choose from {_analysis.METHODS}"
@@ -506,26 +532,21 @@ def analyze_taskset_batch(cases: Sequence[Tuple[Any, str]]):
                 cols_from_views(views), [v.task.name for v in views], {},
             )
         cols, names, chain_memo = prepared
-        try:
-            handles = plan_chains(batch, cols, method, memo=chain_memo)
-        except StandDown:
-            _count_stand_down()
-            fallback.append(idx)
-            continue
-        plans.append((idx, taskset, method, names, handles))
+        items.append((cols, method, chain_memo))
+        names_of.append(names)
     _TIMES["pack_s"] += time.perf_counter() - start
-    try:
-        batch.solve()
-    except StandDown:  # pragma: no cover - needs ~1e6 fixpoint steps
-        _count_stand_down()
+    solved = solve_cols_batch(items)
+    if solved is None:  # pragma: no cover - see solve_cols_batch
         return [_analysis.analyze(ts, method) for ts, method in cases]
+    batch, handles = solved
     start = time.perf_counter()
-    for idx, taskset, method, names, handles in plans:
-        wcrt = assemble_wcrt(batch, handles, method, names)
+    results = []
+    for (taskset, method), names, plan in zip(cases, names_of, handles):
+        if plan is None:
+            results.append(_analysis.analyze(taskset, method))
+            continue
+        wcrt = assemble_wcrt(batch, plan, method, names)
         deadlines = {t.name: t.deadline for t in taskset}
-        results[idx] = _analysis.AnalysisResult(method, wcrt, deadlines)
+        results.append(_analysis.AnalysisResult(method, wcrt, deadlines))
     _TIMES["unpack_s"] += time.perf_counter() - start
-    for idx in fallback:
-        taskset, method = cases[idx]
-        results[idx] = _analysis.analyze(taskset, method)
     return results

@@ -111,7 +111,8 @@ class TestDurability:
         store = PlanStore(str(tmp_path))
         store.put(KEY, OK_VALUE)
         path = only_record_path(store)
-        record = json.load(open(path))
+        with open(path) as handle:
+            record = json.load(handle)
         record["value"]["boundaries"][0][1] = 99  # flip a byte, stale CRC
         with open(path, "w") as handle:
             json.dump(record, handle)
@@ -125,7 +126,8 @@ class TestDurability:
         store = PlanStore(str(tmp_path))
         store.put(KEY, OK_VALUE)
         path = only_record_path(store)
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
         with open(path, "wb") as handle:
             handle.write(raw[: len(raw) // 2])
         mark = obs.snapshot()
@@ -137,7 +139,8 @@ class TestDurability:
         store = PlanStore(str(tmp_path))
         store.put(KEY, OK_VALUE)
         path = only_record_path(store)
-        record = json.load(open(path))
+        with open(path) as handle:
+            record = json.load(handle)
         record["schema"] = "rtmdm-planstore/0"
         record["crc"] = planstore._crc(record)
         with open(path, "w") as handle:

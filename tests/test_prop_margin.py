@@ -12,7 +12,10 @@ factor the analysis actually admits.  The branches covered:
 * ``tolerance >= upper - 1``, so the search never probes between 1 and
   ``upper`` (margin ``1.0``);
 * an ordinary binary search in between;
-* all of these mixed in one batch.
+* all of these mixed in one batch;
+* probe rows the vector engine stands down on, answered by the scalar
+  analysis inside an otherwise vectorized batch;
+* the engine switched off (``REPRO_VEC_RTA=0``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_taskset
+import pytest
+from conftest import make_task, random_taskset
+from repro import obs
 from repro.core.analysis import (
     METHODS,
     analyze,
@@ -30,7 +35,8 @@ from repro.core.analysis import (
     sensitivity_margin_batch,
 )
 from repro.core.priority import deadline_monotonic
-from repro.sched.task import inflate_compute
+from repro.sched import vecrta
+from repro.sched.task import TaskSet, inflate_compute
 
 seeds = st.integers(0, 10_000)
 
@@ -117,3 +123,41 @@ def test_bisected_margins_match_in_one_batch():
     kinds = [_classify(m, 16.0) for m in margins]
     assert {"inside", "rejected", "upper"} <= set(kinds)
     assert kinds.count("inside") >= 3
+
+
+def _vec_counts(before):
+    return dict(zip(obs.TABLE["rta.fixpoint"], obs.delta_since(before)["rta.fixpoint"]))
+
+
+#: One compute of 2**58 cycles: the nominal set packs (its demand
+#: ceiling is about 4 * 2**58), but every probe at ``f >= 4`` lifts the
+#: ceiling to 2**62 or more, where the engine stands down.
+_HUGE = 1 << 58
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_probe_rows_that_stand_down_match_scalar(method, monkeypatch):
+    monkeypatch.setenv(vecrta.ENV_VAR, "1")
+    huge = TaskSet.of([
+        make_task("h0", [(0, _HUGE)], period=6 * _HUGE, priority=0),
+        make_task("h1", [(5, 3)], period=48 * _HUGE, priority=1),
+    ])
+    rng = random.Random(11)
+    sets = [_dm_set(rng, 3, 0.1), huge, _dm_set(rng, 2, 0.3)]
+    before = obs.snapshot()
+    margins = _check_margins(sets, method, 16.0, 1e-3)
+    counts = _vec_counts(before)
+    assert counts["vec_stand_downs"] > 0
+    assert counts["vec_batches"] > 0
+    assert 1.0 < margins[1] < 16.0
+
+
+@given(seeds, st.sampled_from(METHODS))
+@settings(max_examples=15, deadline=None)
+def test_margins_match_scalar_with_the_engine_off(seed, method):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(vecrta.ENV_VAR, "0")
+        before = obs.snapshot()
+        _check_margins(_draw_sets(random.Random(seed)), method, 16.0, 1e-3)
+        counts = _vec_counts(before)
+    assert counts["vec_batches"] == counts["vec_rows"] == 0

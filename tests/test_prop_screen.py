@@ -3,9 +3,12 @@
 :func:`repro.online.admission.oblivious_screen` lets an admission skip
 the full analysis, so with no fault budget it must never be optimistic
 against it: a pass implies the ``oblivious``, ``overlap`` and ``rtmdm``
-analyses admit the set too.  The ``holistic`` analysis alone is not
-dominated (it adds DMA-stage and CPU-stage blocking, the screen counts
-each blocking section once), which a pinned case records.
+analyses (``SCREEN_DOMINATED``) admit the set too.  The ``holistic``
+analysis alone is not dominated (it adds DMA-stage and CPU-stage
+blocking, the screen counts each blocking section once), which a pinned
+case records.  So the controller's and the fleet's *decisions* are
+checked directly: for every method and fault budget, no admitted union
+is one the method rejects on the fault-inflated set.
 :func:`~repro.online.admission.mass_screen` is the fleet's list form and
 must return one verdict per list, in order.
 """
@@ -14,18 +17,28 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task, random_taskset
 from repro.core.analysis import METHODS, analyze
-from repro.online.admission import mass_screen, oblivious_screen
-from repro.sched.task import TaskSet
+from repro.eval import fleet
+from repro.online import admission
+from repro.online.admission import (
+    SCREEN_DOMINATED,
+    AdmissionController,
+    mass_screen,
+    oblivious_screen,
+    screen_decides,
+)
+from repro.online.events import Request, RequestKind
+from repro.sched.task import Segment, TaskSet, inflate_loads
 
 seeds = st.integers(0, 10_000)
 
 #: The analyses a nominal screen pass must imply.
-DOMINATED = tuple(m for m in METHODS if m != "holistic")
+DOMINATED = SCREEN_DOMINATED
 
 
 @given(seeds, st.integers(1, 5), st.integers(1, 6), st.floats(0.05, 0.95))
@@ -79,3 +92,161 @@ def test_empty_list_passes():
     assert oblivious_screen([])
     assert mass_screen([[]]) == [True]
     assert mass_screen([]) == []
+
+
+# ----------------------------------------------------------------------
+# Decisions: no admit the configured analysis (plus budget) rejects
+# ----------------------------------------------------------------------
+#: Fault budgets ``(retry_budget, fault_overhead_cycles)``.
+BUDGETS = ((0, 0), (1, 400), (2, 400))
+
+#: Implicit deadlines (the fleet's shape), ``(segments, period)`` in
+#: admission order: ``hi`` passes the screen over ``lo`` (144 + 304
+#: blocking <= 516) and ``rtmdm``, but ``holistic`` charges ``lo``'s
+#: 163-cycle load as DMA-stage blocking on top (163 + 144 + 304 > 516).
+PINNED_IMPLICIT = ((((163, 304),), 1019), (((0, 144),), 516))
+
+
+def _segments(name, body):
+    return tuple(
+        Segment(name=f"{name}.s{i}", load_cycles=load, compute_cycles=comp)
+        for i, (load, comp) in enumerate(body)
+    )
+
+
+def _stub_planner(monkeypatch, module, bodies):
+    """Make ``module.plan_segments`` return body ``k`` for model ``m<k>``."""
+    plans = {f"m{k}": _segments(f"m{k}", body) for k, (body, *_) in enumerate(bodies)}
+    monkeypatch.setattr(
+        module, "plan_segments",
+        lambda platform, model, deadline, budget, **kw: (plans[model], 1024),
+    )
+
+
+def _admissible(tasks, method, retry_budget, fault_overhead):
+    taskset = inflate_loads(TaskSet.of(tasks), retry_budget, fault_overhead)
+    return analyze(taskset, method).schedulable
+
+
+def _controller_unions(monkeypatch, bodies, method, retry_budget, fault_overhead):
+    """Admit ``(body, period, deadline)`` draws one by one through a
+    controller; yield ``(decision, admitted union)`` per admit."""
+    _stub_planner(monkeypatch, admission, bodies)
+    controller = AdmissionController(
+        fleet.DEFAULT_COHORTS[0].platform(), method=method,
+        retry_budget=retry_budget, fault_overhead_cycles=fault_overhead,
+    )
+    clock = controller.platform.mcu.clock_hz
+    for k, (_, period, deadline) in enumerate(bodies):
+        decision = controller.handle(Request(
+            time_s=0.0, kind=RequestKind.ADMIT, task=f"t{k}", model=f"m{k}",
+            period_s=period / clock, deadline_s=deadline / clock,
+        ))
+        if decision.outcome == "admitted":
+            ranked = sorted(
+                controller.resident.values(), key=lambda i: (i.deadline, i.instance)
+            )
+            yield decision, [i.to_periodic(priority=r) for r, i in enumerate(ranked)]
+
+
+def _fleet_unions(monkeypatch, bodies, method):
+    """Serve admits of ``(body, period)`` draws on one fleet device;
+    yield ``(decision, admitted union)`` per full-service admit."""
+    _stub_planner(monkeypatch, fleet, bodies)
+    cohort = fleet.DEFAULT_COHORTS[0]
+    mcu = cohort.platform().mcu
+    requests = tuple(
+        fleet.FleetRequest(
+            seq=k, time_s=k * 1e-3, device="d0000000", kind=RequestKind.ADMIT,
+            task=f"t{k}", model=f"m{k}", period_s=period / mcu.clock_hz,
+        )
+        for k, (_, period, *_) in enumerate(bodies)
+    )
+    trace = fleet.FleetTrace(
+        requests=requests, duration_s=1.0, n_devices=1, cohorts=(cohort,),
+        arrival="poisson",
+    )
+    config = fleet.FleetConfig(n_shards=1, method=method)
+    report = fleet.FleetService((cohort,), config).run(trace)
+    union = []
+    for decision in report.decisions:
+        if decision.outcome != "admitted":
+            continue
+        assert decision.mode == "full"
+        k = int(decision.task[1:])
+        period = max(1, mcu.seconds_to_cycles(requests[k].period_s))
+        union.append((period, decision.task, _segments(f"m{k}", bodies[k][0])))
+        ranked = sorted(union)
+        yield decision, [
+            make_task(task, [(s.load_cycles, s.compute_cycles) for s in segs],
+                      period=p, priority=r, buffers=config.buffers)
+            for r, (p, task, segs) in enumerate(ranked)
+        ]
+
+
+def _draw_bodies(seed, n_tasks, implicit):
+    taskset = random_taskset(random.Random(seed), n_tasks=n_tasks, util_target=0.6)
+    return [
+        (
+            tuple((s.load_cycles, s.compute_cycles) for s in t.segments),
+            t.period,
+            t.period if implicit else t.deadline,
+        )
+        for t in taskset
+    ]
+
+
+def test_screen_decides_only_where_dominance_is_proven():
+    for method in METHODS:
+        assert screen_decides(method) == (method != "holistic")
+        for retry_budget, fault_overhead in BUDGETS[1:]:
+            assert not screen_decides(method, retry_budget, fault_overhead)
+        assert screen_decides(method, 2, 0) == screen_decides(method)
+
+
+def test_pinned_implicit_case_is_not_dominated():
+    hi, lo = (
+        make_task(name, body, period=p, priority=r)
+        for r, (name, (body, p)) in enumerate(zip(("hi", "lo"), PINNED_IMPLICIT[::-1]))
+    )
+    assert oblivious_screen([hi, lo])
+    assert analyze(TaskSet.of([hi, lo]), "rtmdm").schedulable
+    assert not analyze(TaskSet.of([hi, lo]), "holistic").schedulable
+
+
+def test_controller_runs_holistic_on_the_pinned_case(monkeypatch):
+    """The screen alone would admit ``hi`` at full rate; the holistic
+    analysis admits it only at a stretched rate."""
+    bodies = [(body, p, p) for body, p in PINNED_IMPLICIT]
+    admitted = list(_controller_unions(monkeypatch, bodies, "holistic", 0, 0))
+    for decision, union in admitted:
+        assert _admissible(union, "holistic", 0, 0), decision
+    assert [(d.mode, d.reason) for d, _ in admitted] == [
+        ("full", "analysis"), ("rate/1.25", "analysis"),
+    ]
+
+
+def test_fleet_runs_holistic_on_the_pinned_case(monkeypatch):
+    bodies = [(body, p, p) for body, p in PINNED_IMPLICIT]
+    admitted = list(_fleet_unions(monkeypatch, bodies, "holistic"))
+    for decision, union in admitted:
+        assert _admissible(union, "holistic", 0, 0), decision
+    assert [(d.task, d.reason) for d, _ in admitted] == [("t0", "analysis")]
+
+
+@given(seeds, st.integers(2, 4), st.sampled_from(METHODS), st.sampled_from(BUDGETS))
+@settings(max_examples=60, deadline=None)
+def test_controller_never_admits_what_the_analysis_rejects(seed, n_tasks, method, budget):
+    bodies = _draw_bodies(seed, n_tasks, implicit=False)
+    with pytest.MonkeyPatch.context() as mp:
+        for decision, union in _controller_unions(mp, bodies, method, *budget):
+            assert _admissible(union, method, *budget), decision
+
+
+@given(seeds, st.integers(2, 4), st.sampled_from(METHODS))
+@settings(max_examples=40, deadline=None)
+def test_fleet_never_admits_what_the_analysis_rejects(seed, n_tasks, method):
+    bodies = _draw_bodies(seed, n_tasks, implicit=True)
+    with pytest.MonkeyPatch.context() as mp:
+        for decision, union in _fleet_unions(mp, bodies, method):
+            assert _admissible(union, method, 0, 0), decision

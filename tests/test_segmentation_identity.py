@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from itertools import accumulate
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import segcache
 from repro.core.segmentation import (
+    LayerCosts,
     SegmentationError,
     _Planner,
     coarsest_feasible_segments,
@@ -296,6 +299,69 @@ def test_partition_matches_oracle_on_long_padding_run():
     weights = [rng.choice([0, 0, 0, 1, 2, 5000]) for _ in range(600)]
     for k in (1, 2, 17, 150, 333, 599, 600):
         assert min_max_weight_partition(weights, k) == oracle_partition(weights, k)
+
+
+# ----------------------------------------------------------------------
+# Hill climbing on random mixed chains (hypothesis)
+# ----------------------------------------------------------------------
+#: ``(weight bytes, compute cycles)`` ranges per layer kind: staged
+#: loads far shorter than the compute, far longer, and parameter-free.
+_LAYER_KINDS = (
+    (st.integers(1, 2_000), st.integers(20_000, 200_000)),
+    (st.integers(10_000, 60_000), st.integers(1_000, 30_000)),
+    (st.just(0), st.integers(500, 20_000)),
+)
+
+
+@st.composite
+def _mixed_chains(draw):
+    """A chain of mixed layers, a planner over it and a feasible start."""
+    layers = draw(st.lists(
+        st.sampled_from(_LAYER_KINDS).flatmap(lambda kind: st.tuples(*kind)),
+        min_size=2, max_size=24,
+    ))
+    weights = tuple(w for w, _ in layers)
+    computes = tuple(c for _, c in layers)
+    assume(max(weights) > 0)
+    buffers = draw(st.integers(1, 3))
+    slot = draw(st.integers(max(weights), sum(weights)))
+    cap = draw(st.one_of(st.none(), st.integers(max(computes), sum(computes))))
+    costs = LayerCosts(
+        weights=weights, computes=computes,
+        prefix_w=tuple(accumulate(weights, initial=0)),
+        prefix_c=tuple(accumulate(computes, initial=0)),
+        max_weight=max(weights), max_compute=max(computes), activation_bytes=0,
+    )
+    planner = _Planner(
+        SimpleNamespace(name="chain", num_layers=len(layers)),
+        get_platform("f746-qspi"), buffers * slot, INT8, buffers, cap, costs,
+    )
+    cuts = sorted(draw(st.sets(st.integers(1, len(layers) - 1))))
+    edges = [0, *cuts, len(layers)]
+    boundaries = list(zip(edges, edges[1:]))
+    assume(planner.feasible(boundaries))
+    return planner, boundaries
+
+
+def _latency(planner: _Planner, boundaries: Boundaries) -> int:
+    return _oracle_state(planner, boundaries)[1][-1]
+
+
+@given(_mixed_chains())
+@settings(max_examples=400, deadline=None)
+def test_hill_climb_matches_oracle_on_mixed_chains(case):
+    planner, start = case
+    got, latency = planner.hill_climb(start)
+    assert got == oracle_hill_climb(planner, start)
+    assert latency == _latency(planner, got)
+    assert latency >= planner.latency_floor
+    n = len(planner.weights)
+    if n <= 9:
+        # The floor bounds every partition, feasible or not.
+        for mask in range(1 << (n - 1)):
+            edges = [0, *(k + 1 for k in range(n - 1) if mask >> k & 1), n]
+            partition = list(zip(edges, edges[1:]))
+            assert planner.latency_floor <= _latency(planner, partition)
 
 
 # ----------------------------------------------------------------------
