@@ -9,10 +9,10 @@ whole system provably stays schedulable:
 * :mod:`repro.online.events` — timestamped request traces
   (``ADMIT`` / ``REMOVE`` / ``RESCALE`` events) with JSON round-trip.
 * :mod:`repro.online.admission` — per-request admission control: online
-  re-segmentation through the plan cache, a fast whole-job
-  non-preemptive RTA screen (:mod:`repro.sched.rta`), the full RT-MDM
-  analysis, and a degradation ladder (reduced rate / smaller variant)
-  before any hard rejection.
+  re-segmentation through the plan cache, a fast screen (the
+  ``oblivious`` analysis of :mod:`repro.core.analysis`), the configured
+  RT-MDM analysis, and a degradation ladder (reduced rate / smaller
+  variant) before any hard rejection.
 * :mod:`repro.online.modechange` — sound mode-change protocols:
   immediate switch where analysis covers the transition, otherwise
   drain-then-switch behind an idle-instant bound.

@@ -8,11 +8,11 @@ existing offline machinery so decisions stay fast:
    granularity/budget policy as the offline planner); repeat requests
    for the same model at similar budgets hit the plan cache.  No fit →
    rejection with an ``sram`` justification.
-2. **Fast RTA screen** — the candidate union is checked with the
-   suspension-oblivious bound rebuilt from the classic RTA primitives in
-   :mod:`repro.sched.rta` (serialized per-job demand, segment-granular
-   non-preemptive blocking, chained release jitter).  Only where the
-   screen provably dominates the configured analysis
+2. **Fast screen** — the candidate union is checked with the
+   suspension-oblivious bound, the ``oblivious`` analysis of
+   :mod:`repro.core.analysis` itself (serialized per-job demand,
+   segment-granular non-preemptive blocking, chained release jitter).
+   Only where the screen provably dominates the configured analysis
    (:func:`screen_decides`: ``oblivious``, ``overlap`` or ``rtmdm``
    with no fault budget) does a pass admit and skip the analysis.
 3. **Full analysis** — otherwise the configured analysis runs via
@@ -40,12 +40,13 @@ relative priorities agree everywhere.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import segcache
-from repro.core.analysis import METHODS
+from repro.core.analysis import METHODS, analyze
 from repro.core.buffers import BUFFER_ALIGN
 from repro.core.framework import NP_CAP_DIVISOR
 from repro.core.segmentation import SegmentationError
@@ -54,7 +55,6 @@ from repro.hw.platform import Platform
 from repro.online.events import Request, RequestKind
 from repro.online.modechange import Protocol, drain_start
 from repro.robust.overload import degraded_variant
-from repro.sched import rta
 from repro.sched.task import PeriodicTask, Segment, TaskSet, inflate_loads
 
 #: Analyses a nominal screen pass implies (``tests/test_prop_screen.py``
@@ -225,8 +225,10 @@ class AdmissionController:
             raise ValueError(
                 f"unknown analysis method {method!r} (known: {', '.join(METHODS)})"
             )
-        if not all(f > 1.0 for f in stretch_factors):
-            raise ValueError(f"stretch factors must be > 1, got {stretch_factors}")
+        if not all(1.0 < f < math.inf for f in stretch_factors):
+            raise ValueError(
+                f"stretch factors must be finite and > 1, got {stretch_factors}"
+            )
         if not 0.0 < degrade_factor <= 1.0:
             raise ValueError(f"degrade_factor must be in (0, 1], got {degrade_factor}")
         if retry_budget < 0:
@@ -408,15 +410,11 @@ class AdmissionController:
         ordered = sorted(instances, key=lambda i: (i.deadline, i.instance))
         return [inst.to_periodic(priority=rank) for rank, inst in enumerate(ordered)]
 
-    def _screen(self, tasks: Sequence[PeriodicTask]) -> bool:
-        """The fast screen (:func:`oblivious_screen`) under this budget."""
-        return oblivious_screen(tasks, self._retry_budget, self._fault_overhead)
-
     def _schedulable(self, tasks: Sequence[PeriodicTask]) -> Tuple[bool, str]:
         """Admission test: the fast screen where its pass proves the
         configured analysis passes (:func:`screen_decides`), otherwise
         the analysis itself."""
-        if self._screen_decides and self._screen(tasks):
+        if self._screen_decides and oblivious_screen(tasks):
             return True, "rta-oblivious"
         taskset = TaskSet.of(tasks)
         if self._retry_budget > 0 and self._fault_overhead > 0:
@@ -735,56 +733,9 @@ def degrade_ladder(
 
 
 # ----------------------------------------------------------------------
-# The oblivious RTA screen (shared by the per-request controller and the
+# The admission screen (shared by the per-request controller and the
 # fleet service)
 # ----------------------------------------------------------------------
-
-
-def _screen_candidates(
-    tasks: Sequence[PeriodicTask], retry_budget: int, fault_overhead: int
-) -> Optional[List[rta.RtaTask]]:
-    """Priority-ordered oblivious-screen candidates, or None on overload.
-
-    Static portion of the screen cascade: serialized per-job demand and
-    segment-granular blocking per level (only the chained jitter evolves
-    as levels resolve).  Returns None when serialized utilization already
-    exceeds 1 — the screen's trivial rejection.
-    """
-    ordered = sorted(tasks, key=lambda t: t.priority)
-    # Fault-aware inflation: a retry budget of k adds k * cost extra
-    # DMA demand per job of every loading task.  One charge suffices
-    # here: the serialized exec term already counts every load at
-    # full length, so the fault work cannot hide under compute the
-    # way it can in the pipelined latency term (which is why
-    # sched.task.inflate_loads charges first and largest segments).
-    extra = retry_budget * fault_overhead
-    serialized = [
-        t.total_compute + t.total_load + (extra if t.total_load > 0 else 0)
-        for t in ordered
-    ]
-    if sum(e / t.period for e, t in zip(serialized, ordered)) > 1.0:
-        return None
-    candidates: List[rta.RtaTask] = []
-    for index, task in enumerate(ordered):
-        lower = ordered[index + 1:]
-        max_lp_c = max((t.max_segment_compute for t in lower), default=0)
-        max_lp_l = max(
-            (s.load_cycles for t in lower for s in t.segments), default=0
-        )
-        if max_lp_l > 0:
-            # A lower-priority transfer can carry its fault budget
-            # while blocking us.
-            max_lp_l += extra
-        n_load = sum(1 for s in task.segments if s.load_cycles > 0)
-        candidates.append(rta.RtaTask(
-            name=task.name,
-            exec_cycles=serialized[index],
-            period=task.period,
-            deadline=task.deadline,
-            priority=task.priority,
-            blocking=task.num_segments * max_lp_c + n_load * max_lp_l,
-        ))
-    return candidates
 
 
 def screen_decides(method: str, retry_budget: int = 0, fault_overhead: int = 0) -> bool:
@@ -797,55 +748,24 @@ def screen_decides(method: str, retry_budget: int = 0, fault_overhead: int = 0) 
     return method in SCREEN_DOMINATED and retry_budget * fault_overhead == 0
 
 
-def oblivious_screen(
-    tasks: Sequence[PeriodicTask],
-    retry_budget: int = 0,
-    fault_overhead: int = 0,
-) -> bool:
-    """Suspension-oblivious serialized screen via the RTA primitives.
+def oblivious_screen(tasks: Sequence[PeriodicTask]) -> bool:
+    """The admission screen: the verdict of the ``oblivious`` analysis.
 
-    Rebuilds the library's ``oblivious`` bound from
-    :mod:`repro.sched.rta` building blocks: serialized per-job demand
-    ``sum(C) + sum(L)``, segment-granular non-preemptive blocking
-    (``n_seg * max_lp_C + n_load * max_lp_L`` — one lower-priority
-    section per own segment boundary / issued transfer), and release
-    jitter ``R_j - E_j`` chained in priority order.  With no fault
-    budget every term dominates the corresponding term of the
-    ``overlap`` analysis, so a pass implies the full ``rtmdm`` analysis
-    passes too — the nominal screen is pessimistic, never optimistic.
-    With a budget the screen charges it once per job, while
-    :func:`repro.sched.task.inflate_loads` (what the full analysis
-    sees) charges it on up to two segments, so there a pass does not
-    imply the full analysis passes; nor does it imply ``holistic``
-    passes (:func:`screen_decides` says where a pass may admit).
-
-    A whole-job NP-RTA (single blocking term) is NOT sound here: the
-    simulator preempts at segment boundaries, so a fine-grained task
-    can be blocked once per gap, far exceeding one lower-priority
-    job's length (``fp_nonpreemptive_wcrt``'s docstring warns about
-    exactly this misuse).
+    Serialized per-job demand ``sum(C) + sum(L)``, segment-granular
+    non-preemptive blocking (``n_seg * max_lp_C + n_load * max_lp_L``)
+    and release jitter ``R_j - E_j`` chained in priority order.  Every
+    term dominates the corresponding term of the ``overlap`` analysis,
+    so a pass implies ``rtmdm`` passes too; it does not imply
+    ``holistic`` passes (:func:`screen_decides` says where a pass may
+    admit).  Plain :func:`~repro.core.analysis.analyze`, not the cached
+    one: the screen stays off the analysis cache and its counters.
     """
-    built = _screen_candidates(tasks, retry_budget, fault_overhead)
-    if built is None:
-        return False
-    screened: List[rta.RtaTask] = []
-    for candidate in built:
-        wcrt = rta.fp_preemptive_wcrt([*screened, candidate], candidate)
-        if wcrt is None or wcrt > candidate.deadline:
-            return False
-        screened.append(
-            replace(candidate, jitter=max(0, wcrt - candidate.exec_cycles))
-        )
-    return True
+    return analyze(TaskSet.of(tasks), "oblivious").schedulable
 
 
-def mass_screen(
-    task_lists: Sequence[Sequence[PeriodicTask]],
-    retry_budget: int = 0,
-    fault_overhead: int = 0,
-) -> List[bool]:
+def mass_screen(task_lists: Sequence[Sequence[PeriodicTask]]) -> List[bool]:
     """:func:`oblivious_screen` over many candidate rankings, in order.
 
     The fleet service's screen entry point: one verdict per list.
     """
-    return [oblivious_screen(t, retry_budget, fault_overhead) for t in task_lists]
+    return [oblivious_screen(t) for t in task_lists]

@@ -1,16 +1,15 @@
 """Real-time scheduling substrate: task model, simulator, and analyses.
 
 This package is independent of DNNs: it schedules *segmented periodic
-tasks* on a two-resource platform (one CPU + one DMA engine) and provides
-the classic uniprocessor response-time machinery the RT-MDM analyses are
-built from.
+tasks* on a two-resource platform (one CPU + one DMA engine).  The
+RT-MDM analyses themselves live in :mod:`repro.core.analysis`.
 
 * :mod:`repro.sched.task` — segments, periodic tasks, jobs, task sets.
 * :mod:`repro.sched.policies` — CPU scheduling policies (FP/EDF ×
   preemptive/non-preemptive at segment granularity).
 * :mod:`repro.sched.simulator` — deterministic discrete-event simulator.
 * :mod:`repro.sched.trace` — execution traces and ASCII Gantt charts.
-* :mod:`repro.sched.rta` — classic response-time analysis building blocks.
+* :mod:`repro.sched.rta` — task-set, hyperperiod and EDF demand helpers.
 """
 
 from repro.sched.policies import CpuPolicy

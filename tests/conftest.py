@@ -83,6 +83,28 @@ def random_taskset(
     return TaskSet.of(tasks)
 
 
+#: Doublings :func:`admitted_by_doubling` may apply before it fails.
+MAX_DOUBLINGS = 6
+
+
+def admitted_by_doubling(taskset: TaskSet, admits) -> TaskSet:
+    """``taskset`` with every period and deadline doubled until
+    ``admits(taskset)`` holds, so a soundness test checks an admitted
+    set for every seed instead of skipping the rejected ones.  A set
+    admitted as drawn is returned unchanged.  Fails if
+    :data:`MAX_DOUBLINGS` doublings are not enough.
+    """
+    for _ in range(MAX_DOUBLINGS):
+        if admits(taskset):
+            return taskset
+        taskset = TaskSet.of(
+            dataclasses.replace(t, period=2 * t.period, deadline=2 * t.deadline)
+            for t in taskset
+        )
+    assert admits(taskset), f"not admitted after {MAX_DOUBLINGS} doublings"
+    return taskset
+
+
 def sim_essence(result) -> dict:
     """Every SimResult field except the folding telemetry.
 

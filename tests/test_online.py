@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -336,6 +337,17 @@ class TestAdmissionController:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="bogus"):
             AdmissionController(PLATFORM, method="bogus")
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5, math.inf, math.nan])
+    def test_rejects_stretch_factors_outside_one_to_infinity(self, factor):
+        """An infinite factor would otherwise pass construction and die
+        with an OverflowError at the first request that reaches a rate
+        rung; the runtime builds its controller the same way."""
+        with pytest.raises(ValueError, match="stretch factors"):
+            AdmissionController(PLATFORM, stretch_factors=(1.25, factor))
+        runtime = OnlineRuntime(PLATFORM, stretch_factors=(factor,))
+        with pytest.raises(ValueError, match="stretch factors"):
+            runtime.controller()
 
 
 class TestServeReport:

@@ -14,7 +14,6 @@ regime the analysis covers.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +24,6 @@ from repro.core.analysis import analyze, fault_aware_analysis
 from repro.hw.presets import get_platform
 from repro.online.admission import AdmissionController
 from repro.robust.escalation import EscalationConfig, fault_overhead_cycles
-from repro.sched import rta
 from repro.sched.policies import CpuPolicy
 from repro.sched.simulator import SimConfig, simulate
 from repro.sched.task import TaskSet, inflate_loads
@@ -105,77 +103,6 @@ def test_fault_aware_admission_never_optimistic_vs_nominal(scenario):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_fault_aware_wcrt_monotone_in_budget(seed):
-    """k = 0 reduces to the plain bound; growing k never shrinks it."""
-    rng = random.Random(seed)
-    taskset = random_taskset(rng, n_tasks=3, util_target=0.4)
-    tasks = [
-        rta.RtaTask(
-            name=t.name,
-            exec_cycles=t.total_compute + t.total_load,
-            period=t.period,
-            deadline=t.deadline,
-            priority=t.priority,
-        )
-        for t in taskset
-    ]
-    for target in tasks:
-        plain = rta.fp_nonpreemptive_wcrt(tasks, target)
-        previous = rta.fault_aware_wcrt(tasks, target, 0, 500)
-        assert previous == plain
-        for k in (1, 2, 3):
-            bound = rta.fault_aware_wcrt(tasks, target, k, 500)
-            if previous is None:
-                assert bound is None or True  # already diverged
-                break
-            if bound is None:
-                break  # inflated demand diverged: strictly worse, fine
-            assert bound >= previous
-            previous = bound
-
-
-def test_fault_aware_wcrt_validates_inputs():
-    task = rta.RtaTask(name="a", exec_cycles=10, period=100, deadline=100,
-                       priority=0)
-    with pytest.raises(ValueError):
-        rta.fault_aware_wcrt([task], task, -1, 10)
-    with pytest.raises(ValueError):
-        rta.fault_aware_wcrt([task], task, 1, -10)
-
-
-@given(st.integers(0, 10_000), st.integers(0, 3), st.integers(0, 400))
-@settings(max_examples=40, deadline=None)
-def test_fault_aware_wcrt_is_nonpreemptive_wcrt_of_inflated_set(
-    seed, k_faults, fault_cost
-):
-    """The budget lands on every task's demand and blocking: the bound
-    equals the plain non-preemptive WCRT of the inflated set."""
-    rng = random.Random(seed)
-    extra = k_faults * fault_cost
-    tasks = []
-    for i in range(rng.randint(2, 5)):
-        period = rng.randint(200, 4000)
-        compute = max(1, int(period * rng.uniform(0.08, 0.30)))
-        tasks.append(rta.RtaTask(
-            name=f"t{i}",
-            exec_cycles=compute,
-            period=period,
-            deadline=rng.randint(max(2, period // 2), period),
-            priority=i,
-            jitter=rng.choice([0, rng.randint(0, period // 4)]),
-            blocking=rng.choice([0, rng.randint(0, compute)]),
-        ))
-    inflated = [
-        replace(t, exec_cycles=t.exec_cycles + extra, blocking=t.blocking + extra)
-        for t in tasks
-    ]
-    for task, target in zip(tasks, inflated):
-        assert rta.fault_aware_wcrt(
-            tasks, task, k_faults, fault_cost
-        ) == rta.fp_nonpreemptive_wcrt(inflated, target)
-
-
-@pytest.mark.parametrize("seed", range(12))
 def test_inflate_loads_charges_first_and_largest_segments(seed):
     """The budget lands on the serial first load (latency term) and on
     the largest load (blocking term) — once when they coincide."""
@@ -204,21 +131,6 @@ def test_inflate_loads_charges_first_and_largest_segments(seed):
 # Admission screen monotonicity
 # ----------------------------------------------------------------------
 PLATFORM = get_platform("f746-qspi")
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_screen_with_retry_budget_never_less_pessimistic(seed):
-    """If the fast screen passes WITH a fault budget it must also pass
-    without one — the budget only ever adds demand and blocking."""
-    rng = random.Random(3000 + seed)
-    taskset = random_taskset(rng, n_tasks=3, util_target=0.35)
-    tasks = list(taskset)
-    plain = AdmissionController(PLATFORM)
-    budgeted = AdmissionController(
-        PLATFORM, retry_budget=2, fault_overhead_cycles=400
-    )
-    if budgeted._screen(tasks):
-        assert plain._screen(tasks)
 
 
 @pytest.mark.parametrize("seed", range(10))

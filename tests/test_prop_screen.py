@@ -3,7 +3,9 @@
 :func:`repro.online.admission.oblivious_screen` lets an admission skip
 the full analysis, so with no fault budget it must never be optimistic
 against it: a pass implies the ``oblivious``, ``overlap`` and ``rtmdm``
-analyses (``SCREEN_DOMINATED``) admit the set too.  The ``holistic``
+analyses (``SCREEN_DOMINATED``) admit the set too.  The screen is the
+``oblivious`` analysis itself; a frozen copy of the busy-period screen
+it replaced checks that every verdict stayed the same.  The ``holistic``
 analysis alone is not dominated (it adds DMA-stage and CPU-stage
 blocking, the screen counts each blocking section once), which a pinned
 case records.  So the controller's and the fleet's *decisions* are
@@ -15,10 +17,12 @@ must return one verdict per list, in order.
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task, random_taskset
@@ -33,6 +37,7 @@ from repro.online.admission import (
     screen_decides,
 )
 from repro.online.events import Request, RequestKind
+from repro.sched.rta import RtaTask
 from repro.sched.task import Segment, TaskSet, inflate_loads
 
 seeds = st.integers(0, 10_000)
@@ -92,6 +97,152 @@ def test_empty_list_passes():
     assert oblivious_screen([])
     assert mass_screen([[]]) == [True]
     assert mass_screen([]) == []
+
+
+# ----------------------------------------------------------------------
+# Frozen oracle: the busy-period screen the ``oblivious`` analysis replaced
+# ----------------------------------------------------------------------
+def _frozen_busy_period_wcrt(tasks, task):
+    """Preemptive fixed-priority WCRT with jitter and blocking, by the
+    busy-period formulation ``R = max_q (w(q) - q T)`` (frozen copy)."""
+    key = (task.priority, task.name)
+    higher = [t for t in tasks if (t.priority, t.name) < key]
+    total = task.exec_cycles + task.blocking + sum(t.exec_cycles for t in higher)
+    cap = 64 * (total + max(t.period for t in [task, *higher])) + 64 * task.period
+    busy = max(1, task.blocking + task.exec_cycles)
+    while True:
+        demand = task.blocking + sum(
+            math.ceil((busy + t.jitter) / t.period) * t.exec_cycles
+            for t in [task, *higher]
+        )
+        if demand <= busy:
+            break
+        if demand > cap:
+            return None
+        busy = demand
+    worst = 0
+    for q in range(math.ceil((busy + task.jitter) / task.period)):
+        w = (q + 1) * task.exec_cycles + task.blocking
+        while True:
+            demand = (q + 1) * task.exec_cycles + task.blocking + sum(
+                math.ceil((w + t.jitter) / t.period) * t.exec_cycles for t in higher
+            )
+            if demand == w:
+                break
+            if demand > cap:
+                return None
+            w = demand
+        worst = max(worst, w - q * task.period)
+    return worst
+
+
+def _frozen_bounds(tasks):
+    """The budget-0 screen's per-task bounds in priority order, as it
+    computed them: serialized demand, segment-granular blocking, a float
+    utilization pre-check, then the busy-period RTA with jitter ``R - E``
+    chained in priority order.  None on overload or an unbounded task."""
+    ordered = sorted(tasks, key=lambda t: t.priority)
+    serialized = [t.total_compute + t.total_load for t in ordered]
+    if sum(e / t.period for e, t in zip(serialized, ordered)) > 1.0:
+        return None
+    screened = []
+    for index, task in enumerate(ordered):
+        lower = ordered[index + 1:]
+        max_lp_c = max((t.max_segment_compute for t in lower), default=0)
+        max_lp_l = max((s.load_cycles for t in lower for s in t.segments), default=0)
+        n_load = sum(1 for s in task.segments if s.load_cycles > 0)
+        candidate = RtaTask(
+            name=task.name, exec_cycles=serialized[index], period=task.period,
+            deadline=task.deadline, priority=task.priority,
+            blocking=task.num_segments * max_lp_c + n_load * max_lp_l,
+        )
+        wcrt = _frozen_busy_period_wcrt([*screened, candidate], candidate)
+        if wcrt is None:
+            return None
+        screened.append(replace(candidate, jitter=max(0, wcrt - candidate.exec_cycles)))
+    return {t.name: c.jitter + c.exec_cycles for t, c in zip(ordered, screened)}
+
+
+def _frozen_screen(tasks):
+    """The budget-0 screen's verdict: every bound within its deadline.
+    (A bound never depends on a deadline, so stopping at the first miss,
+    as the screen did, gives the same verdict.)"""
+    bounds = _frozen_bounds(tasks)
+    return bounds is not None and all(bounds[t.name] <= t.deadline for t in tasks)
+
+
+_bodies = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(1, 300)), st.integers(1, 800)),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def _screen_sets(draw):
+    """1-6 tasks in a random priority order, buffers 1-3, zero-load
+    segments, in one of three shapes:
+
+    * ``boundary``: every deadline equals the task's frozen bound, one
+      cycle short for at most one task, so a bound that moves either
+      way flips the verdict;
+    * ``random``: constrained deadlines between demand and period;
+    * ``harmonic``: implicit deadlines at serialized utilization exactly
+      1 (the last, longest-period task takes the remainder).
+    """
+    n = draw(st.integers(1, 6))
+    bodies = [draw(_bodies) for _ in range(n - 1)]
+    priorities = draw(st.permutations(range(n)))
+    buffers = [draw(st.integers(1, 3)) for _ in range(n)]
+    shape = draw(st.sampled_from(("boundary", "random", "harmonic")))
+    if shape == "harmonic":
+        shifts = sorted(draw(st.integers(0, 2)) for _ in range(n - 1))
+        top = max(shifts, default=0)
+        floor = sum(sum(map(sum, b)) / 2 ** k for b, k in zip(bodies, shifts))
+        base = draw(st.integers(math.floor(floor) + 1, 2 * math.floor(floor) + 2))
+        rest = base * 2 ** top - sum(
+            sum(map(sum, b)) * 2 ** (top - k) for b, k in zip(bodies, shifts)
+        )
+        load = draw(st.integers(0, rest - 1))
+        bodies.append([(load, rest - load)])
+        periods = [base * 2 ** k for k in [*shifts, top]]
+        return _tasks(bodies, periods, periods, priorities, buffers)
+    bodies.append(draw(_bodies))
+    util = draw(st.floats(0.05, 1.05))
+    demands = [sum(map(sum, b)) for b in bodies]
+    periods = [max(e, round(n * e / util)) for e in demands]
+    if shape == "random":
+        deadlines = [draw(st.integers(e, p)) for e, p in zip(demands, periods)]
+        return _tasks(bodies, periods, deadlines, priorities, buffers)
+    bounds = _frozen_bounds(_tasks(bodies, periods, periods, priorities, buffers))
+    if bounds is None:
+        return _tasks(bodies, periods, periods, priorities, buffers)
+    short = draw(st.integers(-1, n - 1))
+    deadlines = [
+        max(1, min(p, bounds[f"t{i}"] - (i == short))) for i, p in enumerate(periods)
+    ]
+    return _tasks(bodies, periods, deadlines, priorities, buffers)
+
+
+def _tasks(bodies, periods, deadlines, priorities, buffers):
+    return [
+        make_task(f"t{i}", body, period=p, deadline=d, priority=r, buffers=b)
+        for i, (body, p, d, r, b) in enumerate(
+            zip(bodies, periods, deadlines, priorities, buffers)
+        )
+    ]
+
+
+@given(_screen_sets())
+# Utilization exactly 1: one task fits its period exactly; with two or
+# more, the top task's blocking becomes jitter and neither screen admits.
+@example([make_task("a", [(3, 7)], period=10)])
+@example([
+    make_task("a", [(0, 3)], period=10, priority=0),
+    make_task("b", [(5, 9)], period=20, priority=1),
+])
+@settings(max_examples=400, deadline=None)
+def test_screen_equals_frozen_busy_period_screen(tasks):
+    assert oblivious_screen(tasks) == _frozen_screen(tasks)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the classic RTA building blocks."""
+"""Unit tests for the task-set, hyperperiod and EDF demand helpers."""
 
 import pytest
 
@@ -7,93 +7,10 @@ from repro.sched.rta import (
     HyperperiodError,
     RtaTask,
     edf_demand_schedulable,
-    fp_nonpreemptive_wcrt,
-    fp_preemptive_wcrt,
-    fp_schedulable,
     hyperperiod,
-    liu_layland_bound,
     try_hyperperiod,
     utilization,
-    with_np_blocking,
 )
-
-
-def _tasks():
-    return [
-        RtaTask("a", exec_cycles=2, period=10, deadline=10, priority=0),
-        RtaTask("b", exec_cycles=4, period=15, deadline=15, priority=1),
-        RtaTask("c", exec_cycles=5, period=35, deadline=35, priority=2),
-    ]
-
-
-class TestPreemptiveRta:
-    def test_textbook_example(self):
-        tasks = _tasks()
-        assert fp_preemptive_wcrt(tasks, tasks[0]) == 2
-        assert fp_preemptive_wcrt(tasks, tasks[1]) == 6
-        assert fp_preemptive_wcrt(tasks, tasks[2]) == 13
-
-    def test_blocking_adds_linearly_for_highest(self):
-        tasks = [
-            RtaTask("a", 2, 10, 10, 0, blocking=3),
-            RtaTask("b", 4, 15, 15, 1),
-        ]
-        assert fp_preemptive_wcrt(tasks, tasks[0]) == 5
-
-    def test_jitter_increases_interference(self):
-        base = [
-            RtaTask("a", 4, 10, 10, 0),
-            RtaTask("b", 5, 20, 20, 1),
-        ]
-        jittered = [
-            RtaTask("a", 4, 10, 10, 0, jitter=6),
-            RtaTask("b", 5, 20, 20, 1),
-        ]
-        assert fp_preemptive_wcrt(jittered, jittered[1]) >= fp_preemptive_wcrt(
-            base, base[1]
-        )
-
-    def test_overload_returns_none(self):
-        tasks = [
-            RtaTask("a", 9, 10, 10, 0),
-            RtaTask("b", 9, 10, 10, 1),
-        ]
-        assert fp_preemptive_wcrt(tasks, tasks[1]) is None
-
-    def test_busy_period_beyond_first_job(self):
-        # Utilization 1.0: response of the lowest task extends past T.
-        tasks = [
-            RtaTask("a", 5, 10, 10, 0),
-            RtaTask("b", 10, 20, 20, 1),
-        ]
-        wcrt = fp_preemptive_wcrt(tasks, tasks[1])
-        assert wcrt == 20
-
-
-class TestNonPreemptiveRta:
-    def test_lowest_priority_benefits_from_np(self):
-        tasks = _tasks()
-        np = fp_nonpreemptive_wcrt(tasks, tasks[2])
-        p = fp_preemptive_wcrt(tasks, tasks[2])
-        assert np == 11 and p == 13
-
-    def test_highest_priority_suffers_blocking(self):
-        tasks = with_np_blocking(_tasks())
-        assert tasks[0].blocking == 5
-        wcrt = fp_nonpreemptive_wcrt(tasks, tasks[0])
-        assert wcrt == 2 + 5
-
-    def test_with_np_blocking_lowest_has_none(self):
-        tasks = with_np_blocking(_tasks())
-        assert tasks[2].blocking == 0
-
-    def test_fp_schedulable_end_to_end(self):
-        assert fp_schedulable(with_np_blocking(_tasks()), preemptive=False)
-        heavy = [
-            RtaTask("a", 9, 10, 10, 0),
-            RtaTask("b", 5, 12, 12, 1),
-        ]
-        assert not fp_schedulable(heavy, preemptive=True)
 
 
 class TestEdfDemand:
@@ -125,12 +42,6 @@ class TestEdfDemand:
 
 
 class TestHelpers:
-    def test_liu_layland_values(self):
-        assert liu_layland_bound(1) == pytest.approx(1.0)
-        assert liu_layland_bound(2) == pytest.approx(0.8284, abs=1e-3)
-        with pytest.raises(ValueError):
-            liu_layland_bound(0)
-
     def test_hyperperiod(self):
         assert hyperperiod([10, 15, 35]) == 210
         with pytest.raises(ValueError):
