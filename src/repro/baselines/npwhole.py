@@ -12,27 +12,17 @@ isolated latency and no DMA leg is exposed to other tasks.
 
 from __future__ import annotations
 
-from repro.core import segcache
 from repro.core.pipeline import isolated_latency
 from repro.sched.task import PeriodicTask, Segment
 
 
-def _collapse(task: PeriodicTask) -> Segment:
-    return Segment(
+def whole_job(task: PeriodicTask) -> PeriodicTask:
+    """Collapse a segmented task into one non-preemptive section."""
+    section = Segment(
         name=f"{task.name}/whole",
         load_cycles=0,
         compute_cycles=isolated_latency(task.segments, task.buffers),
         load_bytes=sum(s.load_bytes for s in task.segments),
-    )
-
-
-def whole_job(task: PeriodicTask) -> PeriodicTask:
-    """Collapse a segmented task into one non-preemptive section."""
-    section = segcache.cached_segment_transform(
-        "np-whole",
-        task.segments,
-        (task.name, task.buffers),
-        lambda: _collapse(task),
     )
     return PeriodicTask(
         name=task.name,

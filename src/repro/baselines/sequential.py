@@ -12,26 +12,19 @@ and dropping the DMA leg.
 
 from __future__ import annotations
 
-from repro.core import segcache
 from repro.sched.task import PeriodicTask, Segment
 
 
-def _fold_loads(segments) -> tuple:
-    return tuple(
+def sequentialize(task: PeriodicTask) -> PeriodicTask:
+    """The sequential (busy-wait staging) version of a segmented task."""
+    segments = tuple(
         Segment(
             name=s.name,
             load_cycles=0,
             compute_cycles=s.compute_cycles + s.load_cycles,
             load_bytes=s.load_bytes,
         )
-        for s in segments
-    )
-
-
-def sequentialize(task: PeriodicTask) -> PeriodicTask:
-    """The sequential (busy-wait staging) version of a segmented task."""
-    segments = segcache.cached_segment_transform(
-        "sequential", task.segments, None, lambda: _fold_loads(task.segments)
+        for s in task.segments
     )
     return PeriodicTask(
         name=task.name,

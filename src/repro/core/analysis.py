@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import isolated_latency, pipelined_latency
@@ -83,7 +84,13 @@ class AnalysisResult:
 
 @dataclass(frozen=True)
 class _View:
-    """Pre-computed per-task quantities the analyses consume."""
+    """Pre-computed per-task quantities the analyses consume.
+
+    ``latency``, the task's isolated pipelined latency, is computed on
+    first read: ``overlap``, ``holistic`` (for gated tasks) and the
+    vector packer read it, ``oblivious`` never does, so the admission
+    screen runs no pipeline recurrence.
+    """
 
     task: PeriodicTask
     total_c: int
@@ -92,7 +99,10 @@ class _View:
     n_load: int
     max_c: int
     max_l: int
-    latency: int
+
+    @cached_property
+    def latency(self) -> int:
+        return isolated_latency(self.task.segments, self.task.buffers)
 
     @classmethod
     def of(cls, task: PeriodicTask) -> "_View":
@@ -104,7 +114,6 @@ class _View:
             n_load=sum(1 for s in task.segments if s.load_cycles > 0),
             max_c=task.max_segment_compute,
             max_l=max((s.load_cycles for s in task.segments), default=0),
-            latency=isolated_latency(task.segments, task.buffers),
         )
 
 

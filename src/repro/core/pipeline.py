@@ -17,9 +17,8 @@ simulator by the property tests.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dnn.models import Model
 from repro.dnn.quantization import Quantization
@@ -69,35 +68,31 @@ def pipelined_latency(
     return prev_comp
 
 
-# id-keyed latency memo over *shared* segment tuples.  The plan cache
-# hands the same immutable tuple to every re-materialized hit, and the
-# analyses recompute its isolated latency once per admission test; the
-# memo holds a strong reference to each tuple so ids cannot be reused.
-# ``segcache`` rebinds ``_memo_enabled`` to its master switch on import
-# (a late binding avoids a circular import).
-_memo_enabled: Callable[[], bool] = lambda: True
-_latency_memo: "OrderedDict[Tuple[int, int], Tuple[Tuple[Segment, ...], int]]" = (
-    OrderedDict()
-)
-_LATENCY_MEMO_MAX = 4096
-
-
 def isolated_latency(segments: Sequence[Segment], buffers: int = 2) -> int:
-    """Job latency on an otherwise idle platform."""
+    """Job latency on an otherwise idle platform.
+
+    The recurrence's ``f_comp(m)`` in one pass: equal to
+    ``pipeline_finish_times(segments, buffers)[-1][1]`` without building
+    the per-segment finish pairs.
+    """
     if not segments:
         raise ValueError("segments must be non-empty")
-    if type(segments) is not tuple or not _memo_enabled():
-        return pipeline_finish_times(segments, buffers)[-1][1]
-    key = (id(segments), buffers)
-    entry = _latency_memo.get(key)
-    if entry is not None and entry[0] is segments:
-        _latency_memo.move_to_end(key)
-        return entry[1]
-    value = pipeline_finish_times(segments, buffers)[-1][1]
-    _latency_memo[key] = (segments, value)
-    while len(_latency_memo) > _LATENCY_MEMO_MAX:
-        _latency_memo.popitem(last=False)
-    return value
+    if buffers < 1:
+        raise ValueError(f"buffers must be >= 1, got {buffers}")
+    # f_comp of the last ``buffers`` segments, segment j at j % buffers;
+    # the zeros stand for f_comp(j - buffers) while j < buffers.
+    ring = [0] * min(buffers, len(segments))
+    f_load = comp = 0
+    for j, segment in enumerate(segments):
+        slot = j % buffers
+        if ring[slot] > f_load:
+            f_load = ring[slot]
+        f_load += segment.load_cycles
+        if f_load > comp:
+            comp = f_load
+        comp += segment.compute_cycles
+        ring[slot] = comp
+    return comp
 
 
 def sequential_latency(segments: Sequence[Segment]) -> int:

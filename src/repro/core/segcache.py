@@ -62,7 +62,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.core import pipeline as _pipeline
 from repro.core import planstore
 from repro.core.analysis import AnalysisResult, analyze
 from repro.core.pipeline import SegmentedModel
@@ -88,12 +87,12 @@ __all__ = [
     "cached_build_model",
     "cached_refine_model",
     "cached_search_segmentation",
-    "cached_segment_transform",
     "cached_xip_segments",
     "cache_note",
     "clear_all",
     "delta_since",
     "freeze",
+    "model_costs",
     "planner_platform_fingerprint",
     "pow2_floor",
     "quarter_pow2_floor",
@@ -249,20 +248,14 @@ CACHES: Dict[str, PlanCache] = {
 
 #: Internal per-(model, compute fingerprint, quant) memo of
 #: :class:`~repro.core.segmentation.LayerCosts` (not part of the public
-#: counters): key canonicalization and the cold search's planner share
-#: one set of cost vectors.
+#: counters): key canonicalization, the cold search's planner and the
+#: workload generator's SRAM split share one set of cost vectors.
 _costs_memo = PlanCache("_costs")
 
 #: Internal memo for derived XIP-baseline segment tuples (immutable, so
 #: sharing across tasksets is safe); also outside the public counters —
 #: the experiment notes report *segmentation* cache traffic.
 _xip_memo = PlanCache("_xip")
-
-#: Internal memo for baseline segment-tuple transforms, keyed by the
-#: *identity* of the source tuple (the plan cache hands the same shared
-#: tuple to every hit, so admission sweeps transform it thousands of
-#: times).  Entries hold a strong reference to the source tuple.
-_transform_memo = PlanCache("_transform")
 
 #: ``(id(model), id(platform), id(quant)) -> (model, platform, quant,
 #: columns)``: the batched admission packer's (:mod:`repro.eval.systems`)
@@ -283,14 +276,9 @@ def is_enabled() -> bool:
     return _enabled
 
 
-# The pipeline module's id-keyed latency memo obeys the same master
-# switch; bound late because ``pipeline`` cannot import this module.
-_pipeline._memo_enabled = is_enabled
-
-
 def clear_all() -> None:
     """Drop every cached entry and memo; counters are monotone and stay."""
-    for cache in (*CACHES.values(), _costs_memo, _xip_memo, _transform_memo):
+    for cache in (*CACHES.values(), _costs_memo, _xip_memo):
         cache.clear()
     for memo in (
         _layer_fingerprint, _model_fingerprint, _quant_fingerprint,
@@ -298,7 +286,6 @@ def clear_all() -> None:
     ):
         memo.clear()
     xip_columns.clear()
-    _pipeline._latency_memo.clear()
     _layers._split_memo.clear()
 
 
@@ -464,31 +451,6 @@ def cached_xip_segments(
     return value
 
 
-def cached_segment_transform(
-    tag: str,
-    segments: Any,
-    extra: Any,
-    build: "Callable[[], Any]",
-) -> Any:
-    """Memoize a pure transform of an (immutable, shared) segment tuple.
-
-    The baseline derivations (busy-wait folding, whole-job collapsing)
-    are functions of the source segment tuple alone plus whatever
-    ``extra`` key parts the caller's output embeds; keyed by the tuple's
-    identity, with the tuple itself stored in the entry so the id stays
-    valid.  Only tuples are memoized — anything else falls through.
-    """
-    if not _enabled or type(segments) is not tuple:
-        return build()
-    key = (tag, id(segments), extra)
-    found, entry = _transform_memo.get(key)
-    if found and entry[0] is segments:
-        return entry[1]
-    value = build()
-    _transform_memo.put(key, (segments, value))
-    return value
-
-
 # ----------------------------------------------------------------------
 # Cached planning stages
 # ----------------------------------------------------------------------
@@ -563,12 +525,15 @@ def cached_refine_model(
     return refined
 
 
-def _model_costs(model: Model, platform: Platform, quant: Quantization) -> LayerCosts:
+def model_costs(model: Model, platform: Platform, quant: Quantization) -> LayerCosts:
     """:func:`~repro.core.segmentation.layer_costs`, memoized per (model,
     compute fingerprint, quant).
 
     Key canonicalization reads its maxima and totals; a cold search
-    hands it to the planner, so the vectors are computed once per model.
+    hands it to the planner, and the workload generator's SRAM split
+    reads the largest layer's bytes (``max_weight``), the peak
+    activation bytes and the total weight bytes (``prefix_w[-1]``), so
+    the vectors are computed once per model.
     """
     if not _enabled:
         return layer_costs(model, platform, quant)
@@ -629,7 +594,7 @@ def cached_search_segmentation(
     """
     if buffers < 1:
         raise ValueError(f"buffers must be >= 1, got {buffers}")
-    costs = _model_costs(model, platform, quant)
+    costs = model_costs(model, platform, quant)
     max_w, total_w = costs.max_weight, costs.prefix_w[-1]
     max_c, total_c = costs.max_compute, costs.prefix_c[-1]
     act = costs.activation_bytes

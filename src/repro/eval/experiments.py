@@ -431,7 +431,7 @@ def _case_config(taskset, horizon_jobs: int,
 def _simulate_case_batch(taskset, horizon_jobs: int,
                          phase_rngs: Sequence[Optional[random.Random]],
                          arbitration: DmaArbitration = DmaArbitration.PRIORITY):
-    """Simulate ``taskset`` once per phasing rng: one config + shared setup.
+    """Simulate ``taskset`` once per phasing rng, all with one config.
 
     Each phasing draws ``randrange(period)`` per task from its rng (no
     rng: the set's own phases), so results are bit-identical to one

@@ -37,7 +37,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro import obs
-from repro.sched.simulator import SharedSetup, SimConfig, SimResult, simulate
+from repro.sched.simulator import SimConfig, SimResult, simulate
 from repro.sched.task import TaskSet
 
 __all__ = [
@@ -78,21 +78,17 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def simulate_batch(
     cases: Iterable[Tuple[TaskSet, SimConfig]],
 ) -> List[SimResult]:
-    """Simulate ``cases`` in order, amortizing per-run setup.
+    """Simulate ``cases`` in order, reusing one simulation arena.
 
     A work unit's simulations (the phasings of one drawn set, the
     systems derived from one case, the recovery ladders of one fault
-    sweep point) almost always share their period structure; the period
-    maximum and the hyperperiod LCM that seed steady-state folding are
-    then computed once per distinct structure (keyed on the period
-    tuple) instead of once per run.  Every :class:`SimResult` is
-    bit-identical to a scalar ``simulate(taskset, config)`` call — the
-    shared setup carries only input-derived values.
-
-    When the SoA engine is active, one preallocated
-    :class:`~repro.sched.simcore.Arena` serves the whole batch: the
-    response buffer and segment columns warm up on the first run of
-    each structure and every later run allocates nothing.
+    sweep point) run one after another.  When the SoA engine is active,
+    one preallocated :class:`~repro.sched.simcore.Arena` serves the
+    whole batch: the response buffer and segment columns warm up on the
+    first run of each structure and every later run allocates nothing.
+    Every :class:`SimResult` is bit-identical to a plain
+    ``simulate(taskset, config)`` call — the arena holds only buffers
+    and input-derived segment columns.
     """
     arena = None
     try:
@@ -102,15 +98,7 @@ def simulate_batch(
             arena = simcore.Arena()
     except ImportError:  # pragma: no cover - simcore ships with the package
         pass
-    setups: dict = {}
-    results: List[SimResult] = []
-    for taskset, config in cases:
-        key = tuple(t.period for t in taskset)
-        setup = setups.get(key)
-        if setup is None:
-            setup = setups[key] = SharedSetup(taskset)
-        results.append(simulate(taskset, config, setup, arena))
-    return results
+    return [simulate(taskset, config, arena) for taskset, config in cases]
 
 
 def _counted(worker: Callable[[Any], Any], unit: Any) -> Tuple[Any, obs.Snapshot]:

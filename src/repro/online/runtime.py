@@ -213,6 +213,9 @@ class OnlineRuntime:
             retry_budget=retry_budget,
             fault_overhead_cycles=fault_overhead_cycles,
         )
+        # Build one controller now so a bad argument raises here, at
+        # construction, rather than when serving starts.
+        self.controller()
 
     def controller(self) -> AdmissionController:
         """A fresh admission controller with this runtime's configuration.

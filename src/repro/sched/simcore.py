@@ -102,13 +102,8 @@ except ImportError:  # pragma: no cover
 from repro import obs
 from repro.hw.dma import DmaArbitration
 from repro.robust.overload import OverrunPolicy
-from repro.sched.simulator import (
-    SharedSetup,
-    SimConfig,
-    SimResult,
-    TaskStats,
-    _capped_lcm,
-)
+from repro.sched.rta import try_hyperperiod
+from repro.sched.simulator import SimConfig, SimResult, TaskStats
 from repro.sched.task import PeriodicTask, TaskSet
 
 #: Environment kill switch: set to ``0`` to force the scalar simulator.
@@ -282,7 +277,6 @@ def _check_supported(config: SimConfig) -> None:
 def try_simulate(
     taskset: TaskSet,
     config: SimConfig,
-    shared: Optional[SharedSetup] = None,
     arena: Optional[Arena] = None,
 ) -> Optional[SimResult]:
     """Run ``taskset`` on the SoA core, or ``None`` to use the scalar path.
@@ -301,7 +295,7 @@ def try_simulate(
     except StandDown:
         _counters["sim_stand_downs"] += 1
         return None
-    return _run(taskset, config, shared, arena if arena is not None else default_arena())
+    return _run(taskset, config, arena if arena is not None else default_arena())
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +306,6 @@ def try_simulate(
 def _run(
     taskset: TaskSet,
     config: SimConfig,
-    shared: Optional[SharedSetup],
     arena: Arena,
 ) -> SimResult:
     t_pack = _walltime.perf_counter()
@@ -350,7 +343,7 @@ def _run(
     # pass can never dispatch: skip it wholesale.
     has_dma = any(nzsuf[p2][0] > 0 for p2 in range(n))
 
-    max_period = shared.max_period if shared is not None else max(periods)
+    max_period = max(periods)
     hard_cap = int(horizon * config.hard_cap_factor) + max_period
 
     # Response-accumulator regions: capacity = releases before horizon
@@ -374,7 +367,7 @@ def _run(
     fold_period = 0
     fold_boundary = _FOLD_OFF
     if fold_enabled():
-        h = shared.hyperperiod if shared is not None else _capped_lcm(periods)
+        h = try_hyperperiod(periods)
         if h is not None and 2 * h <= horizon:
             fold_period = h
             fold_boundary = h

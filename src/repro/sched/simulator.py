@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -269,37 +268,6 @@ class SimConfig:
             )
         if self.overrun is OverrunPolicy.DEGRADE and self.degrade is None:
             raise ValueError("OverrunPolicy.DEGRADE requires a DegradeConfig")
-
-
-class SharedSetup:
-    """Per-taskset precomputation shared across a batch of simulations.
-
-    :func:`repro.eval.parallel.simulate_batch` builds one of these and
-    hands it to every :func:`simulate` call of the batch, so simcore
-    computes the period maximum and the (potentially big-int)
-    hyperperiod LCM once per work unit instead of once per run.
-    Results are identical with or without it.
-    """
-
-    __slots__ = ("max_period", "hyperperiod")
-
-    def __init__(self, taskset: TaskSet) -> None:
-        self.max_period = max(t.period for t in taskset)
-        self.hyperperiod = _capped_lcm([t.period for t in taskset])
-
-
-#: Hyperperiods beyond this are useless for folding (and big-int LCMs
-#: of co-prime periods get expensive); matches sched.rta.HYPERPERIOD_CAP.
-_HYPERPERIOD_CAP = 1 << 62
-
-
-def _capped_lcm(periods: List[int]) -> Optional[int]:
-    result = 1
-    for period in periods:
-        result = math.lcm(result, period)
-        if result > _HYPERPERIOD_CAP:
-            return None
-    return result
 
 
 class Simulator:
@@ -950,7 +918,6 @@ _simcore = None
 def simulate(
     taskset: TaskSet,
     config: SimConfig,
-    shared: Optional[SharedSetup] = None,
     arena: Optional[object] = None,
 ) -> SimResult:
     """Run one simulation, preferring the struct-of-arrays core.
@@ -959,9 +926,9 @@ def simulate(
     config is within its modeled feature set (results are bit-identical
     up to fold telemetry; ``REPRO_VEC_SIM=0`` forces the scalar path),
     and falls back to the scalar :class:`Simulator` otherwise.
-    ``shared`` and ``arena`` only reach simcore: a
-    :class:`SharedSetup` and an :class:`~repro.sched.simcore.Arena`
-    reused across runs (see :func:`repro.eval.parallel.simulate_batch`).
+    ``arena`` only reaches simcore: an
+    :class:`~repro.sched.simcore.Arena` reused across runs (see
+    :func:`repro.eval.parallel.simulate_batch`).
     """
     global _simcore
     if _simcore is None:
@@ -969,7 +936,7 @@ def simulate(
 
         _simcore = simcore
     if _simcore.enabled():
-        result = _simcore.try_simulate(taskset, config, shared, arena)
+        result = _simcore.try_simulate(taskset, config, arena)
         if result is not None:
             return result
     return Simulator(taskset, config).run()

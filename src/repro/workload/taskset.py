@@ -23,6 +23,7 @@ from repro.core.segcache import (
     cached_build_model,
     cached_refine_model,
     cached_search_segmentation,
+    model_costs,
 )
 from repro.core.segmentation import SegmentationError
 from repro.dnn.models import Model
@@ -96,9 +97,9 @@ def _budgets(
     minima = {}
     weights = {}
     for name, model in refined:
-        max_layer = max(layer.param_bytes(quant) for layer in model.layers)
-        minima[name] = buffers * max_layer + model.peak_activation_bytes(quant)
-        weights[name] = max(1, model.total_param_bytes(quant))
+        costs = model_costs(model, platform, quant)
+        minima[name] = buffers * costs.max_weight + costs.activation_bytes
+        weights[name] = max(1, costs.prefix_w[-1])
     total_min = sum(minima.values())
     if total_min > capacity:
         return None

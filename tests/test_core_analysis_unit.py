@@ -5,9 +5,12 @@ file pins exact bound values on small examples so refactors that change
 the math are caught immediately.
 """
 
+import pytest
 
 from conftest import make_task
+from repro.core import analysis
 from repro.core.analysis import AnalysisResult, analyze
+from repro.online.admission import mass_screen, oblivious_screen
 from repro.sched.task import TaskSet
 
 
@@ -98,3 +101,33 @@ class TestAnalysisResult:
             method="x", wcrt={"a": 10, "b": None}, deadlines={"a": 20, "b": 20}
         )
         assert not result.schedulable
+
+
+class TestLatencyIsReadOnlyWhereNeeded:
+    """The pipeline recurrence runs only for analyses that read it."""
+
+    def _tasks(self):
+        # Two segments at depth 1 (gated): holistic falls back to the
+        # pipelined latency for "hi", overlap reads it for both.
+        hi = make_task("hi", [(50, 100), (60, 110)], period=5000, priority=0,
+                       buffers=1)
+        lo = make_task("lo", [(40, 200)], period=8000, priority=1)
+        return [hi, lo]
+
+    @pytest.fixture
+    def no_latency(self, monkeypatch):
+        def boom(segments, buffers=2):
+            raise AssertionError("isolated_latency called")
+
+        monkeypatch.setattr(analysis, "isolated_latency", boom)
+
+    def test_oblivious_and_the_screen_run_no_recurrence(self, no_latency):
+        tasks = self._tasks()
+        assert analyze(TaskSet.of(tasks), "oblivious").schedulable
+        assert oblivious_screen(tasks)
+        assert mass_screen([tasks, tasks[:1]]) == [True, True]
+
+    @pytest.mark.parametrize("method", ["overlap", "holistic", "rtmdm"])
+    def test_latency_readers_still_run_it(self, no_latency, method):
+        with pytest.raises(AssertionError, match="isolated_latency called"):
+            analyze(TaskSet.of(self._tasks()), method)

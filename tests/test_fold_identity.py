@@ -45,8 +45,9 @@ from repro.robust.overload import DegradeConfig, OverrunPolicy
 from repro.online.sim import DynamicSimulator, simulate_dynamic
 from repro.robust.recovery import RecoveryConfig
 from repro.sched.policies import CpuPolicy
+from repro.sched.rta import try_hyperperiod
 from repro.sched.simcore import fold_enabled
-from repro.sched.simulator import SharedSetup, SimConfig, simulate
+from repro.sched.simulator import SimConfig, simulate
 from repro.sched.task import TaskSet
 from repro.eval.parallel import simulate_batch
 from repro.workload.scenarios import get_scenario
@@ -219,7 +220,9 @@ def test_fold_disabled_under_nondeterministic_hooks(seed, hook_index):
     horizon = 8 * max(t.period for t in ts)
     # Vacuity guard: the same set minus the hook runs on simcore with
     # folding armed (two hyperperiods fit in the horizon).
-    assert fold_enabled() and 2 * SharedSetup(ts).hyperperiod <= horizon
+    hyperperiod = try_hyperperiod([t.period for t in ts])
+    assert fold_enabled() and hyperperiod is not None
+    assert 2 * hyperperiod <= horizon
     before = obs.snapshot()
     simulate(ts, SimConfig(horizon=horizon))
     runs, _, stand_downs = _soa_delta(before)

@@ -342,12 +342,31 @@ class TestAdmissionController:
     def test_rejects_stretch_factors_outside_one_to_infinity(self, factor):
         """An infinite factor would otherwise pass construction and die
         with an OverflowError at the first request that reaches a rate
-        rung; the runtime builds its controller the same way."""
+        rung; the runtime raises it at construction."""
         with pytest.raises(ValueError, match="stretch factors"):
             AdmissionController(PLATFORM, stretch_factors=(1.25, factor))
-        runtime = OnlineRuntime(PLATFORM, stretch_factors=(factor,))
         with pytest.raises(ValueError, match="stretch factors"):
-            runtime.controller()
+            OnlineRuntime(PLATFORM, stretch_factors=(factor,))
+
+
+class TestOnlineRuntime:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"stretch_factors": (math.inf,)}, "stretch factors"),
+            ({"buffers": 0}, "buffers"),
+            ({"method": "nope"}, "nope"),
+            ({"degrade_factor": 0}, "degrade_factor"),
+            ({"retry_budget": -1}, "retry_budget"),
+            ({"fault_overhead_cycles": -1}, "fault_overhead_cycles"),
+        ],
+    )
+    def test_rejects_bad_controller_arguments_at_construction(self, kwargs, match):
+        """The runtime stores its controller arguments for later
+        controllers (serving, journal recovery); a bad one raises when
+        the runtime is built, not when serving starts."""
+        with pytest.raises(ValueError, match=match):
+            OnlineRuntime(PLATFORM, **kwargs)
 
 
 class TestServeReport:

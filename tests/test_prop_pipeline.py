@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.pipeline import (
     isolated_latency,
     pipeline_finish_times,
+    pipelined_latency,
     sequential_latency,
     stall_cycles,
 )
@@ -69,3 +70,27 @@ def test_full_buffering_matches_infinite(segs, buffers):
     """Buffer depth >= segment count behaves like unlimited buffers."""
     m = len(segs)
     assert isolated_latency(segs, m) == isolated_latency(segs, m + 3)
+
+
+# Loads are zero about half the time: flash-resident and XIP-style
+# segments have no DMA leg, and runs of them exercise the max() terms.
+_load_or_zero = st.one_of(st.just(0), st.integers(0, 500))
+
+
+@given(
+    st.lists(st.tuples(_load_or_zero, st.integers(1, 500)), min_size=1, max_size=24),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_latency_forms_agree(pairs, buffers, as_tuple):
+    """The three forms of the recurrence's ``f_comp(m)`` are one value:
+    every analysis reads ``isolated_latency``, the finish-time list is
+    the reference, and the margin probes read ``pipelined_latency``."""
+    segs = [Segment(f"s{i}", l, c) for i, (l, c) in enumerate(pairs)]
+    if as_tuple:
+        segs = tuple(segs)
+    expected = pipeline_finish_times(segs, buffers)[-1][1]
+    assert isolated_latency(segs, buffers) == expected
+    loads = [s.load_cycles for s in segs]
+    computes = [s.compute_cycles for s in segs]
+    assert pipelined_latency(loads, computes, buffers) == expected

@@ -4,12 +4,34 @@ import random
 
 import pytest
 
-from repro.dnn.zoo import list_models
+from repro.core import segcache
+from repro.dnn.models import refine_model
+from repro.dnn.quantization import FLOAT32, INT8
+from repro.dnn.zoo import build_model, list_models
 from repro.hw.presets import get_platform
 from repro.workload.scenarios import SCENARIOS, get_scenario
 from repro.workload.taskset import generate_case, uunifast
 
 PLATFORM = get_platform("f746-qspi")
+
+
+class TestBudgetInputs:
+    @pytest.mark.parametrize("quant", [INT8, FLOAT32], ids=lambda q: q.name)
+    def test_model_costs_hold_the_budget_walks(self, quant):
+        """The SRAM split reads the memoized per-model costs; over the
+        zoo (as built and refined) they equal the three layer walks
+        they replace."""
+        for name in list_models():
+            model = build_model(name)
+            for candidate in (model, refine_model(model, quant, 4096)):
+                costs = segcache.model_costs(candidate, PLATFORM, quant)
+                assert costs.max_weight == max(
+                    layer.param_bytes(quant) for layer in candidate.layers
+                ), name
+                assert costs.activation_bytes == (
+                    candidate.peak_activation_bytes(quant)
+                ), name
+                assert costs.prefix_w[-1] == candidate.total_param_bytes(quant), name
 
 
 class TestUUniFast:
