@@ -162,7 +162,6 @@ def pytest_sessionfinish(session, exitstatus):
         "schema": "rtmdm-bench-suite/1",
         "python": sys.version.split()[0],
         "machine": _platform.machine(),
-        "cache_enabled": segcache.is_enabled(),
         "total_seconds": round(sum(r["seconds"] for r in records), 3),
         "experiments": records,
     }

@@ -18,8 +18,8 @@ def test_f17_rta_throughput(benchmark):
     # Both modes see the same admitted population, bit-identically.
     assert len(set(result.column("schedulable"))) == 1
     assert all(flag == 1 for flag in result.column("identical"))
-    # The vector engine must have engaged (numpy present, kill switch
-    # off, no whole-batch stand-down) for the vectorized mode.
+    # The vector engine must have engaged (no whole-batch stand-down)
+    # for the vectorized mode.
     assert result.column("vec_engaged") == [0, 1]
     assert "vectorized_cache_sets_per_s" not in result.meta
     for key in ("scalar_sets_per_s", "vectorized_sets_per_s"):

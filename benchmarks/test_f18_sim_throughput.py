@@ -18,9 +18,8 @@ def test_f18_sim_throughput(benchmark):
     # Every mode replays the same workload with the same outcome.
     assert len(set(result.column("misses"))) == 1
     assert all(flag == 1 for flag in result.column("identical"))
-    # The SoA engine must have run every set in both SoA modes (numpy
-    # present, kill switch off, nothing stood down to the scalar path)
-    # and none in the scalar mode.
+    # The SoA engine must have run every set in both SoA modes (nothing
+    # stood down to the scalar path) and none in the scalar mode.
     scalar_runs, soa_runs, fold_runs = result.column("soa_runs")
     assert scalar_runs == 0
     sets = result.column("sets")[0]

@@ -36,16 +36,17 @@ def _require_numpy() -> None:
     """Fail fast, with a clear message, when numpy is absent or too old.
 
     The vectorized RTA engine (:mod:`repro.sched.vecrta`) needs numpy's
-    exact int64 array semantics, introduced well before 1.22; the floor
-    simply pins the oldest version the engine is tested against.
-    ``REPRO_VEC_RTA=0`` disables the engine at runtime but numpy remains
-    a hard dependency — analysis results must not silently depend on
-    which optional packages happen to be importable.
+    exact int64 array semantics, introduced well before 1.22, and the
+    struct-of-arrays simulator (:mod:`repro.sched.simcore`) keeps its
+    response buffers in numpy arrays; the floor simply pins the oldest
+    version both are tested against.  Both import numpy unconditionally,
+    so analysis and simulation results never depend on which optional
+    packages happen to be importable.
     """
     floor = ".".join(str(part) for part in _NUMPY_FLOOR)
     try:
         import numpy
-    except ImportError as exc:  # pragma: no cover - depends on env
+    except ImportError as exc:
         raise ImportError(
             f"repro requires numpy >= {floor} for the vectorized RTA engine "
             "(repro.sched.vecrta); install it with "
@@ -55,9 +56,9 @@ def _require_numpy() -> None:
         version = tuple(
             int(part) for part in numpy.__version__.split(".")[:2]
         )
-    except ValueError:  # pragma: no cover - pre-release version strings
+    except ValueError:  # pre-release or development version strings
         return
-    if version < _NUMPY_FLOOR:  # pragma: no cover - depends on env
+    if version < _NUMPY_FLOOR:
         raise ImportError(
             f"repro requires numpy >= {floor}, found {numpy.__version__}; "
             f"upgrade with `pip install 'numpy>={floor}'`."

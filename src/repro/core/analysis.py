@@ -411,6 +411,8 @@ class _InflatedCols:
         ]
 
     def at(self, factor: float):
+        if factor == 1.0:
+            return self.nominal  # ceil(C * 1.0) == C: the set's own columns
         total_c: List[int] = []
         max_c: List[int] = []
         latency: List[int] = []
@@ -430,42 +432,35 @@ def sensitivity_margin_batch(
 ) -> List[Optional[float]]:
     """Batched :func:`sensitivity_margin` over many task sets.
 
-    Runs every set's binary search in lock-step.  The nominal sets go
-    through one :func:`repro.sched.vecrta.analyze_taskset_batch`; after
-    that, each step packs every still-active set's probe straight from
-    its inflated columns (:class:`_InflatedCols`) into one
+    Runs every set's binary search in lock-step.  Each set's views and
+    columns are built once (:class:`_InflatedCols`); each step, the
+    nominal verdicts included, packs every still-active set's probe
+    straight from those columns into one
     :func:`repro.sched.vecrta.solve_cols_batch`, with no inflated task
-    set built.  A probe the engine stands down on, and every probe when
-    the engine is off, is answered by scalar ``analyze`` on
-    ``inflate_compute(ts, f)``.  Each set sees exactly the probe
-    sequence the scalar search would issue — midpoints depend only on
-    that set's own lo/hi floats and verdicts are bit-identical — so
-    returned margins equal ``[sensitivity_margin(ts, ...) for ts in
+    set built.  A probe the engine stands down on is answered by scalar
+    ``analyze`` on ``inflate_compute(ts, f)``.  Each set sees exactly
+    the probe sequence the scalar search would issue — midpoints depend
+    only on that set's own lo/hi floats and verdicts are bit-identical —
+    so returned margins equal ``[sensitivity_margin(ts, ...) for ts in
     tasksets]``.
     """
     if upper < 1.0:
         raise ValueError(f"upper must be >= 1, got {upper}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    if method not in METHODS:
+        raise ValueError(f"unknown analysis method {method!r}; choose from {METHODS}")
     from repro.sched import vecrta
 
     tasksets = list(tasksets)
     margins: List[Optional[float]] = [None] * len(tasksets)
-
-    base = vecrta.analyze_taskset_batch([(ts, method) for ts in tasksets])
-    admitted = [i for i, res in enumerate(base) if res.schedulable]
-    columns = (
-        {i: _InflatedCols(tasksets[i]) for i in admitted}
-        if vecrta.enabled() else {}
-    )
+    columns = [_InflatedCols(ts) for ts in tasksets]
 
     def admits(probes: List[Tuple[int, float]]) -> List[bool]:
         """Verdicts for ``(set index, factor)`` probes, in order."""
-        solved = None
-        if columns:
-            solved = vecrta.solve_cols_batch(
-                [(columns[i].at(f), method, {}) for i, f in probes]
-            )
+        solved = vecrta.solve_cols_batch(
+            [(columns[i].at(f), method, {}) for i, f in probes]
+        )
         out = []
         for k, (i, f) in enumerate(probes):
             plan = solved[1][k] if solved is not None else None
@@ -475,6 +470,8 @@ def sensitivity_margin_batch(
                 out.append(vecrta.chains_schedulable(solved[0], plan, method))
         return out
 
+    nominal = admits([(i, 1.0) for i in range(len(tasksets))])
+    admitted = [i for i, ok in enumerate(nominal) if ok]
     bounds: Dict[int, Tuple[float, float]] = {}
     for i, ok in zip(admitted, admits([(i, upper) for i in admitted])):
         if ok:

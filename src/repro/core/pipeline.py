@@ -100,16 +100,6 @@ def sequential_latency(segments: Sequence[Segment]) -> int:
     return sum(s.load_cycles + s.compute_cycles for s in segments)
 
 
-def stall_cycles(segments: Sequence[Segment], buffers: int = 2) -> int:
-    """Cycles the CPU idles waiting for loads, in isolation.
-
-    This is the pipeline's residual exposure to the external memory:
-    ``isolated_latency - total_compute``.
-    """
-    total_compute = sum(s.compute_cycles for s in segments)
-    return isolated_latency(segments, buffers) - total_compute
-
-
 @dataclass(frozen=True)
 class SegmentedModel:
     """A DNN partitioned into staging segments on a concrete platform.

@@ -17,8 +17,7 @@ therefore does two things:
    * a smaller staging-slot byte budget uses *less* SRAM than granted.
 
    Quantization is applied on the cold path too, so a cache hit returns
-   bit-identical results to a cache miss (and to a run with the cache
-   disabled) by construction.
+   bit-identical results to a cache miss by construction.
 
 2. **Bounded LRU caches with hit/miss counters** — one per planning stage
    (zoo model build, granularity refinement, segmentation search,
@@ -46,17 +45,15 @@ Key soundness notes:
 * ``SegmentationError`` outcomes are cached too (negative caching): the
   planner is deterministic, so an infeasible key stays infeasible.
 
-Every cache holds at most :data:`MAXSIZE` entries.  Environment knobs:
-``REPRO_PLAN_CACHE=0`` disables all caches; ``REPRO_PLAN_STORE=<dir>``
-adds the persistent on-disk tier below the search LRU (see
-:mod:`repro.core.planstore`).
+Every cache holds at most :data:`MAXSIZE` entries.
+``REPRO_PLAN_STORE=<dir>`` adds the persistent on-disk tier below the
+search LRU (see :mod:`repro.core.planstore`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -96,17 +93,12 @@ __all__ = [
     "planner_platform_fingerprint",
     "pow2_floor",
     "quarter_pow2_floor",
-    "set_enabled",
     "snapshot",
     "xip_columns",
 ]
 
 #: Entry bound of every plan cache and private memo.
 MAXSIZE = 4096
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_PLAN_CACHE", "1") != "0"
 
 
 # ----------------------------------------------------------------------
@@ -263,19 +255,6 @@ _xip_memo = PlanCache("_xip")
 #: their key objects so the ids stay valid until :func:`clear_all`.
 xip_columns: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
 
-_enabled = _env_enabled()
-
-
-def set_enabled(flag: bool) -> None:
-    """Enable/disable all plan caches (counters keep accumulating)."""
-    global _enabled
-    _enabled = bool(flag)
-
-
-def is_enabled() -> bool:
-    return _enabled
-
-
 def clear_all() -> None:
     """Drop every cached entry and memo; counters are monotone and stay."""
     for cache in (*CACHES.values(), _costs_memo, _xip_memo):
@@ -291,8 +270,6 @@ def clear_all() -> None:
 
 def cache_note(totals: Mapping[str, Tuple[int, int]]) -> str:
     """One-line experiment note summarizing segmentation-cache traffic."""
-    if not _enabled:
-        return "plan cache: disabled"
     seg_h = sum(totals.get(n, (0, 0))[0] for n in ("refine", "search"))
     seg_m = sum(totals.get(n, (0, 0))[1] for n in ("refine", "search"))
     ana_h, ana_m = totals.get("analysis", (0, 0))
@@ -435,8 +412,6 @@ def cached_xip_segments(
     reads: the model, the planner platform projection and the
     quantization.
     """
-    if not _enabled:
-        return build()
     key = (
         name,
         _model_fingerprint(model),
@@ -456,8 +431,6 @@ def cached_xip_segments(
 # ----------------------------------------------------------------------
 def cached_build_model(name: str) -> Model:
     """Zoo lookup with memoization (builders are pure)."""
-    if not _enabled:
-        return build_model(name)
     cache = CACHES["zoo"]
     found, model = cache.get(name)
     if found:
@@ -509,8 +482,6 @@ def cached_refine_model(
         raise ValueError(f"max_chunk_macs must be non-negative, got {max_chunk_macs}")
     chunk_q = pow2_floor(max_chunk_bytes)
     macs_q = pow2_floor(max_chunk_macs) if max_chunk_macs else 0
-    if not _enabled:
-        return refine_model(model, quant, chunk_q, macs_q)
     cache = CACHES["refine"]
     key = (
         _model_fingerprint(model),
@@ -535,8 +506,6 @@ def model_costs(model: Model, platform: Platform, quant: Quantization) -> LayerC
     activation bytes and the total weight bytes (``prefix_w[-1]``), so
     the vectors are computed once per model.
     """
-    if not _enabled:
-        return layer_costs(model, platform, quant)
     key = (
         _model_fingerprint(model),
         _compute_fingerprint(platform),
@@ -613,48 +582,46 @@ def cached_search_segmentation(
             cap_q = None  # can never bind: a segment's compute <= total
         else:
             cap_q = max(pow2_floor(cap_eff), max_c)
-    cache = CACHES["search"] if _enabled else None
-    if cache is not None:
-        key = (
-            _model_fingerprint(model),
-            planner_platform_fingerprint(platform),
-            _quant_fingerprint(quant),
-            buffers,
-            slot_q,
-            cap_q,
-        )
-        found, value = cache.get(key)
-        if not found:
-            # Second tier: the persistent content-addressed plan store.
-            # A store hit is promoted into the LRU, so one process pays
-            # the disk read at most once per key.
-            store = planstore.active()
-            if store is not None:
-                found, value = store.get(key)
-                if found:
-                    cache.put(key, value)
-        if found:
-            kind, *payload = value
-            if kind == "err":
-                raise SegmentationError(payload[0])
-            if kind == "err-unfit":
-                raise SegmentationError(
-                    _unfit_message(model, max_w, slot_cap, sram_budget,
-                                   act, buffers)
-                )
-            boundaries, segments = payload
-            hit = SegmentedModel(
-                model=model,
-                platform=platform,
-                quant=quant,
-                boundaries=boundaries,
-                buffers=buffers,
+    cache = CACHES["search"]
+    key = (
+        _model_fingerprint(model),
+        planner_platform_fingerprint(platform),
+        _quant_fingerprint(quant),
+        buffers,
+        slot_q,
+        cap_q,
+    )
+    found, value = cache.get(key)
+    if not found:
+        # Second tier: the persistent content-addressed plan store.
+        # A store hit is promoted into the LRU, so one process pays
+        # the disk read at most once per key.
+        store = planstore.active()
+        if store is not None:
+            found, value = store.get(key)
+            if found:
+                cache.put(key, value)
+    if found:
+        kind, *payload = value
+        if kind == "err":
+            raise SegmentationError(payload[0])
+        if kind == "err-unfit":
+            raise SegmentationError(
+                _unfit_message(model, max_w, slot_cap, sram_budget, act, buffers)
             )
-            # The segment tuple is fully determined by the key (model,
-            # planner platform projection, quant, boundaries), so seed
-            # the per-instance memo instead of re-materializing it.
-            object.__setattr__(hit, "_segments_memo", segments)
-            return hit
+        boundaries, segments = payload
+        hit = SegmentedModel(
+            model=model,
+            platform=platform,
+            quant=quant,
+            boundaries=boundaries,
+            buffers=buffers,
+        )
+        # The segment tuple is fully determined by the key (model,
+        # planner platform projection, quant, boundaries), so seed
+        # the per-instance memo instead of re-materializing it.
+        object.__setattr__(hit, "_segments_memo", segments)
+        return hit
     if slot_q < 0:
         # The canonical negative entry collapses every byte-infeasible
         # budget onto one key, so the cached value must not embed this
@@ -662,9 +629,8 @@ def cached_search_segmentation(
         # per caller (cold and warm alike) — keeping error reasons a
         # pure function of the call arguments, which journal replay
         # across process generations relies on.
-        if cache is not None:
-            cache.put(key, ("err-unfit",))
-            _store_put(key, ("err-unfit",))
+        cache.put(key, ("err-unfit",))
+        _store_put(key, ("err-unfit",))
         raise SegmentationError(
             _unfit_message(model, max_w, slot_cap, sram_budget, act, buffers)
         )
@@ -674,14 +640,12 @@ def cached_search_segmentation(
             _Planner(model, platform, budget_q, quant, buffers, cap_q, costs)
         )
     except SegmentationError as exc:
-        if cache is not None:
-            cache.put(key, ("err", str(exc)))
-            _store_put(key, ("err", str(exc)))
+        cache.put(key, ("err", str(exc)))
+        _store_put(key, ("err", str(exc)))
         raise
-    if cache is not None:
-        value = ("ok", seg.boundaries, seg.segments())
-        cache.put(key, value)
-        _store_put(key, value)
+    value = ("ok", seg.boundaries, seg.segments())
+    cache.put(key, value)
+    _store_put(key, value)
     return seg
 
 
@@ -717,8 +681,6 @@ def cached_analyze(taskset: TaskSet, method: str = "rtmdm") -> AnalysisResult:
     The cached :class:`AnalysisResult` is treated as immutable by all
     callers.
     """
-    if not _enabled:
-        return analyze(taskset, method)
     cache = CACHES["analysis"]
     key = (_taskset_fingerprint(taskset), method)
     found, result = cache.get(key)

@@ -206,11 +206,11 @@ def _sweep_admission_unit(unit: Tuple) -> Tuple[Tuple, float, float]:
 
     Module-level and fed only picklable inputs so it can run in a pool
     worker.  The whole row goes through :func:`admit_batch` as one
-    struct-of-arrays batch (the vectorized RTA fast path; scalar
-    fallback when numpy is absent or ``REPRO_VEC_RTA=0``), so each unit
-    carries every point of one set index.  Each point draws from a
-    fresh ``Random`` with the same per-index seed — the paired-draw
-    contract — exactly as the historic one-point-per-unit worker did.
+    struct-of-arrays batch (the vectorized RTA engine; a case it stands
+    down on runs the scalar ``admit``), so each unit carries every point
+    of one set index.  Each point draws from a fresh ``Random`` with the
+    same per-index seed — the paired-draw contract — exactly as the
+    historic one-point-per-unit worker did.
 
     Returns ``(verdict rows, generation seconds, analysis seconds)``.
     """
@@ -1908,10 +1908,10 @@ def exp_f16_steady_state(
     period-harmonized so the hyperperiod is tractable, then each system
     is simulated over ``hyperperiods`` hyperperiods.  Deterministic
     configs detect their state cycle after a few hyperperiods and fold
-    the remaining horizon arithmetically — rows are bit-identical with
-    folding disabled (``REPRO_SIM_FOLD=0``), just much slower.  Fold
-    counters are reported in ``meta`` (excluded from determinism
-    comparisons, since the unfolded path legitimately reports zero).
+    the remaining horizon arithmetically — rows are bit-identical to an
+    unfolded run, which is just much slower.  Fold counters are reported
+    in ``meta`` (excluded from determinism comparisons, since the
+    unfolded path legitimately reports zero).
     """
     platform = get_platform(platform_key)
     n = max(2, int(n_sets * scale))
@@ -1949,7 +1949,7 @@ def exp_f16_steady_state(
         rows=tuple(rows),
         notes=_with_cache_note(
             "harmonized periods; deterministic runs fold repeated "
-            "hyperperiod cycles (REPRO_SIM_FOLD=0 disables; rows identical)",
+            "hyperperiod cycles (rows identical)",
             delta,
         ),
         meta={"fold": dict(zip(obs.TABLE["sim.fold"][1:], delta["sim.fold"][1:]))},
@@ -2150,10 +2150,11 @@ def exp_f18_sim_throughput(
 
     Simulates ``n_sets`` synthesized harmonic task sets over
     ``hyperperiods`` hyperperiods three ways — the scalar event loop
-    (``REPRO_VEC_SIM=0``, folding off), the arena-backed SoA core
-    (folding off), and the SoA core composed with steady-state folding
-    — and reports scalar-equivalent heap events processed per second
-    for each mode.  The event total is measured once by the no-fold
+    (``Simulator(...).run()``, which never folds), the arena-backed SoA
+    core (``simcore.try_simulate(..., fold=False)``), and the SoA core
+    composed with steady-state folding (:func:`simulate_batch`) — and
+    reports scalar-equivalent heap events processed per second for each
+    mode.  The event total is measured once by the no-fold
     SoA pass (its ``sim_soa_events`` counter counts exactly the pops
     the scalar loop would make, fused or not) and serves as the fixed
     work measure for every mode, so the folded mode's throughput
@@ -2165,10 +2166,11 @@ def exp_f18_sim_throughput(
     driver asserts identity itself — a benchmark run that produced
     different rows would fail here, not in a downstream diff.
     """
-    import os
     from dataclasses import asdict
 
     from repro.robust.overload import OverrunPolicy
+    from repro.sched import simcore
+    from repro.sched.simulator import Simulator
 
     n = max(4, int(n_sets * scale))
     sets = _f18_tasksets(n, tasks_per_set, seed)
@@ -2184,25 +2186,23 @@ def exp_f18_sim_throughput(
             overrun=OverrunPolicy.ABORT_AT_DEADLINE,
         )))
 
-    modes = (("scalar", "0", "0"), ("soa", "1", "0"), ("soa+fold", "1", "1"))
-    saved = {k: os.environ.get(k) for k in ("REPRO_VEC_SIM", "REPRO_SIM_FOLD")}
+    def unfolded_soa(batch: List) -> List:
+        arena = simcore.Arena()
+        return [simcore.try_simulate(ts, cfg, arena, fold=False) for ts, cfg in batch]
+
+    modes = (
+        ("scalar", lambda batch: [Simulator(ts, cfg).run() for ts, cfg in batch]),
+        ("soa", unfolded_soa),
+        ("soa+fold", simulate_batch),
+    )
     runs: Dict[str, Tuple[List, float, Tuple[int, int, int], Tuple]] = {}
-    try:
-        for label, vec, fold in modes:
-            os.environ["REPRO_VEC_SIM"] = vec
-            os.environ["REPRO_SIM_FOLD"] = fold
-            before = obs.snapshot()
-            start = time.perf_counter()
-            results = simulate_batch(cases)
-            elapsed = time.perf_counter() - start
-            delta = obs.delta_since(before)
-            runs[label] = (results, elapsed, delta["sim.soa"], delta["sim.fold"])
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    for label, run in modes:
+        before = obs.snapshot()
+        start = time.perf_counter()
+        results = run(cases)
+        elapsed = time.perf_counter() - start
+        delta = obs.delta_since(before)
+        runs[label] = (results, elapsed, delta["sim.soa"], delta["sim.fold"])
 
     def row_dicts(results: List) -> List[Dict]:
         # fold_cycles / fold_jobs_skipped describe *how* a result was
@@ -2223,7 +2223,7 @@ def exp_f18_sim_throughput(
         "hyperperiods": hyperperiods,
         "events_total": events_total,
     }
-    for label, _vec, _fold in modes:
+    for label, _run in modes:
         results, elapsed, soa_delta, fold_delta = runs[label]
         identical = int(row_dicts(results) == oracle)
         assert identical, f"EXP-F18: mode {label!r} diverged from scalar rows"

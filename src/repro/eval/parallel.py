@@ -37,6 +37,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro import obs
+from repro.sched import simcore
 from repro.sched.simulator import SimConfig, SimResult, simulate
 from repro.sched.task import TaskSet
 
@@ -82,22 +83,15 @@ def simulate_batch(
 
     A work unit's simulations (the phasings of one drawn set, the
     systems derived from one case, the recovery ladders of one fault
-    sweep point) run one after another.  When the SoA engine is active,
-    one preallocated :class:`~repro.sched.simcore.Arena` serves the
-    whole batch: the response buffer and segment columns warm up on the
-    first run of each structure and every later run allocates nothing.
-    Every :class:`SimResult` is bit-identical to a plain
+    sweep point) run one after another.  One preallocated
+    :class:`~repro.sched.simcore.Arena` serves the whole batch: the
+    response buffer and segment columns warm up on the first run of
+    each structure and every later run allocates nothing.  Every
+    :class:`SimResult` is bit-identical to a plain
     ``simulate(taskset, config)`` call — the arena holds only buffers
     and input-derived segment columns.
     """
-    arena = None
-    try:
-        from repro.sched import simcore
-
-        if simcore.enabled():
-            arena = simcore.Arena()
-    except ImportError:  # pragma: no cover - simcore ships with the package
-        pass
+    arena = simcore.Arena()
     return [simulate(taskset, config, arena) for taskset, config in cases]
 
 

@@ -304,15 +304,13 @@ def admit_batch(
     """Batched :func:`admit` over many cases for every system at once.
 
     Returns one verdict tuple per case (ordered like ``systems``),
-    bit-identical to ``tuple(admit(s, case) for s in systems)``.  With
-    the vectorized engine enabled, system derivation and response-time
-    fixpoints run in fused struct-of-arrays form; otherwise (or per-case
-    on a :class:`~repro.sched.vecrta.StandDown`) the scalar path runs.
+    bit-identical to ``tuple(admit(s, case) for s in systems)``.  System
+    derivation and response-time fixpoints run in fused struct-of-arrays
+    form; a case the engine stands down on
+    (:class:`~repro.sched.vecrta.StandDown`) runs the scalar path.
     """
     cases = list(cases)
     systems = tuple(systems)
-    if not vecrta.enabled():
-        return [tuple(admit(s, case) for s in systems) for case in cases]
     start = time.perf_counter()
     batch = vecrta.ChainBatch()
     plans: List[object] = [None] * len(cases)

@@ -67,7 +67,9 @@ Steady-state folding
     ``fold_jobs_skipped``.  Folding arms only when two hyperperiods
     fit in the horizon, stops after the first fold, on a horizon-cut
     release chain, or after :data:`_FOLD_PROBE_LIMIT` non-repeating
-    boundaries.  ``REPRO_SIM_FOLD=0`` (:func:`fold_enabled`) kills it.
+    boundaries.  ``try_simulate(..., fold=False)`` runs the same engine
+    unfolded; EXP-F18 and the fold-identity tests compare it with the
+    folded run.
 
 Stand-down
     The core models deterministic, state-free configs (deadline aborts
@@ -77,7 +79,6 @@ Stand-down
     the caller falls back to the scalar path (counted in
     ``sim_stand_downs``), which never folds — so every config whose
     future depends on state outside the fingerprint runs unfolded.
-    ``REPRO_VEC_SIM=0`` is the global kill switch.
 
 Telemetry lives in :mod:`repro.obs`: the ``sim.soa`` counter group holds
 ``sim_soa_runs`` accepted runs, ``sim_soa_events`` scalar-equivalent
@@ -89,15 +90,11 @@ packing, event advance and unpacking (:func:`profile`).
 from __future__ import annotations
 
 import heapq
-import os
 import time as _walltime
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised only on minimal installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro import obs
 from repro.hw.dma import DmaArbitration
@@ -105,9 +102,6 @@ from repro.robust.overload import OverrunPolicy
 from repro.sched.rta import try_hyperperiod
 from repro.sched.simulator import SimConfig, SimResult, TaskStats
 from repro.sched.task import PeriodicTask, TaskSet
-
-#: Environment kill switch: set to ``0`` to force the scalar simulator.
-ENV_VAR = "REPRO_VEC_SIM"
 
 #: Sentinel boundary meaning "no further fold fingerprinting".
 _FOLD_OFF = 1 << 63
@@ -129,26 +123,6 @@ class StandDown(Exception):
 
 #: Sentinel "never retry" horizon for the fast-forward failure memo.
 _FF_INF = 1 << 62
-
-
-#: Debug/benchmark hook: disable the lone-task fast-forward (the engine
-#: then steps every event through the heap; results are identical).
-_FAST_FORWARD = True
-
-
-def available() -> bool:
-    """Whether numpy is importable (the arena's only dependency)."""
-    return _np is not None
-
-
-def enabled() -> bool:
-    """Whether the SoA path is active (numpy + kill switch)."""
-    return _np is not None and os.environ.get(ENV_VAR, "1").strip() != "0"
-
-
-def fold_enabled() -> bool:
-    """Whether steady-state folding is enabled (``REPRO_SIM_FOLD=0`` kills it)."""
-    return os.environ.get("REPRO_SIM_FOLD", "1") != "0"
 
 
 _counters = obs.live("sim.soa")
@@ -187,14 +161,14 @@ class Arena:
     __slots__ = ("_resp", "_segcols")
 
     def __init__(self) -> None:
-        self._resp = _np.empty(1024, dtype=_np.int64) if _np is not None else None
+        self._resp = _np.empty(1024, dtype=_np.int64)
         self._segcols: Dict[int, Tuple] = {}
 
     def resp_buffer(self, total: int):
         """A flat int64 buffer with capacity >= ``total``."""
         buf = self._resp
-        if buf is None or len(buf) < total:
-            cap = 1024 if buf is None else len(buf)
+        if len(buf) < total:
+            cap = len(buf)
             while cap < total:
                 cap *= 2
             buf = _np.empty(cap, dtype=_np.int64)
@@ -278,16 +252,16 @@ def try_simulate(
     taskset: TaskSet,
     config: SimConfig,
     arena: Optional[Arena] = None,
+    fold: bool = True,
 ) -> Optional[SimResult]:
     """Run ``taskset`` on the SoA core, or ``None`` to use the scalar path.
 
-    Returns ``None`` (without counting a stand-down) when the engine is
-    disabled or the inputs would make the scalar constructor raise —
-    error behavior stays with the scalar path.  Unsupported feature
-    configs count one ``sim_stand_downs`` and return ``None``.
+    Returns ``None`` (without counting a stand-down) when the inputs
+    would make the scalar constructor raise — error behavior stays with
+    the scalar path.  Unsupported feature configs count one
+    ``sim_stand_downs`` and return ``None``.  ``fold=False`` disables
+    steady-state folding (the result differs only in fold telemetry).
     """
-    if not enabled():
-        return None
     if config.horizon <= 0 or len(taskset) == 0:
         return None  # scalar path raises the canonical error
     try:
@@ -295,7 +269,9 @@ def try_simulate(
     except StandDown:
         _counters["sim_stand_downs"] += 1
         return None
-    return _run(taskset, config, arena if arena is not None else default_arena())
+    return _run(
+        taskset, config, arena if arena is not None else default_arena(), fold
+    )
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +283,7 @@ def _run(
     taskset: TaskSet,
     config: SimConfig,
     arena: Arena,
+    fold: bool,
 ) -> SimResult:
     t_pack = _walltime.perf_counter()
 
@@ -366,7 +343,7 @@ def _run(
     # ----- steady-state folding ---------------------------------------
     fold_period = 0
     fold_boundary = _FOLD_OFF
-    if fold_enabled():
+    if fold:
         h = try_hyperperiod(periods)
         if h is not None and 2 * h <= horizon:
             fold_period = h
@@ -419,7 +396,6 @@ def _run(
 
     pop = heapq.heappop
     push = heapq.heappush
-    ff_on = _FAST_FORWARD
     # Fast-forward failure memo (per task): a fruitless attempt stays
     # fruitless while the same head job is in place AND simulated time
     # has not reached the interference bound it was clipped at, so the
@@ -889,7 +865,7 @@ def _run(
                         push(heap, (time_now + rem, seq, 2, best, cpu_token))
                         seq += 1
             # ----- fast-forward: lone or dominant task ----------------
-            if not ff_on or ch_aborted or active == 0:
+            if ch_aborted or active == 0:
                 break
             if active == 1:
                 p = 0

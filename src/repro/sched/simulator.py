@@ -922,11 +922,10 @@ def simulate(
 ) -> SimResult:
     """Run one simulation, preferring the struct-of-arrays core.
 
-    Dispatches to :mod:`repro.sched.simcore` when it is enabled and the
-    config is within its modeled feature set (results are bit-identical
-    up to fold telemetry; ``REPRO_VEC_SIM=0`` forces the scalar path),
-    and falls back to the scalar :class:`Simulator` otherwise.
-    ``arena`` only reaches simcore: an
+    Dispatches to :mod:`repro.sched.simcore` when the config is within
+    its modeled feature set (results are bit-identical up to fold
+    telemetry), and falls back to the scalar :class:`Simulator`
+    otherwise.  ``arena`` only reaches simcore: an
     :class:`~repro.sched.simcore.Arena` reused across runs (see
     :func:`repro.eval.parallel.simulate_batch`).
     """
@@ -935,8 +934,7 @@ def simulate(
         from repro.sched import simcore
 
         _simcore = simcore
-    if _simcore.enabled():
-        result = _simcore.try_simulate(taskset, config, arena)
-        if result is not None:
-            return result
+    result = _simcore.try_simulate(taskset, config, arena)
+    if result is not None:
+        return result
     return Simulator(taskset, config).run()

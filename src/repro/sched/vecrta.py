@@ -31,8 +31,6 @@ Stand-down
     ceilings near int64 range, non-positive periods — by raising
     :class:`StandDown`; callers fall back to the scalar oracle for
     those cases (counted in ``vec_stand_downs``).
-    ``REPRO_VEC_RTA=0`` is the global kill switch: every entry point
-    then delegates wholesale to the scalar path.
 
 Telemetry lives in :mod:`repro.obs`: the ``rta.fixpoint`` counter group
 gains ``vec_batches`` array solves, ``vec_rows`` rows solved inside
@@ -43,20 +41,13 @@ for ``rtmdm exp --profile``.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised only on minimal installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro import obs
-
-#: Environment kill switch: set to ``0`` to force the scalar oracle.
-ENV_VAR = "REPRO_VEC_RTA"
 
 #: Demand ceilings at or above this stand down (int64 headroom).
 _INT64_LIMIT = 1 << 62
@@ -68,11 +59,6 @@ _ITER_GUARD = 1_000_000
 
 class StandDown(Exception):
     """The vector engine cannot solve this problem exactly; use scalar."""
-
-
-def enabled() -> bool:
-    """Whether the vectorized path is active (numpy + kill switch)."""
-    return _np is not None and os.environ.get(ENV_VAR, "1").strip() != "0"
 
 
 _COUNTS = obs.live("rta.fixpoint")
@@ -505,14 +491,11 @@ def analyze_taskset_batch(cases: Sequence[Tuple[Any, str]]):
     ``cases`` are ``(taskset, method)`` pairs; returns the matching list
     of ``AnalysisResult`` objects, bit-identical to calling the scalar
     ``analyze`` per case.  Cases the vector engine stands down on (see
-    module docstring) are solved by the scalar oracle transparently;
-    with the kill switch off the whole batch goes scalar.
+    module docstring) are solved by the scalar oracle transparently.
     """
     from repro.core import analysis as _analysis
 
     cases = list(cases)
-    if not enabled():
-        return [_analysis.analyze(ts, method) for ts, method in cases]
     start = time.perf_counter()
     items = []
     names_of = []

@@ -109,8 +109,8 @@ def sim_essence(result) -> dict:
     """Every SimResult field except the folding telemetry.
 
     ``fold_cycles``/``fold_jobs_skipped`` describe how simcore obtained
-    a result; an unfolded run (the scalar loop, or ``REPRO_SIM_FOLD=0``)
-    legitimately reports zero.
+    a result; an unfolded run (the scalar loop, or simcore with
+    ``fold=False``) legitimately reports zero.
     """
     d = dataclasses.asdict(result)
     d.pop("fold_cycles")

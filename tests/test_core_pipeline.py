@@ -7,7 +7,6 @@ from repro.core.pipeline import (
     isolated_latency,
     pipeline_finish_times,
     sequential_latency,
-    stall_cycles,
 )
 from repro.dnn.quantization import INT8
 from repro.dnn.zoo import build_model
@@ -57,10 +56,6 @@ class TestRecurrence:
         assert loads == sorted(loads)
         assert comps == sorted(comps)
         assert all(l <= c for l, c in finish)
-
-    def test_stall_cycles(self):
-        segs = _segs([(100, 10), (100, 10)])
-        assert stall_cycles(segs, buffers=2) == isolated_latency(segs, 2) - 20
 
     def test_buffer_gating_exact(self):
         # b=1: load j waits for compute j-1.

@@ -2,17 +2,21 @@
 
 Folding replays whole hyperperiods arithmetically once simcore (the
 only engine that folds) sees a repeated boundary state; batching shares
-input-derived setup across runs.  Neither is allowed to change a single field of any
+one arena of buffers and input-derived segment columns across runs.
+Neither is allowed to change a single field of any
 :class:`~repro.sched.simulator.SimResult`.  This module pins that down
-as a matrix: fold on/off x batched vs scalar execution x every CPU
-policy x both DMA arbitrations, over random harmonic task sets and the
-scenario zoo's planned deployments.
+as a matrix: simcore's folded run against the scalar oracle
+``Simulator(taskset, config).run()`` (which never folds), and shared-arena
+batches against fresh-arena runs with folding on and off
+(``try_simulate(..., fold=False)``), x every CPU policy x both DMA
+arbitrations, over random harmonic task sets and the scenario zoo's
+planned deployments.
 
 ``fold_cycles``/``fold_jobs_skipped`` are telemetry about *how* the
-result was obtained and are excluded from the fold-on/off comparison
-(a fold-off run legitimately reports zero); every other field must
-match exactly.  Batch-vs-scalar comparisons include them — the shared
-setup must not even change how folding proceeds.
+result was obtained and are excluded from the folded-vs-oracle
+comparison (an unfolded run legitimately reports zero); every other
+field must match exactly.  Batch-vs-fresh comparisons include them —
+the shared arena must not even change how folding proceeds.
 
 Folding may only engage for fully deterministic, state-free
 configurations: every nondeterministic or stateful :class:`SimConfig`
@@ -45,9 +49,9 @@ from repro.robust.overload import DegradeConfig, OverrunPolicy
 from repro.online.sim import DynamicSimulator, simulate_dynamic
 from repro.robust.recovery import RecoveryConfig
 from repro.sched.policies import CpuPolicy
+from repro.sched import simcore
 from repro.sched.rta import try_hyperperiod
-from repro.sched.simcore import fold_enabled
-from repro.sched.simulator import SimConfig, simulate
+from repro.sched.simulator import SimConfig, Simulator, simulate
 from repro.sched.task import TaskSet
 from repro.eval.parallel import simulate_batch
 from repro.workload.scenarios import get_scenario
@@ -103,43 +107,40 @@ def _config(taskset: TaskSet, policy: CpuPolicy, arb: DmaArbitration) -> SimConf
     )
 
 
-@pytest.fixture
-def fold_off(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FOLD", "0")
-    assert not fold_enabled()
+def _soa(taskset: TaskSet, config: SimConfig, arena=None, fold=True):
+    """simcore's result for a config it must run (no stand-down)."""
+    result = simcore.try_simulate(taskset, config, arena, fold=fold)
+    assert result is not None
+    return result
 
 
 @pytest.mark.parametrize("policy,arb", MATRIX)
-def test_fold_identical_to_unfolded_random_sets(policy, arb, monkeypatch):
+def test_fold_identical_to_unfolded_random_sets(policy, arb):
     for seed in (1, 2, 3):
         taskset = _random_harmonic(seed)
         config = _config(taskset, policy, arb)
-        monkeypatch.setenv("REPRO_SIM_FOLD", "0")
-        unfolded = simulate(taskset, config)
-        monkeypatch.setenv("REPRO_SIM_FOLD", "1")
-        folded = simulate(taskset, config)
+        unfolded = Simulator(taskset, config).run()
+        folded = _soa(taskset, config)
         assert sim_essence(folded) == sim_essence(unfolded)
         assert unfolded.fold_cycles == 0
 
 
 @pytest.mark.parametrize("key", ZOO)
-def test_fold_identical_to_unfolded_scenario_zoo(key, monkeypatch):
+def test_fold_identical_to_unfolded_scenario_zoo(key):
     taskset = _zoo_taskset(key)
     for policy, arb in MATRIX:
         config = _config(taskset, policy, arb)
-        monkeypatch.setenv("REPRO_SIM_FOLD", "0")
-        unfolded = simulate(taskset, config)
-        monkeypatch.setenv("REPRO_SIM_FOLD", "1")
-        folded = simulate(taskset, config)
+        unfolded = Simulator(taskset, config).run()
+        folded = _soa(taskset, config)
         assert sim_essence(folded) == sim_essence(unfolded)
 
 
-@pytest.mark.parametrize("fold", ["1", "0"])
-def test_batch_identical_to_scalar(fold, monkeypatch):
-    """simulate_batch == [simulate(...)] under both fold settings,
-    including the telemetry fields (shared setup must not perturb
-    folding), across the full policy/arbitration matrix."""
-    monkeypatch.setenv("REPRO_SIM_FOLD", fold)
+@pytest.mark.parametrize("fold", [True, False], ids=["fold-on", "fold-off"])
+def test_batch_identical_to_scalar(fold):
+    """Runs sharing one arena equal fresh-arena runs under both fold
+    settings, including the telemetry fields (the shared arena must not
+    perturb folding), across the full policy/arbitration matrix; and
+    :func:`simulate_batch` is exactly the folded shared-arena batch."""
     tasksets = [_random_harmonic(s) for s in (4, 5)] + [
         _zoo_taskset(ZOO[0])
     ]
@@ -148,11 +149,40 @@ def test_batch_identical_to_scalar(fold, monkeypatch):
         for ts in tasksets
         for policy, arb in MATRIX
     ]
-    batched = simulate_batch(cases)
-    scalar = [simulate(ts, cfg) for ts, cfg in cases]
-    assert [dataclasses.asdict(b) for b in batched] == [
-        dataclasses.asdict(s) for s in scalar
+    arena = simcore.Arena()
+    batched = [
+        dataclasses.asdict(_soa(ts, cfg, arena, fold)) for ts, cfg in cases
     ]
+    fresh = [
+        dataclasses.asdict(_soa(ts, cfg, simcore.Arena(), fold))
+        for ts, cfg in cases
+    ]
+    assert batched == fresh
+    if fold:
+        assert [dataclasses.asdict(r) for r in simulate_batch(cases)] == batched
+
+
+def test_batch_with_stand_downs_matches_scalar():
+    """:func:`simulate_batch` always builds its arena, and a case simcore
+    stands down on runs the scalar loop inside the batch: every result
+    equals the scalar oracle's, and only the supported cases fold."""
+    cases = []
+    for seed, overrides in (
+        (1, {}),
+        (2, dict(record_trace=True)),
+        (3, dict(faults=FaultConfig(dma_fault_prob=0.1))),
+        (4, {}),
+    ):
+        taskset = _random_harmonic(seed)
+        config = _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY)
+        cases.append((taskset, dataclasses.replace(config, **overrides)))
+    before = obs.snapshot()
+    batched = simulate_batch(cases)
+    runs, _, stand_downs = _soa_delta(before)
+    assert (runs, stand_downs) == (2, 2)
+    for (taskset, config), result in zip(cases, batched):
+        assert sim_essence(result) == sim_essence(Simulator(taskset, config).run())
+    assert batched[1].fold_cycles == batched[2].fold_cycles == 0
 
 
 def test_folding_engages_on_harmonic_sets():
@@ -170,10 +200,12 @@ def test_folding_engages_on_harmonic_sets():
     assert engaged > 0
 
 
-def test_kill_switch_reports_zero_telemetry(fold_off):
+def test_fold_off_reports_zero_telemetry():
     taskset = _random_harmonic(1)
-    result = simulate(
-        taskset, _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY)
+    result = _soa(
+        taskset,
+        _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY),
+        fold=False,
     )
     assert result.fold_cycles == 0 and result.fold_jobs_skipped == 0
 
@@ -221,7 +253,7 @@ def test_fold_disabled_under_nondeterministic_hooks(seed, hook_index):
     # Vacuity guard: the same set minus the hook runs on simcore with
     # folding armed (two hyperperiods fit in the horizon).
     hyperperiod = try_hyperperiod([t.period for t in ts])
-    assert fold_enabled() and hyperperiod is not None
+    assert hyperperiod is not None
     assert 2 * hyperperiod <= horizon
     before = obs.snapshot()
     simulate(ts, SimConfig(horizon=horizon))

@@ -14,8 +14,7 @@ factor the analysis actually admits.  The branches covered:
 * an ordinary binary search in between;
 * all of these mixed in one batch;
 * probe rows the vector engine stands down on, answered by the scalar
-  analysis inside an otherwise vectorized batch;
-* the engine switched off (``REPRO_VEC_RTA=0``).
+  analysis inside an otherwise vectorized batch.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from hypothesis import strategies as st
 import pytest
 from conftest import make_task, random_taskset
 from repro import obs
+from repro.core import analysis
 from repro.core.analysis import (
     METHODS,
     analyze,
@@ -136,8 +136,7 @@ _HUGE = 1 << 58
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_probe_rows_that_stand_down_match_scalar(method, monkeypatch):
-    monkeypatch.setenv(vecrta.ENV_VAR, "1")
+def test_probe_rows_that_stand_down_match_scalar(method):
     huge = TaskSet.of([
         make_task("h0", [(0, _HUGE)], period=6 * _HUGE, priority=0),
         make_task("h1", [(5, 3)], period=48 * _HUGE, priority=1),
@@ -152,12 +151,40 @@ def test_probe_rows_that_stand_down_match_scalar(method, monkeypatch):
     assert 1.0 < margins[1] < 16.0
 
 
-@given(seeds, st.sampled_from(METHODS))
-@settings(max_examples=15, deadline=None)
-def test_margins_match_scalar_with_the_engine_off(seed, method):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(vecrta.ENV_VAR, "0")
-        before = obs.snapshot()
-        _check_margins(_draw_sets(random.Random(seed)), method, 16.0, 1e-3)
-        counts = _vec_counts(before)
-    assert counts["vec_batches"] == counts["vec_rows"] == 0
+
+def test_unknown_method_raises_like_scalar():
+    ts = _dm_set(random.Random(3), 2, 0.3)
+    with pytest.raises(ValueError, match="unknown analysis method"):
+        sensitivity_margin(ts, "nope")
+    with pytest.raises(ValueError, match="unknown analysis method"):
+        sensitivity_margin_batch([ts], "nope")
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.25, 3.0])
+def test_inflated_columns_match_the_inflated_set(factor):
+    """A probe's columns equal those of ``inflate_compute(ts, f)``'s own
+    views; at 1.0 they are the nominal columns themselves."""
+    ts = _dm_set(random.Random(5), 3, 0.4)
+    columns = analysis._InflatedCols(ts)
+    inflated = analysis._views_by_priority(inflate_compute(ts, factor))
+    assert columns.at(factor) == vecrta.cols_from_views(inflated)
+    if factor == 1.0:
+        assert columns.at(factor) is columns.nominal
+
+
+def test_batch_builds_each_sets_views_once(monkeypatch):
+    """The nominal verdicts and every probe read one set of columns per
+    task set: no set's views are built a second time."""
+    sets = _draw_sets(random.Random(11))
+    built = []
+    real = analysis._views_by_priority
+
+    def counting(taskset):
+        built.append(taskset)
+        return real(taskset)
+
+    monkeypatch.setattr(analysis, "_views_by_priority", counting)
+    margins = sensitivity_margin_batch(sets, "rtmdm")
+    assert [id(ts) for ts in built] == [id(ts) for ts in sets]
+    monkeypatch.undo()
+    assert margins == [sensitivity_margin(ts, "rtmdm") for ts in sets]

@@ -8,7 +8,6 @@ from repro.core.pipeline import (
     pipeline_finish_times,
     pipelined_latency,
     sequential_latency,
-    stall_cycles,
 )
 from repro.sched.task import Segment
 
@@ -47,12 +46,6 @@ def test_finish_times_are_causal(segs, buffers):
         assert load_f >= prev_load + seg.load_cycles
         assert comp_f >= max(prev_comp, load_f) + seg.compute_cycles - 1 + 1
         prev_load, prev_comp = load_f, comp_f
-
-
-@given(segments_strategy, buffers_strategy)
-def test_stall_is_nonnegative_and_bounded_by_loads(segs, buffers):
-    stall = stall_cycles(segs, buffers)
-    assert 0 <= stall <= sum(s.load_cycles for s in segs)
 
 
 @given(segments_strategy, buffers_strategy, st.integers(1, 400))

@@ -47,9 +47,8 @@ def test_analysis_batch_matches_scalar(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_int64_overflow_risk_stands_down_and_matches(seed, monkeypatch):
+def test_int64_overflow_risk_stands_down_and_matches(seed):
     """Sets whose demand could pass int64 stand down to scalar, still matching."""
-    monkeypatch.setenv(vecrta.ENV_VAR, "1")
     rng = random.Random(seed)
     big = 1 << rng.choice([58, 60, 61])
     taskset = TaskSet.of([

@@ -4,8 +4,8 @@ The cache (:mod:`repro.core.segcache`) is only sound if (a) every input
 that can change a planning result is part of the key, (b) inputs that
 *cannot* change the result (a platform differing only in SRAM size, an
 over-large budget) collapse onto one entry, and (c) quantization of the
-continuous knobs is applied identically whether the cache is enabled,
-cold, or warm.  These tests pin each property.
+continuous knobs is applied identically whether the cache is cold or
+warm.  These tests pin each property.
 """
 
 from __future__ import annotations
@@ -48,15 +48,13 @@ import weakref
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts cold and enabled, and leaves no state behind.
+    """Each test starts cold and leaves no state behind.
 
     Yields a counter snapshot taken at the start: counters are monotone,
     so a test reads its own traffic as a delta from it.
     """
-    segcache.set_enabled(True)
     segcache.clear_all()
     yield segcache.snapshot()
-    segcache.set_enabled(True)
     segcache.clear_all()
 
 
@@ -285,8 +283,6 @@ def test_cache_note_formats_rates():
     note = segcache.cache_note({"refine": (3, 1), "search": (5, 1), "analysis": (0, 2)})
     assert "segmentation 8/10 hits (80.0%)" in note
     assert "analysis 0/2 hits (0.0%)" in note
-    segcache.set_enabled(False)
-    assert segcache.cache_note({}) == "plan cache: disabled"
 
 
 # ----------------------------------------------------------------------
@@ -387,14 +383,14 @@ def test_search_matches_uncached_at_quantized_budget(model, platform):
     assert via_cache.boundaries == raw.boundaries
 
 
-def test_disabled_cache_same_results(model, platform, fresh_caches):
+def test_warm_hit_same_results_as_cold_miss(model, platform, fresh_caches):
     budget = platform.usable_sram_bytes
-    enabled = cached_search_segmentation(model, platform, budget, INT8)
-    segcache.set_enabled(False)
-    disabled = cached_search_segmentation(model, platform, budget, INT8)
-    assert enabled.boundaries == disabled.boundaries
-    # Counters untouched while disabled.
-    assert _search_counts(fresh_caches) == (0, 1)
+    cold = cached_search_segmentation(model, platform, budget, INT8)
+    warm = cached_search_segmentation(model, platform, budget, INT8)
+    assert _search_counts(fresh_caches) == (1, 1)
+    assert warm is not cold
+    assert warm.boundaries == cold.boundaries
+    assert warm.segments() == cold.segments()
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +439,7 @@ def test_analysis_cache_keys_on_taskset_and_method(fresh_caches):
     assert counts() == (1, 3)
 
 
-def test_lru_bound_and_disable_switch(model, platform):
+def test_lru_bound():
     cache = segcache.PlanCache("t", maxsize=2)
     for key in range(5):
         cache.put(key, key)
@@ -451,7 +447,3 @@ def test_lru_bound_and_disable_switch(model, platform):
     cache.put(5, 5)
     assert len(cache) == 2
     assert cache.get(3) == (True, 3) and cache.get(4) == (False, None)
-    segcache.set_enabled(False)
-    assert not segcache.is_enabled()
-    cached_search_segmentation(model, platform, platform.usable_sram_bytes, INT8)
-    assert len(segcache.CACHES["search"]) == 0

@@ -4,12 +4,13 @@
 arrays — fused scheduling passes, heap-tuple events, lone/dominant-task
 fast-forward, steady-state folding — and is not allowed to change a
 single field of any :class:`~repro.sched.simulator.SimResult`.  This
-module pins that down as a matrix: SoA vs scalar (``REPRO_VEC_SIM``) x
-every CPU policy x both DMA arbitrations x fold on/off, over random
-segmented sets and the scenario zoo's planned deployments, plus the
-overrun-policy family.  The scalar loop never folds, so with folding
-on simcore is checked against an unfolded reference run; only the two
-fold telemetry fields are left out of that comparison.
+module pins that down as a matrix: :func:`~repro.sched.simcore.try_simulate`
+against the scalar oracle ``Simulator(taskset, config).run()`` x every
+CPU policy x both DMA arbitrations x fold on/off, over random segmented
+sets and the scenario zoo's planned deployments, plus the overrun-policy
+family.  The scalar loop never folds, so with folding on simcore is
+checked against an unfolded reference run; only the two fold telemetry
+fields are left out of that comparison.
 
 Unsupported configurations must *stand down*: the dispatcher falls back
 to the scalar path (results trivially identical) while the telemetry
@@ -35,7 +36,7 @@ from repro.hw.presets import get_platform
 from repro.robust.overload import DegradeConfig, OverrunPolicy
 from repro.sched import simcore
 from repro.sched.policies import CpuPolicy
-from repro.sched.simulator import SimConfig, simulate
+from repro.sched.simulator import SimConfig, Simulator, simulate
 from repro.sched.task import TaskSet
 from repro.workload.scenarios import get_scenario
 
@@ -53,10 +54,6 @@ OVERRUNS = (
 )
 
 ZOO = ("doorbell", "wearable")
-
-pytestmark = pytest.mark.skipif(
-    not simcore.available(), reason="numpy unavailable: SoA core inert"
-)
 
 
 def _zoo_taskset(key: str) -> TaskSet:
@@ -83,65 +80,65 @@ def _config(taskset: TaskSet, policy, arb, overrun=OverrunPolicy.CONTINUE):
     )
 
 
-def _both(taskset, config, monkeypatch):
-    """(soa, scalar) results for one case, via the kill switch."""
-    monkeypatch.setenv("REPRO_VEC_SIM", "1")
-    soa = simulate(taskset, config)
-    monkeypatch.setenv("REPRO_VEC_SIM", "0")
-    scalar = simulate(taskset, config)
+def _soa(taskset, config, fold=True):
+    """simcore's result for a config it must run (no stand-down)."""
+    result = simcore.try_simulate(taskset, config, fold=fold)
+    assert result is not None
+    return result
+
+
+def _both(taskset, config):
+    """(soa, scalar oracle) results for one case, as dicts."""
+    soa = _soa(taskset, config)
+    scalar = Simulator(taskset, config).run()
     return dataclasses.asdict(soa), dataclasses.asdict(scalar)
 
 
 @pytest.mark.parametrize("policy,arb", MATRIX)
-def test_soa_identical_random_sets(policy, arb, monkeypatch):
+def test_soa_identical_random_sets(policy, arb):
     for seed in (11, 12, 13):
         taskset = _random_set(seed)
-        soa, scalar = _both(taskset, _config(taskset, policy, arb), monkeypatch)
+        soa, scalar = _both(taskset, _config(taskset, policy, arb))
         assert soa == scalar
 
 
-@pytest.mark.parametrize("fold", ["1", "0"])
+@pytest.mark.parametrize("fold", [True, False], ids=["fold-on", "fold-off"])
 @pytest.mark.parametrize("key", ZOO)
-def test_soa_identical_scenario_zoo(key, fold, monkeypatch):
+def test_soa_identical_scenario_zoo(key, fold):
     """Planned deployments, with and without steady-state folding on
     simcore.  Fold off compares every field; fold on compares simcore's
     folded run against the unfolded scalar loop in every field but the
     fold telemetry, which the scalar loop reports as zero."""
-    monkeypatch.setenv("REPRO_SIM_FOLD", fold)
     taskset = _zoo_taskset(key)
     folded = 0
     for policy, arb in MATRIX:
         config = _config(taskset, policy, arb)
-        monkeypatch.setenv("REPRO_VEC_SIM", "1")
-        soa = simulate(taskset, config)
-        monkeypatch.setenv("REPRO_VEC_SIM", "0")
-        scalar = simulate(taskset, config)
+        soa = _soa(taskset, config, fold=fold)
+        scalar = Simulator(taskset, config).run()
         assert scalar.fold_cycles == 0 and scalar.fold_jobs_skipped == 0
-        if fold == "1":
+        if fold:
             assert sim_essence(soa) == sim_essence(scalar)
         else:
             assert dataclasses.asdict(soa) == dataclasses.asdict(scalar)
         folded += soa.fold_cycles > 0
     # Fold on is vacuous unless simcore actually folds somewhere.
-    assert (folded > 0) == (fold == "1")
+    assert (folded > 0) == fold
 
 
 @pytest.mark.parametrize("overrun", OVERRUNS)
-def test_soa_identical_overrun_policies(overrun, monkeypatch):
+def test_soa_identical_overrun_policies(overrun):
     for seed in (21, 22):
         taskset = _random_set(seed)
         config = _config(
             taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY, overrun
         )
-        soa, scalar = _both(taskset, config, monkeypatch)
+        soa, scalar = _both(taskset, config)
         assert soa == scalar
 
 
-def test_soa_engine_engages(monkeypatch):
-    """The matrix above is vacuous if the dispatcher silently used the
-    scalar path both times; pin that supported configs run on the SoA
-    core and that it processed real events."""
-    monkeypatch.setenv("REPRO_VEC_SIM", "1")
+def test_soa_engine_engages():
+    """The dispatcher must run supported configs on the SoA core and
+    process real events there, not silently take the scalar path."""
     taskset = _random_set(11)
     before = obs.snapshot()
     simulate(taskset, _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY))
@@ -149,17 +146,6 @@ def test_soa_engine_engages(monkeypatch):
     assert runs == 1
     assert events > 0
     assert stand_downs == 0
-
-
-def test_kill_switch_bypasses_engine(monkeypatch):
-    """REPRO_VEC_SIM=0 must not touch the SoA core at all — no run, no
-    events, and no stand-down either (the kill switch is a bypass, not
-    a fallback)."""
-    monkeypatch.setenv("REPRO_VEC_SIM", "0")
-    taskset = _random_set(12)
-    before = obs.snapshot()
-    simulate(taskset, _config(taskset, CpuPolicy.FP_NP, DmaArbitration.PRIORITY))
-    assert obs.delta_since(before)["sim.soa"] == (0, 0, 0)
 
 
 #: One strategy per unsupported feature: a SimConfig kwarg override that

@@ -1,9 +1,9 @@
-"""Identity harness: vectorized engine on vs ``REPRO_VEC_RTA=0``.
+"""Identity harness: the vectorized engine against the scalar oracle.
 
-End-to-end guarantee behind the kill switch: every user-visible result
-— sweep rows, admission verdicts, analysis bounds — is bit-identical
-whether the struct-of-arrays engine or the scalar oracle produced it,
-and the telemetry counters prove which one actually ran.
+End-to-end guarantee: every user-visible result — sweep rows, admission
+verdicts — is bit-identical to what per-case scalar ``admit`` computes
+on the same inputs, and the telemetry counters prove the vector engine
+actually ran.
 """
 
 import random
@@ -11,53 +11,52 @@ import random
 import pytest
 
 from repro import obs
-from repro.core import segcache
 from repro.eval.experiments import run_experiment
+from repro.eval.metrics import schedulability_ratio
+from repro.eval.parallel import stable_seed
 from repro.eval.systems import SYSTEMS, admit, admit_batch
 from repro.hw.presets import get_platform
-from repro.sched import vecrta
 from repro.workload.taskset import generate_case
 
-
-def _clear_analysis_memo():
-    # cached_analyze would otherwise serve the second run from memo,
-    # hiding which engine computed the verdicts.
-    segcache.CACHES["analysis"].clear()
+#: EXP-F4's defaults (platform, seed), at a test-sized sweep.
+_F4_PLATFORM, _F4_SEED = "f746-qspi", 2024
+_F4_SETS, _F4_UTILS = 6, (0.4, 0.7)
 
 
-def _f4_rows(monkeypatch, value):
-    monkeypatch.setenv(vecrta.ENV_VAR, value)
-    _clear_analysis_memo()
-    result = run_experiment("EXP-F4", n_sets=6, utils=(0.4, 0.7), jobs=1)
-    return result.rows
+def _f4_draw(index, util):
+    """EXP-F4's paired draw: set ``index`` uses one seed at every point."""
+    rng = random.Random(stable_seed(_F4_SEED, "util", index))
+    return generate_case(get_platform(_F4_PLATFORM), util, rng)
 
 
-def test_f4_rows_identical_under_kill_switch(monkeypatch):
-    vec_rows = _f4_rows(monkeypatch, "1")
-    scalar_rows = _f4_rows(monkeypatch, "0")
-    assert vec_rows == scalar_rows
+def test_f4_matches_scalar_admit():
+    """``admit_batch`` over each EXP-F4 unit, and the experiment's rows,
+    equal what per-case scalar ``admit`` gives on the same draws."""
+    rows = run_experiment(
+        "EXP-F4", n_sets=_F4_SETS, utils=_F4_UTILS, jobs=1
+    ).rows
+    verdicts = {util: {s: [] for s in SYSTEMS} for util in _F4_UTILS}
+    for index in range(_F4_SETS):
+        cases = [_f4_draw(index, util) for util in _F4_UTILS]
+        expected = [
+            tuple(admit(system, case) for system in SYSTEMS) for case in cases
+        ]
+        assert admit_batch(cases, SYSTEMS) == expected
+        for util, row in zip(_F4_UTILS, expected):
+            for system, verdict in zip(SYSTEMS, row):
+                verdicts[util][system].append(verdict)
+    assert list(rows) == [
+        (util, *(round(schedulability_ratio(verdicts[util][s]), 3) for s in SYSTEMS))
+        for util in _F4_UTILS
+    ]
 
 
-def test_vector_engine_engages_and_never_stands_down(monkeypatch):
-    monkeypatch.setenv(vecrta.ENV_VAR, "1")
-    _clear_analysis_memo()
+def test_vector_engine_engages_and_never_stands_down():
     before = obs.snapshot()
     run_experiment("EXP-F4", n_sets=4, utils=(0.5,), jobs=1)
     delta = dict(zip(obs.TABLE["rta.fixpoint"], obs.delta_since(before)["rta.fixpoint"]))
     assert delta["vec_batches"] > 0
     assert delta["vec_rows"] > 0
-    assert delta["vec_stand_downs"] == 0
-
-
-def test_kill_switch_leaves_vector_telemetry_untouched(monkeypatch):
-    monkeypatch.setenv(vecrta.ENV_VAR, "0")
-    assert not vecrta.enabled()
-    _clear_analysis_memo()
-    before = obs.snapshot()
-    run_experiment("EXP-F4", n_sets=2, utils=(0.5,), jobs=1)
-    delta = dict(zip(obs.TABLE["rta.fixpoint"], obs.delta_since(before)["rta.fixpoint"]))
-    assert delta["vec_batches"] == 0
-    assert delta["vec_rows"] == 0
     assert delta["vec_stand_downs"] == 0
 
 
