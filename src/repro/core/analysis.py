@@ -86,10 +86,12 @@ class AnalysisResult:
 class _View:
     """Pre-computed per-task quantities the analyses consume.
 
-    ``latency``, the task's isolated pipelined latency, is computed on
-    first read: ``overlap``, ``holistic`` (for gated tasks) and the
-    vector packer read it, ``oblivious`` never does, so the admission
-    screen runs no pipeline recurrence.
+    :meth:`of` reads the segment aggregates in one loop over the task's
+    segments, since the screen views every resident afresh for every
+    candidate ranking.  ``latency``, the task's isolated pipelined
+    latency, is computed on first read: ``overlap``, ``holistic`` (for
+    gated tasks) and the vector packer read it, ``oblivious`` never
+    does, so the admission screen runs no pipeline recurrence.
     """
 
     task: PeriodicTask
@@ -106,14 +108,29 @@ class _View:
 
     @classmethod
     def of(cls, task: PeriodicTask) -> "_View":
+        """The view of ``task``: ``total_compute``, ``total_load``,
+        ``num_segments``, the count of segments with a load,
+        ``max_segment_compute`` and ``max_segment_load``."""
+        total_c = total_l = n_load = max_c = max_l = 0
+        for s in task.segments:
+            c = s.compute_cycles
+            load = s.load_cycles
+            total_c += c
+            total_l += load
+            if c > max_c:
+                max_c = c
+            if load:
+                n_load += 1
+                if load > max_l:
+                    max_l = load
         return cls(
             task=task,
-            total_c=task.total_compute,
-            total_l=task.total_load,
-            n_seg=task.num_segments,
-            n_load=sum(1 for s in task.segments if s.load_cycles > 0),
-            max_c=task.max_segment_compute,
-            max_l=max((s.load_cycles for s in task.segments), default=0),
+            total_c=total_c,
+            total_l=total_l,
+            n_seg=len(task.segments),
+            n_load=n_load,
+            max_c=max_c,
+            max_l=max_l,
         )
 
 

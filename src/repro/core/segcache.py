@@ -34,6 +34,13 @@ Key soundness notes:
   programming overhead.  SRAM capacity enters only through the byte
   budget, which is part of the key — so an SRAM sweep
   (``platform.with_sram_bytes``) reuses search results across points.
+* The per-model ``LayerCosts`` memo (:func:`model_costs`) keys on the
+  *compute* half of the same identity-memoized platform fingerprint
+  (``_platform_fingerprint(platform)[0]``, equal to
+  ``_compute_fingerprint(platform)``): layer compute cycles read the
+  timing coefficients and DSP/FPU flags only, so platforms that differ
+  in memory or DMA timing share one cost vector, and a key costs no
+  re-freeze of ``platform.timing``.
 * Cached values store the **boundaries plus the materialized segment
   tuple** (both fully determined by the key); the ``SegmentedModel``
   itself is rebuilt with the *caller's* platform object on every hit.
@@ -133,10 +140,18 @@ def freeze(obj: Any) -> Any:
     if names is None and dataclasses.is_dataclass(cls) and not isinstance(obj, type):
         names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
     if names is not None:
-        return (
-            cls.__name__,
-            tuple((name, freeze(getattr(obj, name))) for name in names),
-        )
+        # A field holding an exact scalar or a flat tuple of them (layer
+        # shapes, kernel sizes) is its own frozen form: keep it as is.
+        items = []
+        for name in names:
+            value = getattr(obj, name)
+            kind = type(value)
+            if kind not in _EXACT_SCALARS and not (
+                kind is tuple and _EXACT_SCALARS.issuperset(map(type, value))
+            ):
+                value = freeze(value)
+            items.append((name, value))
+        return (cls.__name__, tuple(items))
     if isinstance(obj, Mapping):
         return ("map", tuple(sorted((freeze(k), freeze(v)) for k, v in obj.items())))
     if isinstance(obj, (list, tuple)):
@@ -508,7 +523,9 @@ def model_costs(model: Model, platform: Platform, quant: Quantization) -> LayerC
     """
     key = (
         _model_fingerprint(model),
-        _compute_fingerprint(platform),
+        # The compute half of the memoized platform fingerprint: equal
+        # to _compute_fingerprint(platform) without re-freezing timing.
+        _platform_fingerprint(platform)[0],
         _quant_fingerprint(quant),
     )
     found, value = _costs_memo.get(key)

@@ -317,6 +317,13 @@ class _Planner:
             costs.append(min(cost, _SCALE))
         return costs
 
+    def _load(self, nbytes: int) -> int:
+        """``platform.load_cycles(nbytes)`` through the planner's memo."""
+        cycles = self._load_cache.get(nbytes)
+        if cycles is None:
+            cycles = self._load_cache[nbytes] = self.platform.load_cycles(nbytes)
+        return cycles
+
     def materialize(self, boundaries: Sequence[Tuple[int, int]]) -> SegmentedModel:
         seg = SegmentedModel(
             model=self.model,
@@ -325,16 +332,16 @@ class _Planner:
             boundaries=tuple(boundaries),
             buffers=self.buffers,
         )
-        # The prefix sums already hold each segment's bytes and cycles:
-        # seed the segment memo instead of re-walking the layers.
+        # The prefix sums already hold each segment's bytes and cycles,
+        # and the climb has already timed every byte count it met: seed
+        # the segment memo instead of re-walking the layers.
         prefix_w = self.prefix_w
         prefix_c = self.prefix_c
-        load_cycles = self.platform.load_cycles
         name = self.model.name
         segments = tuple(
             Segment(
                 name=f"{name}[{s}:{e}]",
-                load_cycles=load_cycles(prefix_w[e] - prefix_w[s]),
+                load_cycles=self._load(prefix_w[e] - prefix_w[s]),
                 compute_cycles=prefix_c[e] - prefix_c[s],
                 load_bytes=prefix_w[e] - prefix_w[s],
             )
@@ -587,7 +594,12 @@ def search_segmentation(
 
 
 def _search_planned(planner: _Planner) -> SegmentedModel:
-    """:func:`search_segmentation` on an already set-up planner."""
+    """:func:`search_segmentation` on an already set-up planner.
+
+    Two candidate counts need no partition search: at ``k_min`` the
+    min-max partition is the coarsest one already built, and at ``k ==
+    n`` every part holds exactly one layer.
+    """
     costs = planner.unit_costs()
     coarsest = _coarsest_boundaries(planner, costs)
     n = planner.model.num_layers
@@ -595,7 +607,12 @@ def _search_planned(planner: _Planner) -> SegmentedModel:
     counts = sorted({k_min, n} | set(_geometric_counts(k_min, n)))
     candidates: List[Tuple[int, int, Boundaries]] = []
     for k in counts:
-        boundaries = min_max_weight_partition(costs, k)
+        if k == k_min:
+            boundaries = coarsest
+        elif k == n:
+            boundaries = [(i, i + 1) for i in range(n)]
+        else:
+            boundaries = min_max_weight_partition(costs, k)
         if not planner.feasible(boundaries):
             continue
         boundaries, latency = planner.hill_climb(boundaries)

@@ -142,10 +142,8 @@ def generate_case(
     # First pass: estimate periods from total compute to derive the
     # non-preemptive section cap (framework policy: min deadline / 8).
     est_deadlines = []
-    for model, util, _ in zip(models, utils, names):
-        total_compute = sum(
-            platform.compute_cycles(layer, quant.weight_bytes) for layer in model.layers
-        )
+    for model, util in zip(models, utils):
+        total_compute = model_costs(model, platform, quant).prefix_c[-1]
         est_deadlines.append(
             max(1, round(total_compute / util)) * deadline_ratio[0]
         )

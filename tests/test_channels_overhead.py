@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_task, random_taskset
+from conftest import admitted_by_doubling, make_task, random_taskset
 from repro.core.analysis import analyze
 from repro.sched.policies import CpuPolicy
 from repro.sched.simulator import SimConfig, simulate
@@ -56,10 +56,11 @@ class TestMultiChannelDma:
     def test_single_channel_bounds_hold_for_two_channels(self, seed):
         """The 1-channel analysis is conservative for 2 channels."""
         rng = random.Random(400 + seed)
-        ts = random_taskset(rng, n_tasks=3, util_target=0.4)
+        ts = admitted_by_doubling(
+            random_taskset(rng, n_tasks=3, util_target=0.4),
+            lambda t: analyze(t, "rtmdm").schedulable,
+        )
         result = analyze(ts, "rtmdm")
-        if not result.schedulable:
-            pytest.skip("analysis rejects this draw")
         sim = simulate(
             ts,
             SimConfig(policy=CpuPolicy.FP_NP,

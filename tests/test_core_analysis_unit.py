@@ -6,6 +6,8 @@ the math are caught immediately.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_task
 from repro.core import analysis
@@ -131,3 +133,37 @@ class TestLatencyIsReadOnlyWhereNeeded:
     def test_latency_readers_still_run_it(self, no_latency, method):
         with pytest.raises(AssertionError, match="isolated_latency called"):
             analyze(TaskSet.of(self._tasks()), method)
+
+
+class TestViewAggregates:
+    """``_View.of`` reads every aggregate in one loop over the segments;
+    each must equal its :class:`~repro.sched.task.PeriodicTask` form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        segs=st.lists(
+            st.tuples(
+                st.one_of(st.just(0), st.integers(0, 5_000)),
+                st.integers(1, 5_000),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        buffers=st.integers(1, 4),
+    )
+    @example(segs=[(0, 7)], buffers=2)
+    @example(segs=[(0, 3), (0, 9)], buffers=1)
+    @example(segs=[(5, 2)], buffers=2)
+    def test_single_pass_equals_property_aggregates(self, segs, buffers):
+        task = make_task("t", segs, period=10**9, buffers=buffers)
+        view = analysis._View.of(task)
+        assert view.task is task
+        assert (view.total_c, view.total_l, view.n_seg, view.n_load,
+                view.max_c, view.max_l) == (
+            task.total_compute,
+            task.total_load,
+            task.num_segments,
+            sum(1 for s in task.segments if s.load_cycles > 0),
+            task.max_segment_compute,
+            max((s.load_cycles for s in task.segments), default=0),
+        )

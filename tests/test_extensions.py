@@ -194,11 +194,11 @@ class TestEdf:
     @pytest.mark.parametrize("seed", range(12))
     def test_admitted_sets_never_miss_under_edf(self, seed):
         rng = random.Random(seed)
-        from conftest import random_taskset
+        from conftest import admitted_by_doubling, random_taskset
 
-        ts = random_taskset(rng, n_tasks=3, util_target=0.35)
-        if not edf_schedulable(ts):
-            pytest.skip("EDF demand test rejects this draw")
+        ts = admitted_by_doubling(
+            random_taskset(rng, n_tasks=3, util_target=0.35), edf_schedulable
+        )
         result = simulate(
             ts,
             SimConfig(policy=CpuPolicy.EDF_NP,

@@ -31,13 +31,15 @@ from repro.core.segcache import (
 )
 from repro.core.planstore import canonical_key
 from repro.core.segmentation import SegmentationError, search_segmentation
-from repro.dnn.layers import Dense
+from repro.core.buffers import BUFFER_ALIGN
+from repro.dnn.layers import Dense, PartialLayer
 from repro.dnn.models import Model, refine_model
 from repro.dnn.quantization import FLOAT32, INT8
-from repro.dnn.zoo import build_model
+from repro.dnn.zoo import build_model, list_models
 from repro.eval.experiments import run_experiment
 from repro.eval.systems import admit_batch
-from repro.hw.presets import get_platform
+from repro.hw.presets import PLATFORMS, get_platform
+from repro.online.admission import plan_segments
 from repro.workload.taskset import generate_case
 
 from conftest import random_taskset
@@ -279,6 +281,39 @@ def test_model_fingerprint_tells_bool_from_int():
     assert keys[0] != keys[1]
 
 
+def test_freeze_equals_recursion_on_zoo_layers_and_presets():
+    """The dataclass-field fast path (an exact scalar or a flat tuple of
+    them is kept as is) freezes every zoo layer, ``PartialLayer`` slices
+    included, and every preset platform exactly as the recursion does."""
+    slices = 0
+    for name in list_models():
+        base = build_model(name)
+        for m in (base, refine_model(base, INT8, 2048, 4000)):
+            for layer in m.layers:
+                slices += isinstance(layer, PartialLayer)
+                assert repr(segcache.freeze(layer)) == repr(_reference_freeze(layer))
+    assert slices > 0
+    for p in PLATFORMS.values():
+        assert repr(segcache.freeze(p)) == repr(_reference_freeze(p))
+
+
+def test_model_costs_key_is_the_compute_fingerprint(model):
+    """:func:`segcache.model_costs` keys on the memoized platform
+    fingerprint's compute half, which must equal the
+    ``_compute_fingerprint`` form it replaces."""
+    variants = (*PLATFORMS.values(), PLATFORMS["f746-qspi"].with_sram_bytes(96 * 1024))
+    for p in variants:
+        assert segcache._platform_fingerprint(p)[0] == segcache._compute_fingerprint(p)
+        costs = segcache.model_costs(model, p, INT8)
+        key = (
+            segcache._model_fingerprint(model),
+            segcache._compute_fingerprint(p),
+            segcache._quant_fingerprint(INT8),
+        )
+        found, value = segcache._costs_memo.get(key)
+        assert found and value is costs
+
+
 def test_cache_note_formats_rates():
     note = segcache.cache_note({"refine": (3, 1), "search": (5, 1), "analysis": (0, 2)})
     assert "segmentation 8/10 hits (80.0%)" in note
@@ -447,3 +482,40 @@ def test_lru_bound():
     cache.put(5, 5)
     assert len(cache) == 2
     assert cache.get(3) == (True, 3) and cache.get(4) == (False, None)
+
+
+#: Deadline (cycles) for the online planner's cost identity below.
+PLAN_DEADLINE = 20_000_000
+
+
+@pytest.mark.parametrize("name", list_models())
+def test_plan_segments_cost_equals_sram_need(name, monkeypatch):
+    """``plan_segments`` prices a plan from its segments' load bytes and
+    the memoized activation bytes; the price must equal
+    ``seg.sram_need_bytes()`` plus the alignment slack, for 4 budgets
+    and buffer depths 1-3."""
+    platform = get_platform("h743-octal")  # the largest SRAM: every model plans
+    planned = []
+    search = segcache.cached_search_segmentation
+
+    def recording(*args, **kwargs):
+        planned.append(search(*args, **kwargs))
+        return planned[-1]
+
+    monkeypatch.setattr(segcache, "cached_search_segmentation", recording)
+    priced = 0
+    for fraction in (1, 2, 4, 8):
+        budget = platform.usable_sram_bytes // fraction
+        for buffers in (1, 2, 3):
+            planned.clear()
+            try:
+                segments, cost = plan_segments(
+                    platform, name, PLAN_DEADLINE, budget, INT8, buffers
+                )
+            except SegmentationError:
+                continue  # nothing fits this budget
+            (seg,) = planned
+            assert cost == seg.sram_need_bytes() + (buffers + 1) * BUFFER_ALIGN
+            assert segments == seg.segments()
+            priced += 1
+    assert priced > 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_task, random_taskset
+from conftest import admitted_by_doubling, make_task, random_taskset
 from repro.core.analysis import analyze
 from repro.hw.presets import get_platform
 from repro.sched.policies import CpuPolicy
@@ -101,10 +101,11 @@ class TestSporadic:
         """Periods are minimum inter-arrivals: the periodic analysis must
         still dominate sporadic simulations."""
         rng = random.Random(900 + seed)
-        ts = random_taskset(rng, n_tasks=3, util_target=0.4)
+        ts = admitted_by_doubling(
+            random_taskset(rng, n_tasks=3, util_target=0.4),
+            lambda t: analyze(t, "rtmdm").schedulable,
+        )
         result = analyze(ts, "rtmdm")
-        if not result.schedulable:
-            pytest.skip("analysis rejects this draw")
         sim = simulate(
             ts,
             SimConfig(
