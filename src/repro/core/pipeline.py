@@ -201,14 +201,18 @@ class SegmentedModel:
     def sram_need_bytes(self) -> int:
         """SRAM this segmentation requires: staging slots + activations.
 
-        Flash-resident models stage nothing; only activations need SRAM.
+        Each of the ``buffers`` slots holds the largest segment's staged
+        bytes, read from the (memoized) segment tuple; flash-resident
+        models stage nothing, so only activations need SRAM.  The peak
+        activation bytes come from the memoized
+        :func:`repro.core.segcache.model_costs`, so the online planner
+        prices a plan without re-walking the layers.
         """
-        if self.resident:
-            return self.model.peak_activation_bytes(self.quant)
-        return (
-            self.buffers * self.max_segment_weight_bytes
-            + self.model.peak_activation_bytes(self.quant)
-        )
+        from repro.core.segcache import model_costs  # segcache imports this module
+
+        staged = self.buffers * max(s.load_bytes for s in self.segments())
+        costs = model_costs(self.model, self.platform, self.quant)
+        return staged + costs.activation_bytes
 
     def to_task(
         self,

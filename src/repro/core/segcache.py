@@ -516,10 +516,11 @@ def model_costs(model: Model, platform: Platform, quant: Quantization) -> LayerC
     compute fingerprint, quant).
 
     Key canonicalization reads its maxima and totals; a cold search
-    hands it to the planner, and the workload generator's SRAM split
+    hands it to the planner, the workload generator's SRAM split
     reads the largest layer's bytes (``max_weight``), the peak
-    activation bytes and the total weight bytes (``prefix_w[-1]``), so
-    the vectors are computed once per model.
+    activation bytes and the total weight bytes (``prefix_w[-1]``), and
+    :meth:`SegmentedModel.sram_need_bytes` reads the peak activation
+    bytes, so the vectors are computed once per model.
     """
     key = (
         _model_fingerprint(model),

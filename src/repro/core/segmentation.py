@@ -317,13 +317,6 @@ class _Planner:
             costs.append(min(cost, _SCALE))
         return costs
 
-    def _load(self, nbytes: int) -> int:
-        """``platform.load_cycles(nbytes)`` through the planner's memo."""
-        cycles = self._load_cache.get(nbytes)
-        if cycles is None:
-            cycles = self._load_cache[nbytes] = self.platform.load_cycles(nbytes)
-        return cycles
-
     def materialize(self, boundaries: Sequence[Tuple[int, int]]) -> SegmentedModel:
         seg = SegmentedModel(
             model=self.model,
@@ -332,16 +325,16 @@ class _Planner:
             boundaries=tuple(boundaries),
             buffers=self.buffers,
         )
-        # The prefix sums already hold each segment's bytes and cycles,
-        # and the climb has already timed every byte count it met: seed
-        # the segment memo instead of re-walking the layers.
+        # The prefix sums already hold each segment's bytes and cycles:
+        # seed the segment memo instead of re-walking the layers.
         prefix_w = self.prefix_w
         prefix_c = self.prefix_c
+        load_cycles = self.platform.load_cycles
         name = self.model.name
         segments = tuple(
             Segment(
                 name=f"{name}[{s}:{e}]",
-                load_cycles=self._load(prefix_w[e] - prefix_w[s]),
+                load_cycles=load_cycles(prefix_w[e] - prefix_w[s]),
                 compute_cycles=prefix_c[e] - prefix_c[s],
                 load_bytes=prefix_w[e] - prefix_w[s],
             )

@@ -684,18 +684,13 @@ def plan_segments(
         buffers=buffers,
         max_segment_compute=cap,
     )
-    # seg.sram_need_bytes() plus slack, read from the plan's segments and
-    # the memoized LayerCosts instead of re-walking the layers.
-    segments = seg.segments()
-    staged = buffers * max(s.load_bytes for s in segments)
-    activations = segcache.model_costs(refined, platform, quant).activation_bytes
-    cost = staged + activations + (buffers + 1) * BUFFER_ALIGN
+    cost = seg.sram_need_bytes() + (buffers + 1) * BUFFER_ALIGN
     if cost > budget:
         raise SegmentationError(
             f"{model_name}: segmentation needs {cost} B with alignment "
             f"slack but only {budget} B are free"
         )
-    return segments, cost
+    return seg.segments(), cost
 
 
 def degrade_ladder(

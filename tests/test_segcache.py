@@ -30,6 +30,7 @@ from repro.core.segcache import (
     quarter_pow2_floor,
 )
 from repro.core.planstore import canonical_key
+from repro.core.placement import resident_segmentation
 from repro.core.segmentation import SegmentationError, search_segmentation
 from repro.core.buffers import BUFFER_ALIGN
 from repro.dnn.layers import Dense, PartialLayer
@@ -488,12 +489,22 @@ def test_lru_bound():
 PLAN_DEADLINE = 20_000_000
 
 
+def _layer_walk_sram_need(seg) -> int:
+    """The layer-walking form of ``SegmentedModel.sram_need_bytes``: every
+    segment's ``param_bytes`` re-summed and the activation liveness
+    rescanned."""
+    act = seg.model.peak_activation_bytes(seg.quant)
+    if seg.resident:
+        return act
+    return seg.buffers * seg.max_segment_weight_bytes + act
+
+
 @pytest.mark.parametrize("name", list_models())
-def test_plan_segments_cost_equals_sram_need(name, monkeypatch):
-    """``plan_segments`` prices a plan from its segments' load bytes and
-    the memoized activation bytes; the price must equal
-    ``seg.sram_need_bytes()`` plus the alignment slack, for 4 budgets
-    and buffer depths 1-3."""
+def test_sram_need_equals_layer_walk(name, monkeypatch):
+    """``sram_need_bytes`` reads the plan's segments and the memoized
+    activation bytes; it must equal the layer walk on every plan
+    ``plan_segments`` makes (4 budgets, buffer depths 1-3, price =
+    need + alignment slack) and on the flash-resident plan."""
     platform = get_platform("h743-octal")  # the largest SRAM: every model plans
     planned = []
     search = segcache.cached_search_segmentation
@@ -515,7 +526,11 @@ def test_plan_segments_cost_equals_sram_need(name, monkeypatch):
             except SegmentationError:
                 continue  # nothing fits this budget
             (seg,) = planned
+            assert not seg.resident
+            assert seg.sram_need_bytes() == _layer_walk_sram_need(seg)
             assert cost == seg.sram_need_bytes() + (buffers + 1) * BUFFER_ALIGN
             assert segments == seg.segments()
             priced += 1
     assert priced > 0
+    resident = resident_segmentation(build_model(name), platform, INT8)
+    assert resident.sram_need_bytes() == _layer_walk_sram_need(resident)
