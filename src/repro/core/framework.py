@@ -3,7 +3,9 @@
 :class:`RtMdm` takes DNN models with periods, a hardware platform and an
 SRAM budget, and produces a :class:`Configuration`:
 
-1. **Budgeting** — split usable SRAM among tasks: each task gets its
+1. **Budgeting** — refine every model to the granularity the tightest
+   deadline and the SRAM size allow (:func:`granularity`), then split
+   usable SRAM among tasks (:func:`sram_budgets`): each task gets its
    minimum (finest-granularity) need, and the remainder is distributed
    proportionally to model weight size (bigger models benefit more from
    coarser segments).
@@ -19,12 +21,17 @@ SRAM budget, and produces a :class:`Configuration`:
 
 A :class:`Configuration` can then be simulated
 (:meth:`Configuration.simulate`) to observe actual response times.
+
+:func:`granularity` and :func:`sram_budgets` are the one copy of the
+planning policy: the synthetic workload generator
+(:func:`repro.workload.taskset.generate_case`) and the online planner
+(:func:`repro.online.admission.plan_segments`) call them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisResult, analyze
 from repro.core.buffers import BUFFER_ALIGN, SramPlan, plan_sram
@@ -35,6 +42,7 @@ from repro.core.placement import (
     resident_segmentation,
 )
 from repro.core.priority import assign_priorities, deadline_monotonic
+from repro.core.segcache import model_costs
 from repro.core.segmentation import SegmentationError, search_segmentation
 from repro.dnn.models import Model, refine_model
 from repro.dnn.quantization import INT8, Quantization
@@ -44,8 +52,65 @@ from repro.sched.simulator import SimConfig, SimResult, simulate
 from repro.sched.task import TaskSet
 
 #: Non-preemptive section cap: min deadline divided by this (see
-#: RtMdm._np_section_cap).
+#: :func:`granularity`).
 NP_CAP_DIVISOR = 8
+
+
+def granularity(
+    sram_bytes: int, n_tasks: int, buffers: int, min_deadline: int
+) -> Tuple[int, int, int]:
+    """The granularity policy: ``(chunk, cap, macs_cap)``.
+
+    * ``chunk`` — filter-group chunk cap for granularity normalization:
+      no single staged chunk may claim more than ``sram_bytes /
+      (n_tasks * buffers * 2)`` bytes, so every task's buffers fit
+      (floored at 2 KiB so tiny platforms still converge);
+    * ``cap`` — compute cycles per segment.  Segment boundaries are the
+      only preemption points, so the longest segment bounds
+      priority-inversion blocking; capping sections at ``min_deadline /
+      NP_CAP_DIVISOR`` keeps total blocking a modest deadline fraction
+      while EXP-F9 shows the latency cost is ~1%;
+    * ``macs_cap`` — MACs per refined layer, so one layer fits ``cap``
+      at ~5 cycles/MAC (the worst kind).
+    """
+    chunk = max(2048, sram_bytes // (n_tasks * buffers * 2))
+    cap = max(1000, min_deadline // NP_CAP_DIVISOR)
+    macs_cap = max(1000, (cap - 4000) // 5)
+    return chunk, cap, macs_cap
+
+
+def sram_budgets(
+    refined: Sequence[Tuple[str, Model]],
+    platform: Platform,
+    quant: Quantization,
+    buffers: int,
+    capacity: int,
+) -> Optional[Dict[str, int]]:
+    """Split ``capacity`` SRAM bytes among the staged ``refined`` models.
+
+    Each task gets its minimum (finest-granularity) need, ``buffers``
+    slots of its largest layer plus its peak activations; the remainder
+    is distributed proportionally to model weight size (bigger models
+    benefit more from coarser segments).  ``{}`` when nothing is staged,
+    None when even the minima don't fit.
+    """
+    if not refined:
+        return {}
+    minima = {}
+    weights = {}
+    for name, model in refined:
+        costs = model_costs(model, platform, quant)
+        minima[name] = buffers * costs.max_weight + costs.activation_bytes
+        weights[name] = max(1, costs.prefix_w[-1])
+    total_min = sum(minima.values())
+    if total_min > capacity:
+        return None
+    leftover = capacity - total_min
+    total_weight = sum(weights.values())
+    return {
+        name: minima[name] + int(leftover * weights[name] / total_weight)
+        for name, _ in refined
+    }
 
 
 @dataclass(frozen=True)
@@ -213,8 +278,6 @@ class RtMdm:
         quant: Quantization = INT8,
         buffers: int = 2,
         analysis_method: str = "rtmdm",
-        priority_strategy: str = "dm+audsley",
-        max_stage_bytes: Optional[int] = None,
         use_internal_flash: bool = False,
         code_reserve_bytes: int = 256 * 1024,
     ) -> None:
@@ -228,8 +291,6 @@ class RtMdm:
         self.quant = quant
         self.buffers = buffers
         self.analysis_method = analysis_method
-        self.priority_strategy = priority_strategy
-        self.max_stage_bytes = max_stage_bytes
         self.use_internal_flash = use_internal_flash
         self.code_reserve_bytes = code_reserve_bytes
         self._specs: List[TaskSpec] = []
@@ -250,79 +311,8 @@ class RtMdm:
         return self
 
     # ------------------------------------------------------------------
-    # Budgeting
-    # ------------------------------------------------------------------
-    def _minimal_need(self, spec: TaskSpec) -> int:
-        """Finest-granularity SRAM need of one task (plus alignment slack)."""
-        max_layer = max(
-            layer.param_bytes(self.quant) for layer in spec.model.layers
-        )
-        act = spec.model.peak_activation_bytes(self.quant)
-        return (
-            self.buffers * max_layer
-            + act
-            + (self.buffers + 1) * BUFFER_ALIGN
-        )
-
-    def _budgets(
-        self, specs: List[TaskSpec], capacity: int
-    ) -> Optional[Dict[str, int]]:
-        """Split ``capacity`` SRAM bytes among ``specs``.
-
-        Each task gets its minimum (finest-granularity) need; the
-        remainder is distributed proportionally to model weight size.
-        None when even the minima don't fit.
-        """
-        if not specs:
-            return {}
-        minima = {s.name: self._minimal_need(s) for s in specs}
-        total_min = sum(minima.values())
-        if total_min > capacity:
-            return None
-        leftover = capacity - total_min
-        weights = {
-            s.name: max(1, s.model.total_param_bytes(self.quant)) for s in specs
-        }
-        total_weight = sum(weights.values())
-        budgets = {}
-        for spec in specs:
-            share = int(leftover * weights[spec.name] / total_weight)
-            budgets[spec.name] = minima[spec.name] + share
-        return budgets
-
-    # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def _stage_chunk_bytes(self) -> int:
-        """Filter-group chunk cap for granularity normalization.
-
-        Default: a fraction of usable SRAM that leaves room for every
-        task's buffers — no single staged chunk may claim more than
-        ``usable / (n_tasks * buffers * 2)`` bytes (floored at 2 KiB so
-        tiny platforms still converge).
-        """
-        if self.max_stage_bytes is not None:
-            return self.max_stage_bytes
-        denom = max(1, len(self._specs)) * self.buffers * 2
-        return max(2048, self.platform.usable_sram_bytes // denom)
-
-    def _np_section_cap(self) -> int:
-        """Compute-cycle cap per segment: a fraction of the tightest deadline.
-
-        Segment boundaries are the only preemption points, so the longest
-        segment bounds priority-inversion blocking.  Capping sections at
-        ``min_deadline / NP_CAP_DIVISOR`` keeps total blocking a modest
-        deadline fraction while EXP-F9 shows the latency cost is ~1%.
-        """
-        mcu = self.platform.mcu
-        min_deadline = min(
-            mcu.seconds_to_cycles(
-                spec.deadline_s if spec.deadline_s is not None else spec.period_s
-            )
-            for spec in self._specs
-        )
-        return max(1000, min_deadline // NP_CAP_DIVISOR)
-
     def _infeasible(
         self,
         reason: str,
@@ -357,9 +347,16 @@ class RtMdm:
         """Plan the deployment end to end (see module docstring)."""
         if not self._specs:
             raise RuntimeError("add at least one task before configure()")
-        chunk = self._stage_chunk_bytes()
-        cap = self._np_section_cap()
-        macs_cap = max(1000, (cap - 4000) // 5)  # ~5 cycles/MAC worst kind
+        mcu = self.platform.mcu
+        min_deadline = min(
+            mcu.seconds_to_cycles(
+                spec.deadline_s if spec.deadline_s is not None else spec.period_s
+            )
+            for spec in self._specs
+        )
+        chunk, cap, macs_cap = granularity(
+            self.platform.usable_sram_bytes, len(self._specs), self.buffers, min_deadline
+        )
         self._specs = [
             TaskSpec(
                 name=spec.name,
@@ -381,8 +378,16 @@ class RtMdm:
         external_specs = [
             s for s in self._specs if not placement.is_resident(s.name)
         ]
-        budgets = self._budgets(
-            external_specs, self.platform.usable_sram_bytes - resident_sram
+        # Every staged task reserves alignment slack for its buffers and
+        # activations; the split shares what is left.
+        budgets = sram_budgets(
+            [(s.name, s.model) for s in external_specs],
+            self.platform,
+            self.quant,
+            self.buffers,
+            self.platform.usable_sram_bytes
+            - resident_sram
+            - len(external_specs) * (self.buffers + 1) * BUFFER_ALIGN,
         )
         if budgets is None:
             return self._infeasible(
@@ -394,8 +399,7 @@ class RtMdm:
                 segmented[spec.name] = search_segmentation(
                     spec.model,
                     self.platform,
-                    # Alignment slack reserved in _minimal_need.
-                    budgets[spec.name] - (self.buffers + 1) * BUFFER_ALIGN,
+                    budgets[spec.name],
                     quant=self.quant,
                     buffers=self.buffers,
                     max_segment_compute=cap,
@@ -413,7 +417,6 @@ class RtMdm:
                 sram_plan=sram_plan,
                 placement=placement,
             )
-        mcu = self.platform.mcu
         tasks = []
         for spec in self._specs:
             period = mcu.seconds_to_cycles(spec.period_s)
@@ -428,9 +431,7 @@ class RtMdm:
                 )
             )
         taskset = TaskSet.of(tasks)
-        prioritized = assign_priorities(
-            taskset, self.priority_strategy, self.analysis_method
-        )
+        prioritized = assign_priorities(taskset, "dm+audsley", self.analysis_method)
         if prioritized is None:
             prioritized = deadline_monotonic(taskset)  # best effort for reports
         analysis = analyze(prioritized, self.analysis_method)

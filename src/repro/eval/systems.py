@@ -9,12 +9,13 @@ for its admission decision.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro import obs
 from repro.baselines import sequentialize, single_buffered, whole_job, xip_task
 from repro.baselines.xip import xip_segments
-from repro.core.pipeline import isolated_latency
+from repro.core.analysis import _views_by_priority
 from repro.core.segcache import cached_analyze, xip_columns
 from repro.sched import vecrta
 from repro.sched.task import TaskSet
@@ -100,15 +101,15 @@ def admit(system: str, case: GeneratedCase) -> bool:
 # ``admit`` above materializes each baseline's task set (Segment tuples,
 # PeriodicTask property churn, per-task _View construction) before a
 # handful of fixpoints run.  For sweeps that is most of the admission
-# cost, so the batched path below derives each system's per-task
-# *aggregate columns* (total/max compute and load, segment counts,
-# pipeline latency) directly in array space and packs one
-# :class:`~repro.sched.vecrta.ChainBatch` for a whole batch of cases.
-# Every column equals what the scalar derivation computes — sequential
-# folds loads into compute, np-whole collapses to one latency-long
-# section, XIP takes the memoized per-layer segments — so verdicts are
-# bit-identical to per-case ``admit`` (property-tested by
-# ``tests/test_vecrta_identity.py``).
+# cost, so the batched path below maps RT-MDM's analysis columns
+# (:class:`~repro.sched.vecrta.ViewCols`) to each baseline's columns
+# directly in array space and packs every system of a whole batch of
+# cases into one :class:`~repro.sched.vecrta.ChainBatch` through
+# :func:`~repro.sched.vecrta.plan_chains`.  Every column equals what
+# the scalar derivation's views hold — sequential folds loads into
+# compute, np-whole collapses to one latency-long section, XIP takes the
+# memoized per-layer segments — so verdicts are bit-identical to
+# per-case ``admit`` (property-tested by ``tests/test_vecrta_identity.py``).
 
 
 # xip_segments memoizes on a deep structural model fingerprint; hashing
@@ -137,157 +138,70 @@ def _xip_cols(name, model, platform, quant) -> Tuple[int, int, int]:
     return cols
 
 
+def _system_cols(
+    system: str, case: GeneratedCase, views, cols: "vecrta.ViewCols"
+) -> Tuple["vecrta.ViewCols", str]:
+    """Analysis columns and method of ``system``'s task set (see
+    :func:`derive_taskset`), from RT-MDM's ``views`` and their ``cols``."""
+    if system == "rtmdm":
+        return cols, "rtmdm"
+    if system == "rtmdm-oblivious":
+        return cols, "oblivious"
+    n = len(views)
+    zeros, ones = [0] * n, [1] * n
+    serial = [c + l for c, l in zip(cols.total_c, cols.total_l)]
+    if system == "single-buffer":
+        # Same segments at depth 1: a load only starts after the previous
+        # compute finished, so nothing overlaps and the latency is serial.
+        return replace(cols, latency=serial, buffers=ones), "rtmdm"
+    if system == "sequential":
+        # Loads folded into compute (busy-wait), depth 1, no DMA legs.
+        folded = [
+            max(s.compute_cycles + s.load_cycles for s in v.task.segments)
+            for v in views
+        ]
+        return replace(
+            cols, total_c=serial, total_l=zeros, n_load=zeros, max_c=folded,
+            max_l=zeros, latency=serial, buffers=ones,
+        ), "rtmdm"
+    if system == "np-whole":
+        # One latency-long section per job, no DMA leg, depth kept
+        # (never gated: one segment needs one buffer).
+        lat = cols.latency
+        return replace(
+            cols, total_c=lat, total_l=zeros, n_seg=ones, n_load=zeros,
+            max_c=lat, max_l=zeros,
+        ), "rtmdm"
+    if system == "xip":
+        # Per-layer XIP segments: zero loads, depth 1.
+        xip = [
+            _xip_cols(v.task.name, case.refined[v.task.name], case.platform, case.quant)
+            for v in views
+        ]
+        total = [x[0] for x in xip]
+        return replace(
+            cols, total_c=total, total_l=zeros, n_seg=[x[2] for x in xip],
+            n_load=zeros, max_c=[x[1] for x in xip], max_l=zeros,
+            latency=total, buffers=ones,
+        ), "rtmdm"
+    raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
+
+
 def _pack_case(
     batch: "vecrta.ChainBatch", case: GeneratedCase, systems: Sequence[str]
 ) -> List[Tuple[str, Dict[str, int]]]:
-    """Plan every system's admission chains for one feasible case.
-
-    Hand-inlined hot path: one segment pass per task computes every
-    aggregate each baseline derivation needs; ``buffers == 1`` pipeline
-    latencies degenerate to the serialized sum (with one buffer a load
-    can only start after the previous compute finished, so nothing ever
-    overlaps), which removes the per-task latency recurrences for the
-    single-buffer, sequential, and XIP columns.  A single per-case
-    magnitude screen stands in for the per-chain checks.
-    """
-    tasks = sorted(case.taskset, key=lambda t: (t.priority, t.name))
-    n = len(tasks)
-    if n == 0:
-        raise vecrta.StandDown("empty task set")
-    priorities = [t.priority for t in tasks]
-    if len(set(priorities)) != len(priorities):
+    """Plan every system's admission chains for one feasible case."""
+    try:
+        views = _views_by_priority(case.taskset)
+    except ValueError:
         # The scalar path raises inside analyze(); stand down so the
         # fallback reproduces its exact error behavior.
-        raise vecrta.StandDown("duplicate priorities")
-    periods = [t.period for t in tasks]
-    deadlines = [t.deadline for t in tasks]
-    tc = [0] * n    # total compute
-    tl = [0] * n    # total load
-    ns = [0] * n    # segments
-    nl = [0] * n    # segments with a load leg
-    mc = [0] * n    # max segment compute
-    ml = [0] * n    # max segment load
-    msum = [0] * n  # max folded (compute + load) segment
-    lat = [0] * n   # isolated pipelined latency at the task's depth
-    bufs = [0] * n
-    for i, task in enumerate(tasks):
-        a = b = c = d = e = loads = 0
-        for s in task.segments:
-            cc = s.compute_cycles
-            ll = s.load_cycles
-            a += cc
-            b += ll
-            if cc > c:
-                c = cc
-            if ll > d:
-                d = ll
-            if cc + ll > e:
-                e = cc + ll
-            if ll > 0:
-                loads += 1
-        tc[i], tl[i], mc[i], ml[i], msum[i], nl[i] = a, b, c, d, e, loads
-        ns[i] = len(task.segments)
-        bufs[i] = task.buffers
-        lat[i] = isolated_latency(task.segments, task.buffers)
-    serial = [c + l for c, l in zip(tc, tl)]
-
-    xtc = xmc = xns = None
-    if "xip" in systems:
-        xtc, xmc, xns = [0] * n, [0] * n, [0] * n
-        for i, task in enumerate(tasks):
-            xtc[i], xmc[i], xns[i] = _xip_cols(
-                task.name, case.refined[task.name], case.platform, case.quant
-            )
-
-    # One coarse magnitude screen covering every chain packed below:
-    # owns and interferences are bounded by serial/xip totals, blocking
-    # by (segments per job) * (largest section) on both resources.
-    if min(periods) <= 0 or min(deadlines) <= 0:
-        raise vecrta.StandDown("non-positive period or deadline")
-    big = max(max(serial), max(xtc) if xtc else 0, 1)
-    segs_max = max(max(ns), max(xns) if xns else 1)
-    d_max = max(deadlines)
-    ceiling = big + 2 * segs_max * big + sum(
-        ((2 * d_max) // t + 1) * max(s, x)
-        for t, s, x in zip(periods, serial, xtc or serial)
-    )
-    if ceiling >= vecrta._INT64_LIMIT:
-        raise vecrta.StandDown("demand ceiling exceeds int64 headroom")
-
-    zeros = [0] * n
-    falses = [False] * n
-    lp_c = vecrta._suffix_max(mc)
-    lp_l = vecrta._suffix_max(ml)
-    lp_c1 = [lp_c[i + 1] for i in range(n)]
-    lp_l1 = [lp_l[i + 1] for i in range(n)]
-    bl_base = [ns[i] * lp_c1[i] + nl[i] * lp_l1[i] for i in range(n)]
-
+        raise vecrta.StandDown("duplicate priorities") from None
+    cols = vecrta.cols_from_views(views)
     plan: List[Tuple[str, Dict[str, int]]] = []
     for system in systems:
-        if system == "rtmdm":
-            plan.append(("rtmdm", {
-                "ovl": batch.add_simple(
-                    lat, bl_base, serial, periods, deadlines, check=False),
-                "hol": batch.add_holistic(
-                    tl, tc, lat, lp_l1, lp_c1, bl_base,
-                    [bufs[i] < ns[i] for i in range(n)],
-                    periods, deadlines, check=False),
-            }))
-        elif system == "rtmdm-oblivious":
-            plan.append(("oblivious", {
-                "obl": batch.add_simple(
-                    serial, bl_base, serial, periods, deadlines, check=False),
-            }))
-        elif system == "single-buffer":
-            # Same segments at depth 1: latency degenerates to serial.
-            plan.append(("rtmdm", {
-                "ovl": batch.add_simple(
-                    serial, bl_base, serial, periods, deadlines, check=False),
-                "hol": batch.add_holistic(
-                    tl, tc, serial, lp_l1, lp_c1, bl_base,
-                    [1 < ns[i] for i in range(n)],
-                    periods, deadlines, check=False),
-            }))
-        elif system == "sequential":
-            # Loads folded into compute, depth 1, no DMA legs.
-            lp_m = vecrta._suffix_max(msum)
-            lp_m1 = [lp_m[i + 1] for i in range(n)]
-            bl_seq = [ns[i] * lp_m1[i] for i in range(n)]
-            plan.append(("rtmdm", {
-                "ovl": batch.add_simple(
-                    serial, bl_seq, serial, periods, deadlines, check=False),
-                "hol": batch.add_holistic(
-                    zeros, serial, serial, zeros, lp_m1, bl_seq,
-                    [1 < ns[i] for i in range(n)],
-                    periods, deadlines, check=False),
-            }))
-        elif system == "np-whole":
-            # One latency-long section per job, no DMA leg, depth kept
-            # (never gated: one segment needs one buffer).
-            lp_w = vecrta._suffix_max(lat)
-            lp_w1 = [lp_w[i + 1] for i in range(n)]
-            plan.append(("rtmdm", {
-                "ovl": batch.add_simple(
-                    lat, lp_w1, lat, periods, deadlines, check=False),
-                "hol": batch.add_holistic(
-                    zeros, lat, lat, zeros, lp_w1, lp_w1, falses,
-                    periods, deadlines, check=False),
-            }))
-        elif system == "xip":
-            # Per-layer XIP segments: zero loads, depth 1.
-            lp_x = vecrta._suffix_max(xmc)
-            lp_x1 = [lp_x[i + 1] for i in range(n)]
-            bl_x = [xns[i] * lp_x1[i] for i in range(n)]
-            plan.append(("rtmdm", {
-                "ovl": batch.add_simple(
-                    xtc, bl_x, xtc, periods, deadlines, check=False),
-                "hol": batch.add_holistic(
-                    zeros, xtc, xtc, zeros, lp_x1, bl_x,
-                    [1 < xns[i] for i in range(n)],
-                    periods, deadlines, check=False),
-            }))
-        else:
-            raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
+        system_cols, method = _system_cols(system, case, views, cols)
+        plan.append((method, vecrta.plan_chains(batch, system_cols, method)))
     return plan
 
 

@@ -48,7 +48,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core import segcache
 from repro.core.analysis import METHODS, analyze
 from repro.core.buffers import BUFFER_ALIGN
-from repro.core.framework import NP_CAP_DIVISOR
+from repro.core.framework import granularity
 from repro.core.segmentation import SegmentationError
 from repro.dnn.quantization import INT8, Quantization
 from repro.hw.platform import Platform
@@ -656,13 +656,14 @@ def plan_segments(
 ) -> Tuple[Tuple[Segment, ...], int]:
     """Segment ``model_name`` into ``budget`` bytes (framework policy).
 
-    The single online planning policy: granularity derived from the
-    deadline's non-preemption cap, staging chunks from the free-SRAM
-    budget, everything routed through :mod:`repro.core.segcache` (and
-    through the persistent :mod:`repro.core.planstore` tier when one is
-    configured).  Both :class:`AdmissionController` and the fleet
-    service call this function, so a fleet admission plans bit-identically
-    to a single-device admission with the same inputs.
+    The single online planning policy: granularity from
+    :func:`repro.core.framework.granularity` for one task with this
+    deadline in the free-SRAM budget, everything routed through
+    :mod:`repro.core.segcache` (and through the persistent
+    :mod:`repro.core.planstore` tier when one is configured).  Both
+    :class:`AdmissionController` and the fleet service call this
+    function, so a fleet admission plans bit-identically to a
+    single-device admission with the same inputs.
 
     Returns:
         ``(segments, cost_bytes)`` where ``cost_bytes`` includes the
@@ -672,9 +673,7 @@ def plan_segments(
         SegmentationError: no segmentation fits the budget.
     """
     model = segcache.cached_build_model(model_name)
-    cap = max(1000, deadline // NP_CAP_DIVISOR)
-    macs_cap = max(1000, (cap - 4000) // 5)
-    chunk = max(2048, budget // (buffers * 2))
+    chunk, cap, macs_cap = granularity(budget, 1, buffers, deadline)
     refined = segcache.cached_refine_model(model, quant, chunk, macs_cap)
     seg = segcache.cached_search_segmentation(
         refined,

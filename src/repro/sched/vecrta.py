@@ -29,8 +29,9 @@ Exactness
 Stand-down
     The engine refuses problems it cannot solve exactly — demand
     ceilings near int64 range, non-positive periods — by raising
-    :class:`StandDown`; callers fall back to the scalar oracle for
-    those cases (counted in ``vec_stand_downs``).
+    :class:`StandDown` from :func:`plan_chains`, which screens each
+    column set once before packing its chains; callers fall back to the
+    scalar oracle for those cases (counted in ``vec_stand_downs``).
 
 Telemetry lives in :mod:`repro.obs`: the ``rta.fixpoint`` counter group
 gains ``vec_batches`` array solves, ``vec_rows`` rows solved inside
@@ -52,7 +53,7 @@ from repro import obs
 #: Demand ceilings at or above this stand down (int64 headroom).
 _INT64_LIMIT = 1 << 62
 
-#: Hard iteration guard; the per-chain demand ceilings make genuine
+#: Hard iteration guard; the screened demand ceilings make genuine
 #: divergence hit the cap first, so tripping this is a logic error.
 _ITER_GUARD = 1_000_000
 
@@ -135,26 +136,6 @@ class _Chain:
         self.dead = False
 
 
-def _check_chain(own_max, blocking_max, inter, periods, deadlines) -> None:
-    """Reject chains the int64 solver cannot handle exactly."""
-    if not deadlines:
-        return
-    if min(periods) <= 0:
-        raise StandDown("non-positive period")
-    if own_max < 0 or blocking_max < 0 or min(inter, default=0) < 0:
-        raise StandDown("negative demand term")
-    if min(deadlines) <= 0:
-        raise StandDown("non-positive deadline")
-    # Iterates start at base <= cap and jitters are bounded by earlier
-    # bounds (<= max deadline), so every computed demand is at most:
-    d_max = max(deadlines)
-    ceiling = own_max + blocking_max
-    for i, t in zip(inter, periods):
-        ceiling += ((2 * d_max) // t + 1) * i
-    if ceiling >= _INT64_LIMIT:
-        raise StandDown("demand ceiling exceeds int64 headroom")
-
-
 class ChainBatch:
     """Many jitter-chained fixpoint cascades, solved level-by-level.
 
@@ -170,22 +151,17 @@ class ChainBatch:
         self._chains: List[_Chain] = []
         self._solved = False
 
-    def add_simple(self, own, blocking, inter, periods, deadlines, check=True) -> int:
+    def add_simple(self, own, blocking, inter, periods, deadlines) -> int:
         """Add one single-resource cascade; returns its handle.
 
         All arguments are equal-length sequences of Python ints ordered
         highest priority first: per-level own demand, blocking,
-        interference contribution, period, and deadline (the cap).
-        ``check=False`` skips the per-chain magnitude screen — only for
-        callers that ran an equivalent screen over the whole case.
+        interference contribution, period, and deadline (the cap).  The
+        caller bounds every demand below int64 range first (as
+        :func:`plan_chains` does).
         """
         own, blocking, inter = list(own), list(blocking), list(inter)
         periods, deadlines = list(periods), list(deadlines)
-        if check:
-            _check_chain(
-                max(own, default=0), max(blocking, default=0),
-                inter, periods, deadlines,
-            )
         chain = _Chain("s", len(own), periods, deadlines)
         chain.own, chain.blocking, chain.inter = own, blocking, inter
         self._chains.append(chain)
@@ -193,27 +169,20 @@ class ChainBatch:
 
     def add_holistic(
         self, total_l, total_c, latency, block_l, block_c, block_both,
-        gated, periods, deadlines, check=True,
+        gated, periods, deadlines,
     ) -> int:
         """Add one two-stage cascade; returns its handle.
 
         Buffered levels (``gated[k]`` False) solve DMA and CPU stage
         fixpoints and sum them; gated levels solve a single combined
         fixpoint on the pipeline latency, exactly as
-        ``core.analysis._analyze_holistic`` does.  ``check`` as in
+        ``core.analysis._analyze_holistic`` does.  Magnitudes as in
         :meth:`add_simple`.
         """
         total_l, total_c, latency = list(total_l), list(total_c), list(latency)
         block_l, block_c, block_both = list(block_l), list(block_c), list(block_both)
         gated = list(gated)
         periods, deadlines = list(periods), list(deadlines)
-        if check:
-            _check_chain(
-                max((max(l, c, y) for l, c, y in zip(total_l, total_c, latency)), default=0),
-                max((max(a, b, c) for a, b, c in zip(block_l, block_c, block_both)), default=0),
-                [l + c for l, c in zip(total_l, total_c)],
-                periods, deadlines,
-            )
         chain = _Chain("h", len(total_l), periods, deadlines)
         chain.tl, chain.tc, chain.lat = total_l, total_c, latency
         chain.bl_l, chain.bl_c, chain.bl_both = block_l, block_c, block_both
@@ -361,6 +330,54 @@ def _suffix_max(values: Sequence[int]) -> List[int]:
     return out
 
 
+def _screen(cols: ViewCols, serial, lp_l, lp_c, block_both) -> None:
+    """Stand down unless every chain :func:`plan_chains` packs for
+    ``cols`` stays exactly inside int64.
+
+    Every packed row at level ``i`` solves ``w = base + sum_j
+    ceil((w + J_j) / T_j) * I_j`` for ``j < i`` with ``base = own +
+    blocking``, capped at ``D_i``.  Once every column is non-negative
+    (checked below):
+
+    * ``own`` is ``serial_i``, ``latency_i``, ``total_l_i`` or
+      ``total_c_i``, so ``0 <= own <= max(max(serial), max(latency))``;
+    * ``blocking`` is ``block_both_i``, ``lp_l[i+1]`` (holistic DMA
+      stage) or ``lp_c[i+1]`` (CPU stage), so it is at most
+      ``max(max(block_both), lp_l[1], lp_c[1])``.  ``lp_l[i+1]`` is not
+      bounded by ``block_both_i``: a task with no loads above a loaded
+      task has ``n_load_i = 0``;
+    * ``I_j`` is ``serial_j``, ``total_l_j`` or ``total_c_j``, so at most
+      ``serial_j``;
+    * every jitter is ``max(0, bound - x)`` with ``x >= 0`` and a bound
+      no larger than its cap, so ``0 <= J_j <= d_max``.
+
+    So ``0 <= base <= B``, the largest own plus the largest blocking.
+    The first iterate is ``base``, which may exceed its cap, and every
+    later one a demand that did not, so ``w <= max(B, d_max)`` and ``0 <=
+    w + J_j <= reach``.  Hence ``ceil((w + J_j) / T_j) <= reach // T_j +
+    1`` and every demand, partial sum, product and cap is at most
+    ``ceiling`` below.
+    """
+    periods, deadlines = cols.periods, cols.deadlines
+    if not periods:
+        return
+    if min(periods) <= 0:
+        raise StandDown("non-positive period")
+    if min(deadlines) <= 0:
+        raise StandDown("non-positive deadline")
+    columns = (cols.total_c, cols.total_l, cols.max_c, cols.max_l, cols.latency)
+    if min(map(min, columns)) < 0:
+        raise StandDown("negative demand term")
+    if max(periods) >= _INT64_LIMIT:
+        raise StandDown("period exceeds int64 headroom")
+    base = max(max(serial), max(cols.latency)) + max(max(block_both), lp_l[1], lp_c[1])
+    d_max = max(deadlines)
+    reach = max(base, d_max) + d_max
+    ceiling = reach + sum((reach // t + 1) * s for t, s in zip(periods, serial))
+    if ceiling >= _INT64_LIMIT:
+        raise StandDown("demand ceiling exceeds int64 headroom")
+
+
 def plan_chains(
     batch: ChainBatch,
     cols: ViewCols,
@@ -372,6 +389,8 @@ def plan_chains(
     Mirrors :func:`repro.core.analysis.analyze`'s structure: oblivious
     and overlap are simple cascades, holistic is a two-stage cascade,
     and ``rtmdm`` plans both overlap and holistic (combined at unpack).
+    Raises :class:`StandDown`, before packing anything, when a chain's
+    demand could leave int64 range (see :func:`_screen`).
 
     ``memo`` (one dict per task set, shared across that set's methods)
     reuses already-packed chains: a set analyzed under both ``overlap``
@@ -397,6 +416,7 @@ def plan_chains(
         for i in range(n)
     ]
     serial = [c + l for c, l in zip(cols.total_c, cols.total_l)]
+    _screen(cols, serial, lp_l, lp_c, block_both)
     if "obl" in wanted and "obl" not in memo:
         memo["obl"] = batch.add_simple(
             serial, block_both, serial, cols.periods, cols.deadlines
@@ -409,9 +429,7 @@ def plan_chains(
         gated = [b < s for b, s in zip(cols.buffers, cols.n_seg)]
         memo["hol"] = batch.add_holistic(
             cols.total_l, cols.total_c, cols.latency,
-            [lp_l[i + 1] for i in range(n)],
-            [lp_c[i + 1] for i in range(n)],
-            block_both, gated, cols.periods, cols.deadlines,
+            lp_l[1:], lp_c[1:], block_both, gated, cols.periods, cols.deadlines,
         )
     for kind in wanted:
         handles[kind] = memo[kind]

@@ -6,9 +6,11 @@ the model zoo, periods derived so each task's *CPU* utilization matches
 its UUniFast share (``T_i = C_i / u_i``), deadlines implicit or
 constrained by a sampled ratio.
 
-Segmentation and SRAM budgeting follow the same policy as the framework
-(granularity normalization, minimum-plus-proportional budgets), so every
-compared system sees the same staged workload.
+Granularity and SRAM budgets come from the framework's one policy
+(:func:`repro.core.framework.granularity` with the tightest estimated
+deadline, :func:`repro.core.framework.sram_budgets` over all usable
+SRAM), planned through the memoized :mod:`repro.core.segcache` path, so
+every compared system sees the staged workload RT-MDM would deploy.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.framework import granularity, sram_budgets
 from repro.core.pipeline import SegmentedModel
 from repro.core.priority import deadline_monotonic
 from repro.core.segcache import (
@@ -86,31 +89,6 @@ class GeneratedCase:
     feasible: bool
 
 
-def _budgets(
-    refined: Sequence[Tuple[str, Model]],
-    platform: Platform,
-    quant: Quantization,
-    buffers: int,
-) -> Optional[Dict[str, int]]:
-    """Minimum-plus-proportional SRAM split (framework policy)."""
-    capacity = platform.usable_sram_bytes
-    minima = {}
-    weights = {}
-    for name, model in refined:
-        costs = model_costs(model, platform, quant)
-        minima[name] = buffers * costs.max_weight + costs.activation_bytes
-        weights[name] = max(1, costs.prefix_w[-1])
-    total_min = sum(minima.values())
-    if total_min > capacity:
-        return None
-    leftover = capacity - total_min
-    total_weight = sum(weights.values())
-    return {
-        name: minima[name] + int(leftover * weights[name] / total_weight)
-        for name, _ in refined
-    }
-
-
 def generate_case(
     platform: Platform,
     total_util: float,
@@ -138,17 +116,17 @@ def generate_case(
     names = [f"t{i}" for i in range(n)]
     models = [cached_build_model(rng.choice(list(model_pool))) for _ in range(n)]
     utils = uunifast(n, total_util, rng)
-    chunk = max(2048, platform.usable_sram_bytes // (n * buffers * 2))
     # First pass: estimate periods from total compute to derive the
-    # non-preemptive section cap (framework policy: min deadline / 8).
+    # non-preemptive section cap from the tightest deadline.
     est_deadlines = []
     for model, util in zip(models, utils):
         total_compute = model_costs(model, platform, quant).prefix_c[-1]
         est_deadlines.append(
             max(1, round(total_compute / util)) * deadline_ratio[0]
         )
-    cap = max(1000, int(min(est_deadlines)) // 8)
-    macs_cap = max(1000, (cap - 4000) // 5)
+    chunk, cap, macs_cap = granularity(
+        platform.usable_sram_bytes, n, buffers, int(min(est_deadlines))
+    )
     # The cached planner quantizes the granularity knobs down to coarse
     # deterministic ladders (see repro.core.segcache) so paired draws
     # across sweep points share planning work; quantization applies on
@@ -157,7 +135,9 @@ def generate_case(
         name: cached_refine_model(model, quant, chunk, macs_cap)
         for name, model in zip(names, models)
     }
-    budgets = _budgets(list(refined.items()), platform, quant, buffers)
+    budgets = sram_budgets(
+        list(refined.items()), platform, quant, buffers, platform.usable_sram_bytes
+    )
     if budgets is None:
         return GeneratedCase(
             taskset=None,
