@@ -39,6 +39,7 @@ from repro.dnn.zoo import build_model, list_models
 from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.eval.reporting import render
 from repro.hw.presets import PLATFORMS, get_platform
+from repro.robust.recovery import LADDERS
 from repro.workload.scenarios import SCENARIOS, get_scenario
 
 
@@ -238,8 +239,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.core.segmentation import SegmentationError, search_segmentation
-    from repro.dnn.models import refine_model
+    from repro.core.framework import plan_lone_model
+    from repro.core.segmentation import SegmentationError
 
     platform = get_platform(args.platform or "f746-qspi")
     model = build_model(args.model)
@@ -258,9 +259,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         f"{model.peak_activation_bytes(INT8) / 1024:.1f} KiB peak activations"
     )
     budget = args.budget * 1024 if args.budget else platform.usable_sram_bytes
-    refined = refine_model(model, INT8, max(2048, budget // 8))
     try:
-        seg = search_segmentation(refined, platform, budget, INT8, buffers=2)
+        _, seg = plan_lone_model(model, platform, budget)
     except SegmentationError as error:
         print(f"segmentation: INFEASIBLE within {budget // 1024} KiB ({error})")
         return 1
@@ -278,9 +278,7 @@ def _cmd_robust(args: argparse.Namespace) -> int:
     from repro.core.analysis import sensitivity_margin
     from repro.robust.faults import FaultConfig, InflationModel
     from repro.robust.metrics import robustness_summary
-    from repro.robust.overload import DegradeConfig, OverrunPolicy, degraded_variant
-    from repro.sched.policies import CpuPolicy
-    from repro.sched.simulator import SimConfig, simulate
+    from repro.robust.overload import simulate_policies, variant_fallbacks
 
     config = _build_config(args.scenario, args.platform, args.flash)
     if not config.feasible:
@@ -305,11 +303,7 @@ def _cmd_robust(args: argparse.Namespace) -> int:
             jitter_cycles=args.jitter,
             seed=args.seed,
         )
-        degrade = DegradeConfig(
-            fallbacks={
-                t.name: degraded_variant(t, args.degrade_factor) for t in taskset
-            },
-        )
+        degrade = variant_fallbacks(taskset, args.degrade_factor)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -329,17 +323,7 @@ def _cmd_robust(args: argparse.Namespace) -> int:
         f"{'aborts':>6s} {'skips':>5s} {'degr%':>6s} {'retries':>7s}"
     )
     worst_miss = 0.0
-    for policy in OverrunPolicy:
-        result = simulate(
-            taskset,
-            SimConfig(
-                policy=CpuPolicy.FP_NP,
-                horizon=horizon,
-                faults=faults,
-                overrun=policy,
-                degrade=degrade if policy is OverrunPolicy.DEGRADE else None,
-            ),
-        )
+    for policy, result in simulate_policies(taskset, horizon, faults, degrade).items():
         s = robustness_summary(result)
         worst_miss = max(worst_miss, s["miss_ratio"])
         print(
@@ -350,21 +334,9 @@ def _cmd_robust(args: argparse.Namespace) -> int:
     return 0 if worst_miss == 0.0 else 1
 
 
-#: Recovery ladders selectable from ``rtmdm recover --protocol``.
-_RECOVER_LADDERS = ("none", "remap", "xip", "full")
-
-
 def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.core.analysis import fault_aware_analysis
-    from repro.robust.escalation import (
-        EscalationConfig,
-        bad_region_span,
-        fault_overhead_cycles,
-    )
     from repro.robust.metrics import recovery_summary
-    from repro.robust.recovery import RecoveryConfig, RecoveryProtocol
-    from repro.sched.policies import CpuPolicy
-    from repro.sched.simulator import SimConfig, simulate
+    from repro.robust.recovery import bad_flash_faults, sweep_ladders
 
     config = _build_config(args.scenario, args.platform, args.flash)
     if not config.feasible:
@@ -373,58 +345,26 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     platform = config.platform
     taskset = config.taskset
     horizon = config.horizon_cycles(args.duration)
-    crc = platform.dma.crc_cycles(platform.mcu)
     try:
-        escalation = EscalationConfig(
-            bad_regions=(
-                (bad_region_span(taskset, 0.25, 0.25 + args.bad_frac),)
-                if args.bad_frac > 0
-                else ()
-            ),
-            crc_fault_prob=args.crc_fault_prob,
-            max_retries=args.retries,
-            backoff_slot_cycles=crc,
-            crc_overhead_cycles=crc,
-            mirror_bad=args.mirror_bad,
+        escalation = bad_flash_faults(
+            taskset,
+            platform,
+            args.bad_frac,
+            retries=args.retries,
             seed=args.seed,
+            crc_fault_prob=args.crc_fault_prob,
+            mirror_bad=args.mirror_bad,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ladders = {
-        "none": None,
-        "remap": (RecoveryProtocol.REMAP,),
-        "xip": (RecoveryProtocol.REMAP, RecoveryProtocol.XIP_FALLBACK),
-        "full": (
-            RecoveryProtocol.REMAP,
-            RecoveryProtocol.XIP_FALLBACK,
-            RecoveryProtocol.DEGRADE,
-        ),
-    }
-    selected = (
-        list(_RECOVER_LADDERS) if args.protocol == "all" else [args.protocol]
+    selected = list(LADDERS) if args.protocol == "all" else [args.protocol]
+    cost, fa_admit, results = sweep_ladders(
+        taskset, platform, horizon, escalation, selected
     )
-    full_recovery = RecoveryConfig.for_platform(platform, ladder=ladders["full"])
-    cost = fault_overhead_cycles(taskset, escalation, recovery=full_recovery)
-    fa = fault_aware_analysis(taskset, args.retries, cost)
     protocols = {}
     best_miss: Optional[float] = None
-    for name in selected:
-        ladder = ladders[name]
-        recovery = (
-            None
-            if ladder is None
-            else RecoveryConfig.for_platform(platform, ladder=ladder)
-        )
-        result = simulate(
-            taskset,
-            SimConfig(
-                policy=CpuPolicy.FP_NP,
-                horizon=horizon,
-                escalation=escalation,
-                recovery=recovery,
-            ),
-        )
+    for name, result in results.items():
         summary = recovery_summary(result)
         protocols[name] = {
             **summary,
@@ -446,7 +386,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "horizon_cycles": horizon,
             "fault_cost_cycles": cost,
-            "fault_aware_admit": fa.schedulable,
+            "fault_aware_admit": fa_admit,
             "survives": ok,
             "protocols": protocols,
         }
@@ -462,7 +402,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     print(
         f"fault-aware admission (k={args.retries}, "
         f"cost={cost} cyc/fault): "
-        + ("ADMIT" if fa.schedulable else "REJECT")
+        + ("ADMIT" if fa_admit else "REJECT")
     )
     if args.quiet:
         print(f"survives: {'yes' if ok else 'NO'}")
@@ -1142,7 +1082,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     recover.add_argument("--retries", type=int, default=3,
                          help="retry budget per transfer before escalation")
     recover.add_argument("--protocol",
-                         choices=(*_RECOVER_LADDERS, "all"), default="all",
+                         choices=(*LADDERS, "all"), default="all",
                          help="recovery ladder to simulate (default: all)")
     recover.add_argument("--seed", type=int, default=1)
     recover.add_argument("--quiet", action="store_true",

@@ -79,6 +79,32 @@ def granularity(
     return chunk, cap, macs_cap
 
 
+def lone_chunk(sram_bytes: int, buffers: int) -> int:
+    """Refinement chunk cap for one model planned alone in ``sram_bytes``.
+
+    The single-model tools (EXP-F3/F9/F11/F14, ``rtmdm inspect``) have
+    no co-runners, so :func:`granularity`'s per-task share and its
+    compute cap (which bounds the blocking a task inflicts on others) do
+    not apply.  They refine to a quarter of one of ``buffers`` slots,
+    twice as fine as :func:`granularity` would for one task, and leave
+    the segmentation search to merge chunks back within the budget.
+    """
+    return max(2048, sram_bytes // (4 * buffers))
+
+
+def plan_lone_model(
+    model: Model, platform: Platform, sram_bytes: int
+) -> Tuple[Model, SegmentedModel]:
+    """Refine ``model`` at :func:`lone_chunk` and segment it alone.
+
+    Returns the refined model and its double-buffered segmentation
+    within the whole ``sram_bytes``; raises
+    :class:`~repro.core.segmentation.SegmentationError` if none fits.
+    """
+    refined = refine_model(model, INT8, lone_chunk(sram_bytes, 2))
+    return refined, search_segmentation(refined, platform, sram_bytes, INT8, buffers=2)
+
+
 def sram_budgets(
     refined: Sequence[Tuple[str, Model]],
     platform: Platform,

@@ -9,16 +9,18 @@ fast; pass ``scale=4`` or more for paper-quality curves).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import random
 import time
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import segcache
 from repro.core.analysis import METHODS, analyze
-from repro.core.framework import RtMdm
+from repro.core.framework import RtMdm, lone_chunk, plan_lone_model
 from repro.core.pipeline import isolated_latency, sequential_latency
 from repro.core.segmentation import (
     SegmentationError,
@@ -31,7 +33,6 @@ from repro.dnn.quantization import INT8
 from repro.dnn.zoo import build_model, list_models
 from repro.eval.metrics import (
     latency_stats,
-    miss_ratio,
     quantiles,
     schedulability_ratio,
     tightness_ratios,
@@ -41,6 +42,7 @@ from repro.eval.reporting import ExperimentResult
 from repro.eval.systems import SYSTEMS, admit_batch, derive_taskset
 from repro.hw.dma import DmaArbitration
 from repro.hw.presets import PLATFORMS, get_platform
+from repro.robust.metrics import miss_ratio
 from repro.sched.policies import CpuPolicy
 from repro.sched.simulator import SimConfig, simulate
 from repro.sched.task import TaskSet
@@ -49,14 +51,25 @@ from repro.workload.taskset import generate_case
 
 KIB = 1024
 
-#: Deterministic per-unit seeding (moved to repro.eval.parallel so worker
-#: processes share one definition); kept under the historic local name.
-_stable_seed = stable_seed
+
+def _mean(values: Sequence[float], digits: int) -> Optional[float]:
+    """The mean of ``values`` rounded to ``digits`` places; None if empty."""
+    return round(sum(values) / len(values), digits) if values else None
 
 
-def _with_cache_note(notes: str, delta: obs.Snapshot) -> str:
-    """Append the plan-cache hit/miss summary of ``delta`` to a notes string."""
-    return f"{notes}; {segcache.cache_note(delta)}"
+def _cache_noted(
+    driver: Callable[..., ExperimentResult]
+) -> Callable[..., ExperimentResult]:
+    """Append the plan-cache hit/miss summary of each run to its notes."""
+
+    @functools.wraps(driver)
+    def noted(*args, **kwargs) -> ExperimentResult:
+        before = obs.snapshot()
+        result = driver(*args, **kwargs)
+        note = segcache.cache_note(obs.delta_since(before))
+        return replace(result, notes=f"{result.notes}; {note}")
+
+    return noted
 
 # ----------------------------------------------------------------------
 # EXP-T1 / EXP-T2: workload and platform characterization tables
@@ -150,9 +163,8 @@ def exp_f3_single_dnn_latency(
     rows = []
     skipped = []
     for name in list_models():
-        model = refine_model(build_model(name), INT8, max(2048, budget // 8))
         try:
-            seg = search_segmentation(model, platform, budget, quant=INT8, buffers=2)
+            model, seg = plan_lone_model(build_model(name), platform, budget)
         except SegmentationError:
             skipped.append(name)
             continue
@@ -218,7 +230,7 @@ def _sweep_admission_unit(unit: Tuple) -> Tuple[Tuple, float, float]:
     start = time.perf_counter()
     cases = []
     for _, platform, util in points:
-        rng = random.Random(_stable_seed(seed, x_label, index))
+        rng = random.Random(stable_seed(seed, x_label, index))
         cases.append(generate_case(platform, util, rng))
     gen_s = time.perf_counter() - start
     start = time.perf_counter()
@@ -228,21 +240,19 @@ def _sweep_admission_unit(unit: Tuple) -> Tuple[Tuple, float, float]:
 
 
 def _sched_sweep(
-    platforms: Sequence,
-    x_values: Sequence,
     x_label: str,
-    total_utils: Sequence[float],
+    points: Sequence[Tuple],
     n_sets: int,
     seed: int,
-    systems: Sequence[str] = SYSTEMS,
-    jobs: Optional[int] = None,
-) -> Tuple[List[Tuple], obs.Snapshot, Dict[str, float]]:
+    jobs: Optional[int],
+) -> Tuple[List[Tuple], Dict]:
     """Shared machinery: schedulability ratio of each system per x value.
 
-    Draws are **paired across x values**: set index ``i`` uses the same
-    seed at every sweep point, so when only the platform varies (SRAM or
-    bandwidth sweeps) each point evaluates the *same* workloads and the
-    curves are directly comparable.
+    ``points`` holds one ``(x value, platform, total utilization)`` per
+    sweep point.  Draws are **paired across x values**: set index ``i``
+    uses the same seed at every sweep point, so when only the platform
+    varies (SRAM or bandwidth sweeps) each point evaluates the *same*
+    workloads and the curves are directly comparable.
 
     Work decomposes into one unit per set index covering *all* x values
     — a full sweep row — dispatched via
@@ -252,14 +262,13 @@ def _sched_sweep(
     Merging walks units in the serial order, so verdict lists (and
     hence every ratio) are bit-identical to the serial path.
 
-    Returns the result rows, the sweep's counter delta, and a
-    wall-clock split ``{"generate_s", "analysis_s"}`` summed over units
-    (timing only — never folded into result rows).
+    Returns the result rows and the sweep's meta: a wall-clock split
+    ``{"generate_s", "analysis_s"}`` summed over units (timing only —
+    never folded into result rows) and the vectorized-RTA counters.
     """
-    points = tuple(zip(x_values, platforms, total_utils))
-    systems = tuple(systems)
+    points = tuple(points)
     units = [
-        (seed, x_label, index, points, systems) for index in range(n_sets)
+        (seed, x_label, index, points, SYSTEMS) for index in range(n_sets)
     ]
     before = obs.snapshot()
     results = run_units(
@@ -273,30 +282,25 @@ def _sched_sweep(
     )
     delta = obs.delta_since(before)
     verdicts: Dict[object, Dict[str, List[bool]]] = {
-        x: {s: [] for s in systems} for x in x_values
+        x: {s: [] for s in SYSTEMS} for x, _, _ in points
     }
     timing = {"generate_s": 0.0, "analysis_s": 0.0}
     for row, gen_s, analysis_s in results:
         timing["generate_s"] += gen_s
         timing["analysis_s"] += analysis_s
         for (x, _, _), unit_verdicts in zip(points, row):
-            for system, verdict in zip(systems, unit_verdicts):
+            for system, verdict in zip(SYSTEMS, unit_verdicts):
                 verdicts[x][system].append(verdict)
-    rows = []
-    for x in x_values:
-        rows.append(
-            (x, *(round(schedulability_ratio(verdicts[x][s]), 3) for s in systems))
-        )
-    return rows, delta, timing
-
-
-def _sweep_meta(timing: Dict[str, float], delta: obs.Snapshot) -> Dict:
-    """Machine-readable sweep extras: wall-clock split + vec counters."""
+    rows = [
+        (x, *(round(schedulability_ratio(verdicts[x][s]), 3) for s in SYSTEMS))
+        for x, _, _ in points
+    ]
     meta: Dict = {key: round(value, 6) for key, value in timing.items()}
     meta.update(zip(obs.TABLE["rta.fixpoint"][3:], delta["rta.fixpoint"][3:]))
-    return meta
+    return rows, meta
 
 
+@_cache_noted
 def exp_f4_sched_vs_util(
     platform_key: str = "f746-qspi",
     utils: Sequence[float] = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
@@ -309,28 +313,20 @@ def exp_f4_sched_vs_util(
     """Schedulability ratio vs total CPU utilization."""
     platform = get_platform(platform_key)
     n = max(4, int(n_sets * scale))
-    rows, delta, timing = _sched_sweep(
-        platforms=[platform] * len(utils),
-        x_values=list(utils),
-        x_label="util",
-        total_utils=list(utils),
-        n_sets=n,
-        seed=seed,
-        jobs=jobs,
+    rows, meta = _sched_sweep(
+        "util", [(u, platform, u) for u in utils], n, seed, jobs
     )
     return ExperimentResult(
         exp_id="EXP-F4",
         title=f"Schedulability ratio vs utilization on {platform.name} ({n} sets/point)",
         columns=("util", *SYSTEMS),
         rows=tuple(rows),
-        notes=_with_cache_note(
-            "admission by each system's offline analysis; DM priorities throughout",
-            delta,
-        ),
-        meta=_sweep_meta(timing, delta),
+        notes="admission by each system's offline analysis; DM priorities throughout",
+        meta=meta,
     )
 
 
+@_cache_noted
 def exp_f5_sched_vs_sram(
     platform_key: str = "f746-qspi",
     sram_kib: Sequence[int] = (64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 448),
@@ -343,30 +339,22 @@ def exp_f5_sched_vs_sram(
 ) -> ExperimentResult:
     """Schedulability ratio vs SRAM size at fixed utilization."""
     base = get_platform(platform_key)
-    platforms = [base.with_sram_bytes(k * KIB) for k in sram_kib]
     n = max(4, int(n_sets * scale))
-    rows, delta, timing = _sched_sweep(
-        platforms=platforms,
-        x_values=list(sram_kib),
-        x_label="sram",
-        total_utils=[util] * len(sram_kib),
-        n_sets=n,
-        seed=seed,
-        jobs=jobs,
+    rows, meta = _sched_sweep(
+        "sram", [(k, base.with_sram_bytes(k * KIB), util) for k in sram_kib],
+        n, seed, jobs,
     )
     return ExperimentResult(
         exp_id="EXP-F5",
         title=f"Schedulability ratio vs SRAM (KiB) at U={util} ({n} sets/point)",
         columns=("sram_kib", *SYSTEMS),
         rows=tuple(rows),
-        notes=_with_cache_note(
-            "XIP needs no staging buffers, so it flattens at low SRAM where staging systems die",
-            delta,
-        ),
-        meta=_sweep_meta(timing, delta),
+        notes="XIP needs no staging buffers, so it flattens at low SRAM where staging systems die",
+        meta=meta,
     )
 
 
+@_cache_noted
 def exp_f6_sched_vs_bandwidth(
     platform_key: str = "f746-qspi",
     factors: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
@@ -379,27 +367,18 @@ def exp_f6_sched_vs_bandwidth(
 ) -> ExperimentResult:
     """Schedulability ratio vs external-memory bandwidth scaling."""
     base = get_platform(platform_key)
-    platforms = [base.with_bandwidth_factor(f) for f in factors]
     n = max(4, int(n_sets * scale))
-    rows, delta, timing = _sched_sweep(
-        platforms=platforms,
-        x_values=list(factors),
-        x_label="bw",
-        total_utils=[util] * len(factors),
-        n_sets=n,
-        seed=seed,
-        jobs=jobs,
+    rows, meta = _sched_sweep(
+        "bw", [(f, base.with_bandwidth_factor(f), util) for f in factors],
+        n, seed, jobs,
     )
     return ExperimentResult(
         exp_id="EXP-F6",
         title=f"Schedulability ratio vs bandwidth factor at U={util} ({n} sets/point)",
         columns=("bw_factor", *SYSTEMS),
         rows=tuple(rows),
-        notes=_with_cache_note(
-            "factor 1.0 = 48 MB/s QSPI; at high bandwidth overlap matters less",
-            delta,
-        ),
-        meta=_sweep_meta(timing, delta),
+        notes="factor 1.0 = 48 MB/s QSPI; at high bandwidth overlap matters less",
+        meta=meta,
     )
 
 
@@ -413,18 +392,25 @@ def exp_f6_sched_vs_bandwidth(
 _EVENT_BUDGET = 60_000
 
 
-def _case_config(taskset, horizon_jobs: int,
-                 arbitration: DmaArbitration = DmaArbitration.PRIORITY) -> SimConfig:
-    """The sweep simulation config for ``taskset`` (phase-independent)."""
+def _horizon(taskset, horizon_jobs: int) -> int:
+    """Simulation horizon: ``horizon_jobs`` longest periods, cut to about
+    :data:`_EVENT_BUDGET` events but never below two longest periods."""
     max_period = max(t.period for t in taskset)
     # Events per cycle: ~4 per segment per job (release/load/compute/done).
     density = sum(4 * t.num_segments / t.period for t in taskset)
-    horizon = min(horizon_jobs * max_period, int(_EVENT_BUDGET / density))
-    horizon = max(horizon, 2 * max_period)
+    return max(
+        2 * max_period,
+        min(horizon_jobs * max_period, int(_EVENT_BUDGET / density)),
+    )
+
+
+def _case_config(taskset, horizon_jobs: int,
+                 arbitration: DmaArbitration = DmaArbitration.PRIORITY) -> SimConfig:
+    """The sweep simulation config for ``taskset`` (phase-independent)."""
     return SimConfig(
         policy=CpuPolicy.FP_NP,
         dma_arbitration=arbitration,
-        horizon=horizon,
+        horizon=_horizon(taskset, horizon_jobs),
     )
 
 
@@ -456,7 +442,7 @@ def _f7_unit(unit: Tuple) -> Optional[Tuple[Dict, int]]:
     infeasible draw).
     """
     seed, platform, util, index, systems, n_phasings = unit
-    rng = random.Random(_stable_seed(seed, "f7", util, index))
+    rng = random.Random(stable_seed(seed, "f7", util, index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
         return None
@@ -466,7 +452,7 @@ def _f7_unit(unit: Tuple) -> Optional[Tuple[Dict, int]]:
         taskset, method = derive_taskset(system, case)
         admitted = segcache.cached_analyze(taskset, method).schedulable
         phase_rngs = [
-            random.Random(_stable_seed(seed, util, index, system, p))
+            random.Random(stable_seed(seed, util, index, system, p))
             for p in range(n_phasings)
         ]
         results = _simulate_case_batch(taskset, horizon_jobs=20, phase_rngs=phase_rngs)
@@ -479,6 +465,7 @@ def _f7_unit(unit: Tuple) -> Optional[Tuple[Dict, int]]:
     return totals, admitted_missed
 
 
+@_cache_noted
 def exp_f7_miss_ratio(
     platform_key: str = "f746-qspi",
     utils: Sequence[float] = (0.3, 0.5, 0.7, 0.9),
@@ -503,9 +490,7 @@ def exp_f7_miss_ratio(
         for util in utils
         for index in range(n)
     ]
-    before = obs.snapshot()
     results = run_units(_f7_unit, units, jobs=jobs, chunksize=max(1, n // 2))
-    delta = obs.delta_since(before)
     rows = []
     it = iter(results)
     for util in utils:
@@ -519,28 +504,22 @@ def exp_f7_miss_ratio(
             for system in systems:
                 totals[system].extend(unit_totals[system])
             admitted_missed += unit_admitted_missed
-        row = [util]
-        for system in systems:
-            values = totals[system]
-            row.append(round(sum(values) / len(values), 4) if values else None)
-        row.append(admitted_missed)
-        rows.append(tuple(row))
+        rows.append(
+            (util, *(_mean(totals[s], 4) for s in systems), admitted_missed)
+        )
     return ExperimentResult(
         exp_id="EXP-F7",
         title=f"Simulated deadline-miss ratio vs utilization ({n} sets x {n_phasings} phasings)",
         columns=("util", *systems, "rtmdm_admitted_misses"),
         rows=tuple(rows),
-        notes=_with_cache_note(
-            "last column must be 0: sets admitted by RT-MDM's analysis never miss in simulation",
-            delta,
-        ),
+        notes="last column must be 0: sets admitted by RT-MDM's analysis never miss in simulation",
     )
 
 
 def _f8_unit(unit: Tuple) -> Optional[Dict[str, List[float]]]:
     """One ``(utilization, set index)`` tightness work unit for EXP-F8."""
     seed, platform, util, index = unit
-    rng = random.Random(_stable_seed(seed, "f8", util, index))
+    rng = random.Random(stable_seed(seed, "f8", util, index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
         return None
@@ -552,7 +531,7 @@ def _f8_unit(unit: Tuple) -> Optional[Dict[str, List[float]]]:
     sims = _simulate_case_batch(
         case.taskset, horizon_jobs=30,
         phase_rngs=[
-            random.Random(_stable_seed(seed, util, index, method))
+            random.Random(stable_seed(seed, util, index, method))
             for method, _ in admitted
         ],
     )
@@ -562,6 +541,7 @@ def _f8_unit(unit: Tuple) -> Optional[Dict[str, List[float]]]:
     return ratios
 
 
+@_cache_noted
 def exp_f8_tightness(
     platform_key: str = "f746-qspi",
     utils: Sequence[float] = (0.3, 0.4, 0.5, 0.6),
@@ -581,9 +561,7 @@ def exp_f8_tightness(
     units = [
         (seed, platform, util, index) for util in utils for index in range(n)
     ]
-    before = obs.snapshot()
     results = run_units(_f8_unit, units, jobs=jobs, chunksize=max(1, n // 2))
-    delta = obs.delta_since(before)
     ratios_by_method: Dict[str, List[float]] = {m: [] for m in METHODS}
     for payload in results:
         if payload is None:
@@ -608,10 +586,7 @@ def exp_f8_tightness(
         title="Analysis tightness: simulated max response / analytic bound",
         columns=("analysis", "samples", "p50", "p90", "max"),
         rows=tuple(rows),
-        notes=_with_cache_note(
-            "max must stay <= 1.0 (safety); higher p50 = tighter analysis",
-            delta,
-        ),
+        notes="max must stay <= 1.0 (safety); higher p50 = tighter analysis",
     )
 
 
@@ -682,7 +657,7 @@ def exp_f9_granularity(
     """Segment-count sweep: latency and buffer cost vs granularity."""
     platform = get_platform(platform_key)
     model = refine_model(
-        build_model(model_name), INT8, max(2048, platform.usable_sram_bytes // 8)
+        build_model(model_name), INT8, lone_chunk(platform.usable_sram_bytes, 2)
     )
     weights = [layer.param_bytes(INT8) for layer in model.layers]
     act = model.peak_activation_bytes(INT8)
@@ -755,12 +730,7 @@ def exp_f10_dma_policy(
             if rp.max_response(top) and rf.max_response(top):
                 deltas.append(rf.max_response(top) / rp.max_response(top))
         rows.append(
-            (
-                util,
-                round(sum(prio_miss) / len(prio_miss), 4) if prio_miss else None,
-                round(sum(fifo_miss) / len(fifo_miss), 4) if fifo_miss else None,
-                round(sum(deltas) / len(deltas), 3) if deltas else None,
-            )
+            (util, _mean(prio_miss, 4), _mean(fifo_miss, 4), _mean(deltas, 3))
         )
     return ExperimentResult(
         exp_id="EXP-F10",
@@ -783,10 +753,11 @@ def exp_f11_buffering(
     platform = get_platform(platform_key)
     ms = platform.mcu.cycles_to_ms
     rows = []
-    # Part 1: per-model isolated latency by buffer depth.
+    # Part 1: per-model isolated latency by buffer depth, every depth
+    # searching one refinement sized for the deepest.
     for name in ("ds-cnn", "autoencoder", "mobilenet-v1-0.25", "resnet8"):
         model = refine_model(
-            build_model(name), INT8, max(2048, platform.usable_sram_bytes // 12)
+            build_model(name), INT8, lone_chunk(platform.usable_sram_bytes, 3)
         )
         lat = {}
         sram = {}
@@ -828,54 +799,6 @@ def exp_f11_buffering(
 
 
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "EXP-T1": exp_t1_model_zoo,
-    "EXP-T2": exp_t2_platforms,
-    "EXP-F3": exp_f3_single_dnn_latency,
-    "EXP-F4": exp_f4_sched_vs_util,
-    "EXP-F5": exp_f5_sched_vs_sram,
-    "EXP-F6": exp_f6_sched_vs_bandwidth,
-    "EXP-F7": exp_f7_miss_ratio,
-    "EXP-F8": exp_f8_tightness,
-    "EXP-T3": exp_t3_case_study,
-    "EXP-F9": exp_f9_granularity,
-    "EXP-F10": exp_f10_dma_policy,
-    "EXP-F11": exp_f11_buffering,
-}
-
-
-def run_experiment(exp_id: str, **kwargs) -> ExperimentResult:
-    """Run an experiment by id, with a helpful error on typos.
-
-    Options a particular driver does not take (e.g. ``jobs`` for an
-    experiment with no parallel decomposition) are dropped, so callers
-    like the CLI can pass ``scale``/``n_sets``/``jobs`` uniformly.
-    ``None`` values are also dropped so driver defaults apply.
-
-    Every invocation starts from a *cold* plan cache: the hit/miss note
-    an experiment reports is then a deterministic function of the
-    experiment and its arguments, not of whatever ran earlier in the
-    process (results are warmth-independent by construction either way).
-    Clearing drops entries, not counts: drivers report counter deltas.
-    """
-    try:
-        driver = EXPERIMENTS[exp_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    params = inspect.signature(driver).parameters
-    accepted = {
-        k: v for k, v in kwargs.items() if k in params and v is not None
-    }
-    segcache.clear_all()
-    return driver(**accepted)
-
-
-# ----------------------------------------------------------------------
 # Extension experiments (EXP-F12/F13/F14)
 # ----------------------------------------------------------------------
 
@@ -910,18 +833,11 @@ def exp_f12_fp_vs_edf(
                 continue
             fp_admit.append(analyze(case.taskset, "rtmdm").schedulable)
             edf_admit.append(edf_schedulable(case.taskset))
+            horizon = _horizon(case.taskset, 15)
             for policy, sink in (
                 (CpuPolicy.FP_NP, fp_miss),
                 (CpuPolicy.EDF_NP, edf_miss),
             ):
-                density = sum(4 * t.num_segments / t.period for t in case.taskset)
-                horizon = max(
-                    2 * max(t.period for t in case.taskset),
-                    min(
-                        15 * max(t.period for t in case.taskset),
-                        int(_EVENT_BUDGET / density),
-                    ),
-                )
                 result = simulate(
                     case.taskset,
                     SimConfig(policy=policy, horizon=horizon),
@@ -932,8 +848,7 @@ def exp_f12_fp_vs_edf(
                 util,
                 round(schedulability_ratio(fp_admit), 3),
                 round(schedulability_ratio(edf_admit), 3),
-                round(sum(fp_miss) / len(fp_miss), 4) if fp_miss else None,
-                round(sum(edf_miss) / len(edf_miss), 4) if edf_miss else None,
+                _mean(fp_miss, 4), _mean(edf_miss, 4),
             )
         )
     return ExperimentResult(
@@ -996,9 +911,7 @@ def exp_f13_flash_placement(
                 util,
                 round(admitted[False] / n, 3),
                 round(admitted[True] / n, 3),
-                round(sum(flash_used_kib) / len(flash_used_kib), 1)
-                if flash_used_kib
-                else None,
+                _mean(flash_used_kib, 1),
             )
         )
     return ExperimentResult(
@@ -1020,7 +933,6 @@ def exp_f14_energy(
     the CPU burns active power waiting.
     """
     from repro.baselines import sequentialize, xip_task
-    from repro.core.segmentation import search_segmentation as _search
     from repro.hw.energy import energy_per_inference_mj
 
     platform = get_platform(platform_key)
@@ -1028,11 +940,10 @@ def exp_f14_energy(
     skipped = []
     for name in ("tinyconv", "lenet5", "ds-cnn", "autoencoder",
                  "mobilenet-v1-0.25", "resnet8"):
-        model = refine_model(
-            build_model(name), INT8, max(2048, platform.usable_sram_bytes // 8)
-        )
         try:
-            seg = _search(model, platform, platform.usable_sram_bytes, INT8, 2)
+            model, seg = plan_lone_model(
+                build_model(name), platform, platform.usable_sram_bytes
+            )
         except SegmentationError:
             skipped.append(name)
             continue
@@ -1046,9 +957,7 @@ def exp_f14_energy(
         }
         energies = {}
         for label, task in variants.items():
-            from repro.sched.task import TaskSet as _TaskSet
-
-            taskset = _TaskSet.of([task])
+            taskset = TaskSet.of([task])
             result = simulate(
                 taskset, SimConfig(policy=CpuPolicy.FP_NP, horizon=20 * task.period)
             )
@@ -1077,11 +986,6 @@ def exp_f14_energy(
     )
 
 
-EXPERIMENTS["EXP-F12"] = exp_f12_fp_vs_edf
-EXPERIMENTS["EXP-F13"] = exp_f13_flash_placement
-EXPERIMENTS["EXP-F14"] = exp_f14_energy
-
-
 def exp_f15_dma_channels(
     platform_key: str = "f746-qspi",
     utils: Sequence[float] = (0.4, 0.6, 0.8),
@@ -1108,12 +1012,7 @@ def exp_f15_dma_channels(
             if not case.feasible:
                 continue
             taskset = case.taskset
-            density = sum(4 * t.num_segments / t.period for t in taskset)
-            horizon = max(
-                2 * max(t.period for t in taskset),
-                min(15 * max(t.period for t in taskset),
-                    int(_EVENT_BUDGET / density)),
-            )
+            horizon = _horizon(taskset, 15)
             results = {}
             for channels in (1, 2):
                 results[channels] = simulate(
@@ -1128,14 +1027,7 @@ def exp_f15_dma_channels(
                 r2 = results[2].max_response(task.name)
                 if r1 and r2:
                     ratios.append(r2 / r1)
-        rows.append(
-            (
-                util,
-                round(sum(miss1) / len(miss1), 4) if miss1 else None,
-                round(sum(miss2) / len(miss2), 4) if miss2 else None,
-                round(sum(ratios) / len(ratios), 3) if ratios else None,
-            )
-        )
+        rows.append((util, _mean(miss1, 4), _mean(miss2, 4), _mean(ratios, 3)))
     return ExperimentResult(
         exp_id="EXP-F15",
         title="DMA channel count: 1 vs 2 (simulated)",
@@ -1143,9 +1035,6 @@ def exp_f15_dma_channels(
         rows=tuple(rows),
         notes="response ratios below 1.0 = the second channel helps",
     )
-
-
-EXPERIMENTS["EXP-F15"] = exp_f15_dma_channels
 
 
 # ----------------------------------------------------------------------
@@ -1158,7 +1047,7 @@ def _r1_margin_unit(unit: Tuple) -> Optional[Tuple[bool, Optional[float]]]:
     from repro.core.analysis import sensitivity_margin
 
     seed, platform, util, index = unit
-    rng = random.Random(_stable_seed(seed, "r1", index))
+    rng = random.Random(stable_seed(seed, "r1", index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
         return None
@@ -1166,7 +1055,7 @@ def _r1_margin_unit(unit: Tuple) -> Optional[Tuple[bool, Optional[float]]]:
     return True, margin
 
 
-def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[float, ...], Optional[float]]:
+def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[float, ...], float]:
     """One ``(inflation, case)`` overload-policy work unit for EXP-R1.
 
     Regenerates its case from the draw index (cheap under a warm plan
@@ -1176,19 +1065,15 @@ def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[float, ...], Optional[float]]:
     """
     from repro.robust.faults import FaultConfig, InflationModel
     from repro.robust.metrics import degraded_residency
-    from repro.robust.metrics import miss_ratio as robust_miss_ratio
-    from repro.robust.overload import DegradeConfig, OverrunPolicy, degraded_variant
+    from repro.robust.overload import (
+        OverrunPolicy,
+        simulate_policies,
+        variant_fallbacks,
+    )
 
     seed, platform, util, draw_index, case_index, inflation, crc = unit
-    rng = random.Random(_stable_seed(seed, "r1", draw_index))
-    case = generate_case(platform, util, rng)
-    taskset = case.taskset
-    max_period = max(t.period for t in taskset)
-    density = sum(4 * t.num_segments / t.period for t in taskset)
-    horizon = max(
-        2 * max_period,
-        min(20 * max_period, int(_EVENT_BUDGET / density)),
-    )
+    rng = random.Random(stable_seed(seed, "r1", draw_index))
+    taskset = generate_case(platform, util, rng).taskset
     faults = FaultConfig(
         inflation=InflationModel.FIXED,
         inflation_factor=inflation,
@@ -1196,38 +1081,16 @@ def _r1_sim_unit(unit: Tuple) -> Tuple[Tuple[float, ...], Optional[float]]:
         dma_max_retries=3,
         dma_crc_overhead=crc,
         jitter_cycles=crc,
-        seed=_stable_seed(seed, "r1-faults", case_index),
+        seed=stable_seed(seed, "r1-faults", case_index),
     )
-    degrade = DegradeConfig(
-        fallbacks={t.name: degraded_variant(t, 0.5) for t in taskset},
-        miss_threshold=2,
-        recover_after=3,
+    results = simulate_policies(
+        taskset, _horizon(taskset, 20), faults, variant_fallbacks(taskset, 0.5)
     )
-    policies = (
-        OverrunPolicy.CONTINUE,
-        OverrunPolicy.ABORT_AT_DEADLINE,
-        OverrunPolicy.SKIP_NEXT,
-        OverrunPolicy.DEGRADE,
-    )
-    misses = []
-    residency: Optional[float] = None
-    for policy in policies:
-        result = simulate(
-            taskset,
-            SimConfig(
-                policy=CpuPolicy.FP_NP,
-                horizon=horizon,
-                faults=faults,
-                overrun=policy,
-                degrade=degrade if policy is OverrunPolicy.DEGRADE else None,
-            ),
-        )
-        misses.append(robust_miss_ratio(result))
-        if policy is OverrunPolicy.DEGRADE:
-            residency = degraded_residency(result)
-    return tuple(misses), residency
+    misses = tuple(miss_ratio(result) for result in results.values())
+    return misses, degraded_residency(results[OverrunPolicy.DEGRADE])
 
 
+@_cache_noted
 def exp_r1_overload_policies(
     platform_key: str = "f746-qspi",
     inflations: Sequence[float] = (1.0, 1.25, 1.5, 2.0),
@@ -1256,7 +1119,6 @@ def exp_r1_overload_policies(
     crc = platform.dma.crc_cycles(platform.mcu)
     n = max(2, int(n_sets * scale))
     margin_units = [(seed, platform, util, index) for index in range(n)]
-    before = obs.snapshot()
     margin_results = run_units(_r1_margin_unit, margin_units, jobs=jobs, chunksize=1)
     feasible_draws: List[int] = []
     margins: List[float] = []
@@ -1275,7 +1137,6 @@ def exp_r1_overload_policies(
         _r1_sim_unit, sim_units, jobs=jobs,
         chunksize=max(1, len(feasible_draws) // 2),
     )
-    delta = obs.delta_since(before)
     rows = []
     it = iter(sim_results)
     for inflation in inflations:
@@ -1285,19 +1146,15 @@ def exp_r1_overload_policies(
             misses, res = next(it)
             for policy_index, value in enumerate(misses):
                 miss_lists[policy_index].append(value)
-            if res is not None:
-                residency.append(res)
-        row = [inflation]
-        for values in miss_lists:
-            row.append(round(sum(values) / len(values), 4) if values else None)
-        row.append(
-            round(sum(residency) / len(residency), 4) if residency else None
-        )
-        rows.append(tuple(row))
+            residency.append(res)
+        rows.append((
+            inflation, *(_mean(values, 4) for values in miss_lists),
+            _mean(residency, 4),
+        ))
     if margins:
         margin_note = (
             f"mean analysis sensitivity margin of the {len(margins)} admitted "
-            f"sets: {round(sum(margins) / len(margins), 3)}"
+            f"sets: {_mean(margins, 3)}"
         )
     else:
         margin_note = (
@@ -1319,14 +1176,8 @@ def exp_r1_overload_policies(
             "degraded_residency",
         ),
         rows=tuple(rows),
-        notes=_with_cache_note(
-            f"2% DMA fault prob + bus jitter at every point; {margin_note}",
-            delta,
-        ),
+        notes=f"2% DMA fault prob + bus jitter at every point; {margin_note}",
     )
-
-
-EXPERIMENTS["EXP-R1"] = exp_r1_overload_policies
 
 
 # ----------------------------------------------------------------------
@@ -1349,7 +1200,7 @@ def _d1_unit(unit: Tuple) -> Dict:
     seed, platform_key, sram_kib, rate_hz, index, duration_s = unit
     platform = get_platform(platform_key).with_sram_bytes(sram_kib * KIB)
     trace = poisson_trace(
-        duration_s, rate_hz, seed=_stable_seed(seed, "d1", rate_hz, index)
+        duration_s, rate_hz, seed=stable_seed(seed, "d1", rate_hz, index)
     )
     report = OnlineRuntime(platform).serve(trace)
     payload = {
@@ -1365,6 +1216,7 @@ def _d1_unit(unit: Tuple) -> Dict:
     return payload
 
 
+@_cache_noted
 def exp_d1_admission(
     platform_key: str = "f746-qspi",
     rates_hz: Sequence[float] = (0.5, 1.5, 3.0),
@@ -1392,12 +1244,9 @@ def exp_d1_admission(
         for kib in sram_kib
         for index in range(n)
     ]
-    before = obs.snapshot()
     results = run_units(_d1_unit, units, jobs=jobs, chunksize=max(1, n // 2))
-    delta = obs.delta_since(before)
     rows = []
     latencies: List[float] = []
-    misses_total = 0
     it = iter(results)
     for rate in rates_hz:
         for kib in sram_kib:
@@ -1413,7 +1262,6 @@ def exp_d1_admission(
                 latencies.extend(payload.pop("latencies_us"))
                 for key, value in payload.items():
                     totals[key] += value
-            misses_total += totals["misses"]
             ratio = (
                 totals["admitted"] / totals["admit_requests"]
                 if totals["admit_requests"]
@@ -1447,16 +1295,12 @@ def exp_d1_admission(
             "degraded", "rej_sram", "rej_rta", "admit_ratio", "misses",
         ),
         rows=tuple(rows),
-        notes=_with_cache_note(
+        notes=(
             "misses column must be 0: admitted instances never miss in "
-            "fault-free execution; decision latency stats in suite meta",
-            delta,
+            "fault-free execution; decision latency stats in suite meta"
         ),
         meta=meta,
     )
-
-
-EXPERIMENTS["EXP-D1"] = exp_d1_admission
 
 
 # ----------------------------------------------------------------------
@@ -1469,87 +1313,44 @@ def _r2_unit(unit: Tuple) -> Optional[Dict]:
 
     Regenerates its workload from the draw's stable seed, marks a
     deterministic slice of the flash layout as bad, and simulates the
-    same escalation config under four recovery ladders (quarantine-only,
-    REMAP, REMAP+XIP, full ladder).  The fault-aware admission verdict
-    (:func:`repro.core.analysis.fault_aware_analysis` at the unit's
-    retry budget) rides along so the schedulability axis shares the
-    exact workloads of the empirical one.
+    same escalation config under the four recovery ladders of
+    :data:`repro.robust.recovery.LADDERS`.  The fault-aware admission
+    verdict at the unit's retry budget rides along so the
+    schedulability axis shares the exact workloads of the empirical one.
     """
-    from repro.core.analysis import fault_aware_analysis
-    from repro.robust.escalation import (
-        EscalationConfig,
-        bad_region_span,
-        fault_overhead_cycles,
-    )
     from repro.robust.metrics import recovery_summary
-    from repro.robust.recovery import RecoveryConfig, RecoveryProtocol
+    from repro.robust.recovery import LADDERS, bad_flash_faults, sweep_ladders
 
     seed, platform_key, util, index, bad_frac, retries = unit
     platform = get_platform(platform_key)
-    rng = random.Random(_stable_seed(seed, "r2", index))
+    rng = random.Random(stable_seed(seed, "r2", index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
         return None
     taskset = case.taskset
-    max_period = max(t.period for t in taskset)
-    density = sum(4 * t.num_segments / t.period for t in taskset)
-    horizon = max(
-        2 * max_period,
-        min(20 * max_period, int(_EVENT_BUDGET / density)),
+    escalation = bad_flash_faults(
+        taskset,
+        platform,
+        bad_frac,
+        retries=retries,
+        seed=stable_seed(seed, "r2-faults", index),
+        crc_fault_prob=0.0,
+        mirror_bad=False,
     )
-    crc = platform.dma.crc_cycles(platform.mcu)
-    escalation = EscalationConfig(
-        bad_regions=(
-            (bad_region_span(taskset, 0.25, 0.25 + bad_frac),)
-            if bad_frac > 0
-            else ()
-        ),
-        max_retries=retries,
-        backoff_slot_cycles=crc,
-        crc_overhead_cycles=crc,
-        seed=_stable_seed(seed, "r2-faults", index),
+    _, fa_admit, results = sweep_ladders(
+        taskset, platform, _horizon(taskset, 20), escalation, tuple(LADDERS)
     )
-    ladders = (
-        None,  # no recovery: terminal faults quarantine the task
-        (RecoveryProtocol.REMAP,),
-        (RecoveryProtocol.REMAP, RecoveryProtocol.XIP_FALLBACK),
-        (
-            RecoveryProtocol.REMAP,
-            RecoveryProtocol.XIP_FALLBACK,
-            RecoveryProtocol.DEGRADE,
-        ),
-    )
-    full_recovery = RecoveryConfig.for_platform(platform, ladder=ladders[-1])
-    cost = fault_overhead_cycles(taskset, escalation, recovery=full_recovery)
-    fa = fault_aware_analysis(taskset, retries, cost)
-    cases = []
-    for ladder in ladders:
-        recovery = (
-            None
-            if ladder is None
-            else RecoveryConfig.for_platform(platform, ladder=ladder)
-        )
-        cases.append((
-            taskset,
-            SimConfig(
-                policy=CpuPolicy.FP_NP,
-                horizon=horizon,
-                escalation=escalation,
-                recovery=recovery,
-            ),
-        ))
-    summaries = [recovery_summary(result) for result in simulate_batch(cases)]
-    payload = {
-        "fa_admit": fa.schedulable,
-        "fault_cost": cost,
+    summaries = [recovery_summary(result) for result in results.values()]
+    return {
+        "fa_admit": fa_admit,
         "miss": tuple(s["survival_miss_ratio"] for s in summaries),
         "quarantined": tuple(s["quarantined_tasks"] for s in summaries),
         "rec_latency": summaries[-1]["mean_recovery_latency"],
         "recovered": summaries[-1]["remaps"] + summaries[-1]["xip_fallbacks"],
     }
-    return payload
 
 
+@_cache_noted
 def exp_r2_recovery(
     platform_key: str = "f746-qspi",
     bad_fracs: Sequence[float] = (0.0, 0.1, 0.25),
@@ -1586,9 +1387,7 @@ def exp_r2_recovery(
         for retries in retry_budgets
         for index in range(n)
     ]
-    before = obs.snapshot()
     results = run_units(_r2_unit, units, jobs=jobs, chunksize=max(1, n // 2))
-    delta = obs.delta_since(before)
     rows = []
     it = iter(results)
     feasible_total = 0
@@ -1603,10 +1402,6 @@ def exp_r2_recovery(
                 rows.append((bad_frac, retries) + (None,) * 8)
                 continue
             feasible_total += len(payloads)
-
-            def _mean(values: Sequence[float]) -> float:
-                return round(sum(values) / len(values), 4)
-
             recovered = [p for p in payloads if p["recovered"] > 0]
             latency_ms = (
                 round(
@@ -1622,11 +1417,8 @@ def exp_r2_recovery(
                 (
                     bad_frac,
                     retries,
-                    _mean([1.0 if p["fa_admit"] else 0.0 for p in payloads]),
-                    _mean([p["miss"][0] for p in payloads]),
-                    _mean([p["miss"][1] for p in payloads]),
-                    _mean([p["miss"][2] for p in payloads]),
-                    _mean([p["miss"][3] for p in payloads]),
+                    _mean([1.0 if p["fa_admit"] else 0.0 for p in payloads], 4),
+                    *(_mean([p["miss"][i] for p in payloads], 4) for i in range(4)),
                     sum(p["quarantined"][0] for p in payloads),
                     sum(p["quarantined"][3] for p in payloads),
                     latency_ms,
@@ -1651,16 +1443,12 @@ def exp_r2_recovery(
             "rec_lat_ms",
         ),
         rows=tuple(rows),
-        notes=_with_cache_note(
+        notes=(
             "miss columns are survival miss ratios (quarantined releases "
             f"count as failures); {feasible_total} feasible set-points; "
-            "rec_lat_ms averages full-ladder runs that recovered a job",
-            delta,
+            "rec_lat_ms averages full-ladder runs that recovered a job"
         ),
     )
-
-
-EXPERIMENTS["EXP-R2"] = exp_r2_recovery
 
 
 # ----------------------------------------------------------------------
@@ -1680,57 +1468,36 @@ def _r3_unit(unit: Tuple) -> Dict:
     import os
     import tempfile
 
-    from repro.online.durable import InjectedCrash, envelope_stream, serve_durable
     from repro.online.runtime import OnlineRuntime
+    from repro.robust.chaos import baseline_logs, crash_and_recover
     from repro.workload.arrivals import poisson_trace
 
     seed, platform_key, interval, crash_frac, duration_s, rate_hz = unit
     runtime = OnlineRuntime(get_platform(platform_key))
-    trace = poisson_trace(duration_s, rate_hz, seed=_stable_seed(seed, "r3"))
-    baseline = runtime.serve(trace, simulate=False)
-    base_log = [d.to_dict() for d in baseline.decisions]
+    trace = poisson_trace(duration_s, rate_hz, seed=stable_seed(seed, "r3"))
+    base_log, _ = baseline_logs(runtime, trace)
     n = len(base_log)
     crash_at = min(max(n - 1, 0), int(round(crash_frac * max(n - 1, 0))))
-    envelopes = envelope_stream(trace)
     fd, path = tempfile.mkstemp(prefix="rtmdm-r3-", suffix=".jsonl")
     os.close(fd)
     try:
-        try:
-            serve_durable(
-                runtime,
-                envelopes,
-                trace.duration_s,
-                path,
-                checkpoint_interval=interval,
-                crash_at=crash_at,
-            )
-        except InjectedCrash:
-            pass
-        recovered = serve_durable(
-            runtime,
-            envelopes,
-            trace.duration_s,
-            path,
-            checkpoint_interval=interval,
-            restore=True,
+        recovered = crash_and_recover(
+            runtime, trace, "none", crash_at, path,
+            checkpoint_interval=interval, holdback=64, seed=seed, monitor=True,
         )
     finally:
         os.unlink(path)
-    recovery = recovered.recovery
     identical = [d.to_dict() for d in recovered.report.decisions] == base_log
-    payload = {
+    return {
         "decisions": n,
-        "crash_at": crash_at,
-        "checkpoint_seq": recovery.checkpoint_seq,
-        "replayed": recovery.decisions_replayed,
+        "replayed": recovered.recovery.decisions_replayed,
         "records": recovered.journal_records,
-        "checkpoints": recovered.checkpoints_written,
         "identical": int(identical),
-        "recovery_us": recovery.recovery_us,
+        "recovery_us": recovered.recovery.recovery_us,
     }
-    return payload
 
 
+@_cache_noted
 def exp_r3_crash_recovery(
     platform_key: str = "f746-qspi",
     checkpoint_intervals: Sequence[int] = (2, 4, 8, 16, 32),
@@ -1760,12 +1527,9 @@ def exp_r3_crash_recovery(
         for interval in checkpoint_intervals
         for frac in fracs
     ]
-    before = obs.snapshot()
     results = run_units(_r3_unit, units, jobs=jobs, chunksize=1)
-    delta = obs.delta_since(before)
     rows = []
     recovery_us: List[float] = []
-    identical_total = 0
     it = iter(results)
     for interval in checkpoint_intervals:
         replayed_total = 0
@@ -1781,7 +1545,6 @@ def exp_r3_crash_recovery(
             replayed_max = max(replayed_max, payload["replayed"])
             records_total += payload["records"]
             identical += payload["identical"]
-        identical_total += identical
         rows.append(
             (
                 interval,
@@ -1798,7 +1561,7 @@ def exp_r3_crash_recovery(
     if recovery_us:
         meta["recovery_latency_us"] = {
             "n": len(recovery_us),
-            "mean": round(sum(recovery_us) / len(recovery_us), 1),
+            "mean": _mean(recovery_us, 1),
             "p50": round(quantiles(recovery_us, (0.5,))[0], 1),
             "p95": round(quantiles(recovery_us, (0.95,))[0], 1),
             "max": round(recovery_us[-1], 1),
@@ -1819,17 +1582,13 @@ def exp_r3_crash_recovery(
             "identical",
         ),
         rows=tuple(rows),
-        notes=_with_cache_note(
+        notes=(
             "identical must equal crashes in every row (recovered decision "
             "logs bit-identical to the uninterrupted run); replayed_max is "
-            "bounded by ckpt_interval; recovery latency stats in suite meta",
-            delta,
+            "bounded by ckpt_interval; recovery latency stats in suite meta"
         ),
         meta=meta,
     )
-
-
-EXPERIMENTS["EXP-R3"] = exp_r3_crash_recovery
 
 
 # ----------------------------------------------------------------------
@@ -1867,7 +1626,7 @@ def _f16_unit(unit: Tuple) -> Optional[Dict[str, float]]:
     from repro.robust.overload import OverrunPolicy
 
     seed, platform, util, index, systems, hyperperiods = unit
-    rng = random.Random(_stable_seed(seed, "f16", util, index))
+    rng = random.Random(stable_seed(seed, "f16", util, index))
     case = generate_case(platform, util, rng)
     if not case.feasible:
         return None
@@ -1892,6 +1651,7 @@ def _f16_unit(unit: Tuple) -> Optional[Dict[str, float]]:
     return totals
 
 
+@_cache_noted
 def exp_f16_steady_state(
     platform_key: str = "f746-qspi",
     utils: Sequence[float] = (0.3, 0.5, 0.7, 0.9),
@@ -1934,11 +1694,7 @@ def exp_f16_steady_state(
                 continue
             for system in systems:
                 totals[system].append(payload[system])
-        row = [util]
-        for system in systems:
-            values = totals[system]
-            row.append(round(sum(values) / len(values), 4) if values else None)
-        rows.append(tuple(row))
+        rows.append((util, *(_mean(totals[s], 4) for s in systems)))
     return ExperimentResult(
         exp_id="EXP-F16",
         title=(
@@ -1947,16 +1703,12 @@ def exp_f16_steady_state(
         ),
         columns=("util", *systems),
         rows=tuple(rows),
-        notes=_with_cache_note(
+        notes=(
             "harmonized periods; deterministic runs fold repeated "
-            "hyperperiod cycles (rows identical)",
-            delta,
+            "hyperperiod cycles (rows identical)"
         ),
         meta={"fold": dict(zip(obs.TABLE["sim.fold"][1:], delta["sim.fold"][1:]))},
     )
-
-
-EXPERIMENTS["EXP-F16"] = exp_f16_steady_state
 
 
 # ----------------------------------------------------------------------
@@ -1976,7 +1728,7 @@ def _f17_tasksets(n_sets: int, tasks_per_set: int, seed: int) -> List:
 
     sets = []
     for index in range(n_sets):
-        rng = random.Random(_stable_seed(seed, "f17", index))
+        rng = random.Random(stable_seed(seed, "f17", index))
         tasks = []
         for k in range(tasks_per_set):
             n_seg = rng.randint(2, 8)
@@ -2079,9 +1831,6 @@ def exp_f17_rta_throughput(
     )
 
 
-EXPERIMENTS["EXP-F17"] = exp_f17_rta_throughput
-
-
 # ----------------------------------------------------------------------
 # Simulator throughput (EXP-F18)
 # ----------------------------------------------------------------------
@@ -2102,7 +1851,7 @@ def _f18_tasksets(n_sets: int, tasks_per_set: int, seed: int) -> List:
 
     sets = []
     for index in range(n_sets):
-        rng = random.Random(_stable_seed(seed, "f18", index))
+        rng = random.Random(stable_seed(seed, "f18", index))
         base = rng.choice((1 << 16, 1 << 17, 3 << 16))
         tasks = []
         for k in range(tasks_per_set):
@@ -2252,14 +2001,12 @@ def exp_f18_sim_throughput(
     )
 
 
-EXPERIMENTS["EXP-F18"] = exp_f18_sim_throughput
-
-
 # ----------------------------------------------------------------------
 # Fleet-scale serving (EXP-S1) and plan-store amortization (EXP-S2)
 # ----------------------------------------------------------------------
 
 
+@_cache_noted
 def exp_s1_fleet(
     devices: int = 20_000,
     shard_counts: Sequence[int] = (1, 4, 16),
@@ -2297,7 +2044,6 @@ def exp_s1_fleet(
     def n_dev(base: int) -> int:
         return max(200, int(base * scale))
 
-    cache_before = obs.snapshot()
     rows: List[Tuple] = []
     wall_latencies: List[float] = []
     decided_total = 0
@@ -2330,7 +2076,7 @@ def exp_s1_fleet(
         n = n_dev(devices)
         trace = fleet_trace(
             n, duration_s, rate_per_device_hz,
-            seed=_stable_seed(seed, "s1", arrival, n), arrival=arrival,
+            seed=stable_seed(seed, "s1", arrival, n), arrival=arrival,
         )
         oracle = None
         for shards in shard_counts:
@@ -2347,7 +2093,7 @@ def exp_s1_fleet(
         n = n_dev(base)
         trace = fleet_trace(
             n, duration_s, rate_per_device_hz,
-            seed=_stable_seed(seed, "s1", "poisson", n), arrival="poisson",
+            seed=stable_seed(seed, "s1", "poisson", n), arrival="poisson",
         )
         rows.append(row_of("poisson", n, wide, run_one(trace, wide), None))
 
@@ -2373,17 +2119,13 @@ def exp_s1_fleet(
             "util", "q_p50_ms", "q_p99_ms", "identical",
         ),
         rows=tuple(rows),
-        notes=_with_cache_note(
+        notes=(
             "virtual-time shards; identical=1 means the sharded decision "
             "stream is bit-identical to the serial oracle; engine "
-            "throughput/latency in meta",
-            obs.delta_since(cache_before),
+            "throughput/latency in meta"
         ),
         meta=meta,
     )
-
-
-EXPERIMENTS["EXP-S1"] = exp_s1_fleet
 
 
 def exp_s2_planstore(
@@ -2508,9 +2250,7 @@ def exp_s2_planstore(
     )
 
 
-EXPERIMENTS["EXP-S2"] = exp_s2_planstore
-
-
+@_cache_noted
 def exp_s3_resilience(
     devices: int = 60,
     rates_hz: Sequence[float] = (14.0, 20.0),
@@ -2557,23 +2297,23 @@ def exp_s3_resilience(
         decision_identity,
         fleet_trace,
     )
-    from repro.robust.chaos import fleet_invariants
+    from repro.robust.chaos import crash_every_shard, fleet_invariants
 
     n = max(24, int(devices * scale))
-    cache_before = obs.snapshot()
     rows: List[Tuple] = []
     wall_latencies: List[float] = []
     recovery_us: List[float] = []
     shed_reductions: Dict[str, int] = {}
 
-    base_kwargs = dict(
+    shed_only = FleetConfig(
         n_shards=shards, batch_size=batch_size,
         max_queue_depth=queue_depth, service_us=service_us,
     )
-    ladder_kwargs = dict(
-        base_kwargs,
+    ladder = replace(
+        shed_only,
         degrade_watermark=degrade_watermark,
         timeout_ms=timeout_ms,
+        checkpoint_interval=max(batch_size, 16),
     )
 
     def row_of(rate, policy, report, crashes, identical):
@@ -2587,32 +2327,24 @@ def exp_s3_resilience(
     for rate in rates_hz:
         trace = fleet_trace(
             n, duration_s, rate,
-            seed=_stable_seed(seed, "s3", rate, n), arrival="bursty",
+            seed=stable_seed(seed, "s3", rate, n), arrival="bursty",
         )
-        off = FleetService(config=FleetConfig(**base_kwargs)).run(trace)
+        off = FleetService(config=shed_only).run(trace)
         wall_latencies.extend(off.wall_latencies_us)
         rows.append(row_of(rate, "shed-only", off, 0, None))
 
-        on = FleetService(config=FleetConfig(**ladder_kwargs)).run(trace)
+        on = FleetService(config=ladder).run(trace)
         fleet_invariants(on)
         wall_latencies.extend(on.wall_latencies_us)
         rows.append(row_of(rate, "ladder", on, 0, None))
         shed_reductions[f"{rate:g}"] = off.shed - on.shed
         oracle = decision_identity(on.all_decisions())
 
-        crash_at = tuple(
-            (stats["shard"], int(crash_frac * stats["decided"]))
-            for stats in on.shard_stats
-            if stats["decided"] > 0
-        )
         journal_dir = tempfile.mkdtemp(prefix="rtmdm-s3-")
         try:
-            crashed = FleetService(config=FleetConfig(
-                **ladder_kwargs,
-                journal_dir=journal_dir,
-                checkpoint_interval=max(batch_size, 16),
-                crash_at=crash_at,
-            )).run(trace)
+            crashed, crashes = crash_every_shard(
+                trace, ladder, on, crash_frac, journal_dir
+            )
         finally:
             shutil.rmtree(journal_dir, ignore_errors=True)
         fleet_invariants(crashed)
@@ -2625,8 +2357,7 @@ def exp_s3_resilience(
         identical = int(
             decision_identity(crashed.all_decisions()) == oracle
         )
-        rows.append(row_of(rate, "ladder+crash", crashed, len(crash_at),
-                           identical))
+        rows.append(row_of(rate, "ladder+crash", crashed, crashes, identical))
 
     meta: Dict = {
         "devices": n,
@@ -2651,16 +2382,74 @@ def exp_s3_resilience(
             "identical",
         ),
         rows=tuple(rows),
-        notes=_with_cache_note(
+        notes=(
             "same trace per rate under three policies; the ladder row "
             "must shed strictly less than shed-only whenever shed-only "
             "dropped anything; identical=1 means the crashed+recovered "
             "stream matches the uninterrupted ladder run bit-for-bit; "
-            "recovery/engine latency in meta",
-            obs.delta_since(cache_before),
+            "recovery/engine latency in meta"
         ),
         meta=meta,
     )
 
 
-EXPERIMENTS["EXP-S3"] = exp_s3_resilience
+# ----------------------------------------------------------------------
+# Registry
+# ----------------------------------------------------------------------
+
+EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
+    "EXP-T1": exp_t1_model_zoo,
+    "EXP-T2": exp_t2_platforms,
+    "EXP-F3": exp_f3_single_dnn_latency,
+    "EXP-F4": exp_f4_sched_vs_util,
+    "EXP-F5": exp_f5_sched_vs_sram,
+    "EXP-F6": exp_f6_sched_vs_bandwidth,
+    "EXP-F7": exp_f7_miss_ratio,
+    "EXP-F8": exp_f8_tightness,
+    "EXP-T3": exp_t3_case_study,
+    "EXP-F9": exp_f9_granularity,
+    "EXP-F10": exp_f10_dma_policy,
+    "EXP-F11": exp_f11_buffering,
+    "EXP-F12": exp_f12_fp_vs_edf,
+    "EXP-F13": exp_f13_flash_placement,
+    "EXP-F14": exp_f14_energy,
+    "EXP-F15": exp_f15_dma_channels,
+    "EXP-R1": exp_r1_overload_policies,
+    "EXP-D1": exp_d1_admission,
+    "EXP-R2": exp_r2_recovery,
+    "EXP-R3": exp_r3_crash_recovery,
+    "EXP-F16": exp_f16_steady_state,
+    "EXP-F17": exp_f17_rta_throughput,
+    "EXP-F18": exp_f18_sim_throughput,
+    "EXP-S1": exp_s1_fleet,
+    "EXP-S2": exp_s2_planstore,
+    "EXP-S3": exp_s3_resilience,
+}
+
+
+def run_experiment(exp_id: str, **kwargs) -> ExperimentResult:
+    """Run an experiment by id, with a helpful error on typos.
+
+    Options a particular driver does not take (e.g. ``jobs`` for an
+    experiment with no parallel decomposition) are dropped, so callers
+    like the CLI can pass ``scale``/``n_sets``/``jobs`` uniformly.
+    ``None`` values are also dropped so driver defaults apply.
+
+    Every invocation starts from a *cold* plan cache: the hit/miss note
+    an experiment reports is then a deterministic function of the
+    experiment and its arguments, not of whatever ran earlier in the
+    process (results are warmth-independent by construction either way).
+    Clearing drops entries, not counts: drivers report counter deltas.
+    """
+    try:
+        driver = EXPERIMENTS[exp_id]
+    except KeyError:
+        raise KeyError(
+            f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
+        ) from None
+    params = inspect.signature(driver).parameters
+    accepted = {
+        k: v for k, v in kwargs.items() if k in params and v is not None
+    }
+    segcache.clear_all()
+    return driver(**accepted)

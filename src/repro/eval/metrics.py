@@ -1,4 +1,7 @@
-"""Evaluation metrics: schedulability ratios, miss ratios, tightness."""
+"""Evaluation metrics: schedulability ratios, tightness, latency stats.
+
+The simulated miss ratio is :func:`repro.robust.metrics.miss_ratio`.
+"""
 
 from __future__ import annotations
 
@@ -12,14 +15,6 @@ def schedulability_ratio(verdicts: Sequence[bool]) -> float:
     if not verdicts:
         raise ValueError("verdicts must be non-empty")
     return sum(verdicts) / len(verdicts)
-
-
-def miss_ratio(result: SimResult) -> float:
-    """Fraction of released jobs that missed (or never finished)."""
-    released = sum(s.jobs for s in result.stats.values())
-    if released == 0:
-        return 0.0
-    return result.total_misses / released
 
 
 def tightness_ratios(

@@ -6,7 +6,7 @@ units — one per ``(set index, sweep point)`` — that are dispatched over a
 order.  Three properties make the parallel output **bit-identical** to
 the serial path:
 
-1. every unit derives its randomness from a ``_stable_seed`` of its own
+1. every unit derives its randomness from a :func:`stable_seed` of its own
    coordinates (never from shared RNG state), so results do not depend
    on execution order;
 2. ``ProcessPoolExecutor.map`` returns results in submission order, and

@@ -32,9 +32,10 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids eval.fleet at load
-    from repro.eval.fleet import FleetTrace
+    from repro.eval.fleet import FleetConfig, FleetReport, FleetTrace
 
 from repro.online.durable import (
+    DurableServeResult,
     Envelope,
     InjectedCrash,
     envelope_stream,
@@ -240,7 +241,7 @@ class ChaosReport:
         }
 
 
-def _baseline(
+def baseline_logs(
     runtime: OnlineRuntime, trace: RequestTrace
 ) -> Tuple[List[Dict], List[Dict]]:
     """The uninterrupted run's decision log and final instance set."""
@@ -248,6 +249,49 @@ def _baseline(
     return (
         [d.to_dict() for d in report.decisions],
         [inst.to_dict() for inst in report.instances],
+    )
+
+
+def crash_and_recover(
+    runtime: OnlineRuntime,
+    trace: RequestTrace,
+    mode: str,
+    crash_at: int,
+    journal_path: str,
+    *,
+    checkpoint_interval: int,
+    holdback: int,
+    seed: int,
+    monitor: bool,
+) -> DurableServeResult:
+    """Serve ``trace`` delivered under ``mode``, crash, recover.
+
+    The journaled run crashes at decision ``crash_at``; the journal-damage
+    modes then damage its tail; the recovery run restores from the
+    journal and re-offers the whole perturbed stream.  Returns the
+    recovered run.
+    """
+    cell_seed = seed * 1_000_003 + crash_at * 131 + CHAOS_MODES.index(mode)
+    envelopes = perturb_envelopes(
+        envelope_stream(trace), mode, cell_seed, holdback=holdback
+    )
+    options = dict(
+        checkpoint_interval=checkpoint_interval,
+        holdback=holdback,
+        monitor=monitor,
+    )
+    try:
+        serve_durable(
+            runtime, envelopes, trace.duration_s, journal_path,
+            crash_at=crash_at, **options,
+        )
+    except InjectedCrash:
+        pass
+    if mode in JOURNAL_DAMAGE_MODES:
+        damage_journal(journal_path, mode, cell_seed)
+    return serve_durable(
+        runtime, envelopes, trace.duration_s, journal_path,
+        restore=True, **options,
     )
 
 
@@ -264,34 +308,12 @@ def run_cell(
     monitor: bool = True,
 ) -> ChaosCell:
     """Crash at ``crash_at`` under ``mode``, recover, and compare."""
-    cell_seed = seed * 1_000_003 + crash_at * 131 + CHAOS_MODES.index(mode)
-    envelopes = perturb_envelopes(
-        envelope_stream(trace), mode, cell_seed, holdback=holdback
-    )
-    try:
-        serve_durable(
-            runtime,
-            envelopes,
-            trace.duration_s,
-            journal_path,
-            checkpoint_interval=checkpoint_interval,
-            holdback=holdback,
-            monitor=monitor,
-            crash_at=crash_at,
-        )
-    except InjectedCrash:
-        pass
-    if mode in JOURNAL_DAMAGE_MODES:
-        damage_journal(journal_path, mode, cell_seed)
-    recovered = serve_durable(
-        runtime,
-        envelopes,
-        trace.duration_s,
-        journal_path,
+    recovered = crash_and_recover(
+        runtime, trace, mode, crash_at, journal_path,
         checkpoint_interval=checkpoint_interval,
         holdback=holdback,
+        seed=seed,
         monitor=monitor,
-        restore=True,
     )
     decisions = [d.to_dict() for d in recovered.report.decisions]
     instances = [inst.to_dict() for inst in recovered.report.instances]
@@ -338,7 +360,7 @@ def run_matrix(
             raise ValueError(f"unknown chaos mode {mode!r} (known: {CHAOS_MODES})")
     if crash_stride < 1:
         raise ValueError(f"crash_stride must be >= 1, got {crash_stride}")
-    base = _baseline(runtime, trace)
+    base = baseline_logs(runtime, trace)
     n = len(base[0])
     report = ChaosReport(
         platform_name=runtime.platform.name,
@@ -605,6 +627,32 @@ class FleetChaosReport:
         }
 
 
+def crash_every_shard(
+    trace: "FleetTrace",
+    config: "FleetConfig",
+    baseline: "FleetReport",
+    frac: float,
+    journal_dir: str,
+) -> Tuple["FleetReport", int]:
+    """Re-run ``trace`` journaled, every shard crashing once.
+
+    Each shard that decided anything in the uninterrupted ``baseline``
+    run of ``config`` crashes at ``int(frac * decided)`` of its own
+    decision count and recovers from its journal in ``journal_dir``.
+    Returns the recovered run's report and the number of shards crashed.
+    """
+    from repro.eval.fleet import FleetService
+
+    crash_at = tuple(
+        (stats["shard"], int(frac * stats["decided"]))
+        for stats in baseline.shard_stats
+        if stats["decided"] > 0
+    )
+    crashed = replace(config, journal_dir=journal_dir, crash_at=crash_at)
+    report = FleetService(cohorts=trace.cohorts, config=crashed).run(trace)
+    return report, len(crash_at)
+
+
 def run_fleet_matrix(
     trace: "FleetTrace",
     modes: Sequence[str] = FLEET_CHAOS_MODES,
@@ -648,30 +696,20 @@ def run_fleet_matrix(
             trace, mode, seed * 9_176 + mode_index, holdback=holdback
         )
         for n_shards in shard_counts:
-            base_cfg = FleetConfig(n_shards=n_shards, batch_size=batch_size)
-            base = FleetService(
-                cohorts=trace.cohorts, config=base_cfg
-            ).run(ptrace)
+            config = FleetConfig(
+                n_shards=n_shards,
+                batch_size=batch_size,
+                checkpoint_interval=checkpoint_interval,
+            )
+            base = FleetService(cohorts=trace.cohorts, config=config).run(ptrace)
             base_identity = decision_identity(base.all_decisions())
-            decided = {s["shard"]: s["decided"] for s in base.shard_stats}
             for frac in crash_fracs:
-                crash_at = tuple(
-                    (shard, int(frac * decided[shard]))
-                    for shard in range(n_shards)
-                    if decided.get(shard, 0) > 0
-                )
                 cell_dir = os.path.join(
                     journal_dir, f"{mode}-s{n_shards}-f{int(frac * 100):03d}"
                 )
-                os.makedirs(cell_dir, exist_ok=True)
-                cfg = FleetConfig(
-                    n_shards=n_shards,
-                    batch_size=batch_size,
-                    journal_dir=cell_dir,
-                    checkpoint_interval=checkpoint_interval,
-                    crash_at=crash_at,
+                rep, crashes = crash_every_shard(
+                    ptrace, config, base, frac, cell_dir
                 )
-                rep = FleetService(cohorts=trace.cohorts, config=cfg).run(ptrace)
                 identical = (
                     decision_identity(rep.all_decisions()) == base_identity
                 )
@@ -683,7 +721,7 @@ def run_fleet_matrix(
                 invariants_ok = True
                 try:
                     cell_counts = fleet_invariants(
-                        rep, max_retries=cfg.max_retries
+                        rep, max_retries=config.max_retries
                     )
                 except FleetInvariantError:
                     invariants_ok = False
@@ -695,7 +733,7 @@ def run_fleet_matrix(
                         mode=mode,
                         n_shards=n_shards,
                         crash_frac=frac,
-                        crashes=len(crash_at),
+                        crashes=crashes,
                         identical=identical,
                         replay_bounded=all(r <= replay_bound for r in replays),
                         invariants_ok=invariants_ok,

@@ -29,11 +29,7 @@ def failed_jobs(result: "SimResult") -> int:
 
 
 def miss_ratio(result: "SimResult") -> float:
-    """Fraction of released jobs that failed their deadline.
-
-    Matches :func:`repro.eval.metrics.miss_ratio`; re-implemented here so
-    the robust package stays import-cycle-free.
-    """
+    """Fraction of released jobs that failed their deadline."""
     released = released_jobs(result)
     if released == 0:
         return 0.0

@@ -31,9 +31,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-from repro.sched.task import PeriodicTask, Segment
+from repro.sched.task import PeriodicTask, Segment, TaskSet
+
+if TYPE_CHECKING:  # pragma: no cover - the simulator imports this package
+    from repro.robust.faults import FaultConfig
+    from repro.sched.simulator import SimResult
 
 
 class OverrunPolicy(enum.Enum):
@@ -96,6 +100,39 @@ def degraded_variant(task: PeriodicTask, factor: float = 0.5) -> Tuple[Segment, 
         )
         for s in task.segments
     )
+
+
+def variant_fallbacks(taskset: TaskSet, factor: float) -> DegradeConfig:
+    """``DEGRADE`` every task to its :func:`degraded_variant` at ``factor``."""
+    return DegradeConfig(
+        fallbacks={t.name: degraded_variant(t, factor) for t in taskset}
+    )
+
+
+def simulate_policies(
+    taskset: TaskSet,
+    horizon: int,
+    faults: "FaultConfig",
+    degrade: DegradeConfig,
+) -> Dict[OverrunPolicy, "SimResult"]:
+    """Simulate ``taskset`` under ``faults`` once per overrun policy.
+
+    Every run uses fixed-priority non-preemptive scheduling over
+    ``horizon`` cycles; only the ``DEGRADE`` run gets ``degrade``.
+    """
+    from repro.sched.policies import CpuPolicy
+    from repro.sched.simulator import SimConfig, simulate
+
+    return {
+        policy: simulate(taskset, SimConfig(
+            policy=CpuPolicy.FP_NP,
+            horizon=horizon,
+            faults=faults,
+            overrun=policy,
+            degrade=degrade if policy is OverrunPolicy.DEGRADE else None,
+        ))
+        for policy in OverrunPolicy
+    }
 
 
 @dataclass

@@ -36,14 +36,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
-from repro.robust.escalation import FaultKind
+from repro.robust.escalation import (
+    EscalationConfig,
+    FaultKind,
+    bad_region_span,
+    fault_overhead_cycles,
+)
 from repro.robust.overload import degraded_variant
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.platform import Platform
-    from repro.sched.task import PeriodicTask, Segment
+    from repro.sched.simulator import SimResult
+    from repro.sched.task import PeriodicTask, Segment, TaskSet
 
 
 class RecoveryProtocol(enum.Enum):
@@ -61,6 +67,16 @@ _LADDER_ORDER = (
     RecoveryProtocol.XIP_FALLBACK,
     RecoveryProtocol.DEGRADE,
 )
+
+#: The ladders ``rtmdm recover`` and EXP-R2 compare, by name: no
+#: recovery (terminal faults quarantine the task), then each longer
+#: prefix of the full ladder.
+LADDERS: Dict[str, Optional[Tuple[RecoveryProtocol, ...]]] = {
+    "none": None,
+    "remap": _LADDER_ORDER[:1],
+    "xip": _LADDER_ORDER[:2],
+    "full": _LADDER_ORDER,
+}
 
 
 @dataclass(frozen=True)
@@ -237,6 +253,77 @@ class RecoveryManager:
             return "degrade"
         self._quarantined.add(task)
         return "quarantine"
+
+
+def bad_flash_faults(
+    taskset: "TaskSet",
+    platform: "Platform",
+    bad_frac: float,
+    retries: int,
+    seed: int,
+    crc_fault_prob: float,
+    mirror_bad: bool,
+) -> EscalationConfig:
+    """Persistent faults on ``bad_frac`` of ``taskset``'s flash layout.
+
+    The bad region starts a quarter into the layout (none at
+    ``bad_frac == 0``); every transfer retries ``retries`` times, and
+    each retry backs off and re-checks for one CRC pass of ``platform``.
+    """
+    crc = platform.dma.crc_cycles(platform.mcu)
+    return EscalationConfig(
+        bad_regions=(
+            (bad_region_span(taskset, 0.25, 0.25 + bad_frac),)
+            if bad_frac > 0
+            else ()
+        ),
+        crc_fault_prob=crc_fault_prob,
+        max_retries=retries,
+        backoff_slot_cycles=crc,
+        crc_overhead_cycles=crc,
+        mirror_bad=mirror_bad,
+        seed=seed,
+    )
+
+
+def sweep_ladders(
+    taskset: "TaskSet",
+    platform: "Platform",
+    horizon: int,
+    escalation: EscalationConfig,
+    names: Sequence[str],
+) -> Tuple[int, bool, Dict[str, "SimResult"]]:
+    """Simulate ``taskset`` under ``escalation`` once per named ladder.
+
+    Returns the full ladder's per-fault cost bound
+    (:func:`~repro.robust.escalation.fault_overhead_cycles`), the
+    fault-aware analysis verdict at ``escalation.max_retries`` faults
+    with that cost, and the result of each ladder in :data:`LADDERS`
+    named in ``names``.
+    """
+    from repro.core.analysis import fault_aware_analysis
+    from repro.eval.parallel import simulate_batch
+    from repro.sched.policies import CpuPolicy
+    from repro.sched.simulator import SimConfig
+
+    full = RecoveryConfig.for_platform(platform, ladder=LADDERS["full"])
+    cost = fault_overhead_cycles(taskset, escalation, recovery=full)
+    admit = fault_aware_analysis(taskset, escalation.max_retries, cost).schedulable
+    runs = []
+    for name in names:
+        ladder = LADDERS[name]
+        recovery = (
+            None
+            if ladder is None
+            else RecoveryConfig.for_platform(platform, ladder=ladder)
+        )
+        runs.append((taskset, SimConfig(
+            policy=CpuPolicy.FP_NP,
+            horizon=horizon,
+            escalation=escalation,
+            recovery=recovery,
+        )))
+    return cost, admit, dict(zip(names, simulate_batch(runs)))
 
 
 # ----------------------------------------------------------------------

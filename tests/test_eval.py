@@ -6,7 +6,6 @@ import pytest
 
 from conftest import make_task
 from repro.eval.metrics import (
-    miss_ratio,
     quantiles,
     schedulability_ratio,
     speedup,
@@ -15,6 +14,7 @@ from repro.eval.metrics import (
 from repro.eval.reporting import ExperimentResult, render
 from repro.eval.systems import LABELS, SYSTEMS, admit, derive_taskset
 from repro.hw.presets import get_platform
+from repro.robust.metrics import miss_ratio
 from repro.sched.simulator import SimConfig, simulate
 from repro.sched.task import TaskSet
 from repro.workload.taskset import generate_case
